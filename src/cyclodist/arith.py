@@ -4,7 +4,7 @@ Everything downstream runs on exact integers and `fractions.Fraction`
 (re-exported here as :data:`ExactRational`).  The two workhorses are
 
 * :class:`SievePack` — smallest-prime-factor and Möbius tables plus the
-  prime list up to a limit, built once by a linear sieve and shared
+  prime list up to a limit, built once by a sieve of Eratosthenes and shared
   read-only across the package;
 * :class:`FactoredNat` — a natural number carried together with its full
   prime factorization, the input of every multiplicative-function
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -27,11 +28,6 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .errors import ResourceBudgetError
-
-try:
-    from numba import njit as _njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _njit = None
 
 #: Exact rational numbers.  `fractions.Fraction` already guarantees the two
 #: invariants we need (gcd(|num|, den) = 1 and den >= 1 after every
@@ -77,20 +73,27 @@ def is_prime_int(n: int) -> bool:
 
 
 def _sieve_arrays_numpy(limit: int, primes: Optional[np.ndarray] = None):
-    """Vectorized Eratosthenes fallback (also used when cached primes exist)."""
+    """Vectorized Eratosthenes: (spf, mu, primes) over [0..limit].
+
+    Given a cached prime list, only its members <= sqrt(limit) mark
+    composites, and None is returned unless the positions left unmarked are
+    exactly that list.  Marking only ever hits composites, so every true
+    prime stays unmarked, and a composite c stays unmarked only if its
+    least prime factor (<= sqrt(c)) is missing from the list: equality
+    holds for the true prime list and for nothing else."""
     spf = np.zeros(limit + 1, dtype=np.int32)
     root = math.isqrt(limit)
     if primes is None:
-        for p in range(2, root + 1):
-            if spf[p] == 0:
-                sl = spf[p * p :: p]
-                sl[sl == 0] = p
-        prime_idx = np.flatnonzero(spf[2:] == 0).astype(np.int64) + 2
+        sievers = range(2, root + 1)
     else:
-        for p in primes[primes <= root]:
+        sievers = primes[(primes >= 2) & (primes <= root)].tolist()
+    for p in sievers:
+        if spf[p] == 0:
             sl = spf[p * p :: p]
             sl[sl == 0] = p
-        prime_idx = primes.astype(np.int64)
+    prime_idx = np.flatnonzero(spf[2:] == 0).astype(np.int64) + 2
+    if primes is not None and not np.array_equal(prime_idx, primes):
+        return None
     spf[prime_idx] = prime_idx
     mu = np.ones(limit + 1, dtype=np.int8)
     mu[0] = 0
@@ -99,35 +102,6 @@ def _sieve_arrays_numpy(limit: int, primes: Optional[np.ndarray] = None):
     for p in prime_idx[prime_idx <= root]:
         mu[p * p :: p * p] = 0
     return spf, mu, prime_idx
-
-
-if _njit is not None:
-
-    @_njit(cache=True)
-    def _sieve_arrays_linear(limit):  # pragma: no cover - exercised via wrapper
-        spf = np.zeros(limit + 1, dtype=np.int32)
-        mu = np.zeros(limit + 1, dtype=np.int8)
-        mu[1] = 1
-        cap = int(1.26 * limit / np.log(limit)) + 16
-        primes = np.empty(cap, dtype=np.int64)
-        cnt = 0
-        for i in range(2, limit + 1):
-            if spf[i] == 0:
-                spf[i] = i
-                primes[cnt] = i
-                cnt += 1
-                mu[i] = -1
-            for j in range(cnt):
-                p = primes[j]
-                ip = i * p
-                if p > spf[i] or ip > limit:
-                    break
-                spf[ip] = p
-                if p == spf[i]:
-                    mu[ip] = 0
-                else:
-                    mu[ip] = -mu[i]
-        return spf, mu, primes[:cnt].copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,12 +168,21 @@ def _resolve_cache_dir(cache_dir) -> Optional[Path]:
 
 def write_sieve_cache(path, limit: int, primes: Sequence[int]) -> None:
     """Binary cache: magic "CPD1", 8-byte little-endian limit, then each
-    prime as an 8-byte little-endian value."""
+    prime as an 8-byte little-endian value.  Written to a temporary file
+    that replaces `path` only once complete, so readers never see a
+    partial file."""
     arr = np.asarray(primes, dtype="<u8")
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<Q", limit))
-        fh.write(arr.tobytes())
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(CACHE_MAGIC)
+            fh.write(struct.pack("<Q", limit))
+            fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_sieve_cache(path, limit: int) -> Optional[np.ndarray]:
@@ -228,8 +211,10 @@ def sieve_pack(limit: int = DEFAULT_SIEVE_LIMIT, cache_dir=None) -> SievePack:
     """Build (or load from cache) the shared sieve tables up to `limit`.
 
     The cache directory is taken from the argument or the CYCLODIST_CACHE
-    environment variable; a cache file is used only when its stored limit
-    matches the request, and a fresh build writes one back when possible.
+    environment variable.  A cache file is used only when its stored limit
+    matches the request and its prime list survives the check in
+    `_sieve_arrays_numpy`; otherwise the tables are built afresh and the
+    file is (re)written when possible.
     """
     if limit < 2:
         raise ValueError("sieve limit must be >= 2")
@@ -241,12 +226,10 @@ def sieve_pack(limit: int = DEFAULT_SIEVE_LIMIT, cache_dir=None) -> SievePack:
     if cdir is not None:
         cached = read_sieve_cache(_cache_path(cdir, limit), limit)
         if cached is not None:
-            spf, mu, primes = _sieve_arrays_numpy(limit, primes=cached)
-            return SievePack(limit, spf, mu, primes)
-    if _njit is not None:
-        spf, mu, primes = _sieve_arrays_linear(limit)
-    else:
-        spf, mu, primes = _sieve_arrays_numpy(limit)
+            arrays = _sieve_arrays_numpy(limit, primes=cached)
+            if arrays is not None:
+                return SievePack(limit, *arrays)
+    spf, mu, primes = _sieve_arrays_numpy(limit)
     if cdir is not None:
         try:
             cdir.mkdir(parents=True, exist_ok=True)

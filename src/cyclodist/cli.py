@@ -100,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--cache-dir", default=None, help="sieve cache directory (or $CYCLODIST_CACHE)")
     ap.add_argument("--sieve-limit", type=int, default=None, help=f"sieve limit (default {DEFAULT_SIEVE_LIMIT})")
-    ap.add_argument("--threads", type=int, default=1, help="scan block parallelism (>= 1; scans are deterministic regardless)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def fmt(p):
@@ -212,8 +211,6 @@ def _run(args) -> int:
                 pack = default_pack()
         return pack
 
-    if args.threads is not None and args.threads < 1:
-        raise ValueError("--threads must be >= 1")
     cmd = args.command
 
     if cmd == "coeff":

@@ -21,6 +21,7 @@ p3 <= k < p1 + p2.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,38 +31,25 @@ from .arith import (
     FactoredLike,
     FactoredNat,
     as_factored,
+    factorize,
     least_prime_above,
     small_primes,
 )
 from .errors import InternalConsistencyError, ResourceBudgetError
 
-VALUE_SET_MAX_K = 40
+#: Largest k for which the divisor profile of M_k is built (divisor counts
+#: grow like 2^pi(k)); caps value sets, divisor-route densities and means,
+#: and the coefficient scans.
+PROFILE_MAX_K = 40
 CYCLO_POLY_MAX_DEGREE = 100_000
 PARTITION_BUDGET = 10_000_000
 
 
 @lru_cache(maxsize=None)
 def _mu_phi_small(r: int) -> Tuple[int, int]:
-    """(mu(r), phi(r)) by trial division; only hit with r <= max k."""
-    mu, phi, n = 1, 1, r
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                mu = 0
-                while n % d == 0:
-                    n //= d
-                    phi *= d
-                phi *= d - 1
-            else:
-                mu = -mu
-                phi *= d - 1
-        d += 1
-    if n > 1:
-        mu = -mu
-        phi *= n - 1
-    return mu, phi
+    """(mu(r), phi(r)); only hit with r <= max k."""
+    fr = factorize(r)
+    return fr.mobius(), fr.phi()
 
 
 def _squarefree_kernel(fn: FactoredNat) -> FactoredNat:
@@ -69,14 +57,38 @@ def _squarefree_kernel(fn: FactoredNat) -> FactoredNat:
     return FactoredNat(fn.radical(), fac)
 
 
+def _recurrence(fn: FactoredNat, kmax: int) -> List[int]:
+    """[a_n(0), ..., a_n(kmax)] for squarefree n >= 2 by the log-derivative
+    recurrence b_j = -(1/j) sum_(m<j) b_m T_(j-m).  Every division must be
+    exact; a remainder raises InternalConsistencyError (it would mean a
+    bug, not bad input)."""
+    top = min(kmax, fn.phi())
+    mu_n = -1 if len(fn.factors) % 2 else 1
+    d = 1
+    for p, _ in fn.factors:
+        if p <= top:
+            d *= p
+    T = [0] * (top + 1)
+    for r in range(1, top + 1):
+        mu_g, phi_g = _mu_phi_small(math.gcd(r, d))
+        T[r] = mu_n * mu_g * phi_g
+    b = [1] + [0] * kmax
+    for j in range(1, top + 1):
+        q, rem = divmod(-sum(map(operator.mul, b[:j], T[j:0:-1])), j)
+        if rem:
+            raise InternalConsistencyError(
+                f"inexact division at step {j} of the coefficient recurrence "
+                f"(n={fn.value})"
+            )
+        b[j] = q
+    return b
+
+
 def cyclo_coeff(n: FactoredLike, k: int) -> int:
     """a_n(k) via kernel reduction and the log-derivative recurrence.
 
     Conventions: a_n(k) = 0 for k > phi(n); Phi_1 = X - 1 handled as an
-    explicit table.  Every division inside the recurrence must be exact; a
-    remainder raises InternalConsistencyError (it would mean a bug, not bad
-    input).
-    """
+    explicit table."""
     if k < 0:
         raise ValueError("coefficient index k must be >= 0")
     fn = as_factored(n)
@@ -88,34 +100,9 @@ def cyclo_coeff(n: FactoredLike, k: int) -> int:
         if k % quot:
             return 0
         fn, k = _squarefree_kernel(fn), k // quot
-    if k == 0:
-        return 1
-    phi = fn.phi()
-    if k > phi:
+    if k > fn.phi():
         return 0
-    mu_n = -1 if len(fn.factors) % 2 else 1
-    d = 1
-    for p, _ in fn.factors:
-        if p <= k:
-            d *= p
-    T = [0] * (k + 1)
-    for r in range(1, k + 1):
-        g = math.gcd(r, d)
-        mu_g, phi_g = _mu_phi_small(g)
-        T[r] = mu_n * mu_g * phi_g
-    b = [1] + [0] * k
-    for j in range(1, k + 1):
-        acc = 0
-        for m in range(j):
-            acc += b[m] * T[j - m]
-        q, rem = divmod(-acc, j)
-        if rem:
-            raise InternalConsistencyError(
-                f"inexact division at step {j} of the coefficient recurrence "
-                f"(n={fn.value}, k={k})"
-            )
-        b[j] = q
-    return b[k]
+    return _recurrence(fn, k)[k]
 
 
 def cyclo_coeff_prefix(n: FactoredLike, kmax: int) -> List[int]:
@@ -130,39 +117,12 @@ def cyclo_coeff_prefix(n: FactoredLike, kmax: int) -> List[int]:
     gamma = fn.radical()
     quot = fn.value // gamma
     kernel = _squarefree_kernel(fn) if quot > 1 else fn
-    inner = cyclo_coeff_prefix_squarefree(kernel, min(kmax // quot, kernel.phi()))
+    inner = _recurrence(kernel, min(kmax // quot, kernel.phi()))
     out = [0] * (kmax + 1)
     for j, c in enumerate(inner):
         if j * quot <= kmax:
             out[j * quot] = c
     return out
-
-
-def cyclo_coeff_prefix_squarefree(fn: FactoredNat, kmax: int) -> List[int]:
-    phi = fn.phi()
-    top = min(kmax, phi)
-    mu_n = -1 if len(fn.factors) % 2 else 1
-    d = 1
-    for p, _ in fn.factors:
-        if p <= top:
-            d *= p
-    b = [1] + [0] * kmax
-    T = [0] * (top + 1)
-    for r in range(1, top + 1):
-        g = math.gcd(r, d)
-        mu_g, phi_g = _mu_phi_small(g)
-        T[r] = mu_n * mu_g * phi_g
-    for j in range(1, top + 1):
-        acc = 0
-        for m in range(j):
-            acc += b[m] * T[j - m]
-        q, rem = divmod(-acc, j)
-        if rem:
-            raise InternalConsistencyError(
-                f"inexact division at step {j} (n={fn.value})"
-            )
-        b[j] = q
-    return b
 
 
 def cyclo_coeff_series(n: FactoredLike, k: int) -> int:
@@ -403,18 +363,29 @@ def support_modulus(k: int) -> FactoredNat:
     return FactoredNat(val, fac)
 
 
+@lru_cache(maxsize=1)
 def coeff_profile(k: int) -> CoeffProfile:
     """Divisor-indexed coefficient pairs behind the exact distribution of
-    a_n(k).  Budgeted to k <= 40 (divisor counts grow like 2^pi(k))."""
-    if not 2 <= k <= VALUE_SET_MAX_K:
+    a_n(k), for 2 <= k <= PROFILE_MAX_K.  The last profile is kept, since
+    the mean, the densities and the value set of one k all fold over it.
+
+    Only the divisors d with nu_2(d) != 1 are evaluated: for odd d the
+    entry at 2d follows from Phi_(2d)(X) = Phi_d(-X), which for k >= 2
+    gives a_(2d)(k) = (-1)^k a_d(k) (and likewise for dq)."""
+    if not 2 <= k <= PROFILE_MAX_K:
         if k == 1:
             raise ValueError("k = 1 is special-cased by callers")
-        raise ResourceBudgetError(f"coefficient profile limited to k <= {VALUE_SET_MAX_K}")
+        raise ResourceBudgetError(f"coefficient profile limited to k <= {PROFILE_MAX_K}")
     m_k = support_modulus(k)
     q = least_prime_above(k)
     entries: Dict[int, Tuple[int, int]] = {}
     for d in m_k.iter_divisors_factored():
-        entries[d.value] = (cyclo_coeff(d, k), cyclo_coeff(d.times_prime(q), k))
+        if d.nu(2) != 1:
+            entries[d.value] = (cyclo_coeff(d, k), cyclo_coeff(d.times_prime(q), k))
+    sign = -1 if k % 2 else 1
+    for d, (a, aq) in list(entries.items()):
+        if d % 2:
+            entries[2 * d] = (sign * a, sign * aq)
     return CoeffProfile(k, q, m_k, entries)
 
 

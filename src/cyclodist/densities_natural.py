@@ -3,9 +3,9 @@
 The scaled mean e_k = zeta(2) * M_n(a_n(k)) is an explicit rational.  It
 is computed by two fully independent routes:
 
-* the divisor-profile route: a weighted sum of (a_d(k) + a_(d*q)(k))/d over
-  the divisors d of M_k = k * prod_(p<=k) p, with cheaper variants when k
-  is odd (halved divisor set) or prime (divisors of prod_(2<p<k) p only);
+* the divisor-profile route: the first moment of the per-value density
+  table, i.e. a weighted sum of (a_d(k) + a_(d*q)(k))/d over the divisors
+  d of M_k = k * prod_(p<=k) p;
 * the partition route: a sum over the partitions lambda of k involving
   only lcm/gcd of the parts and Möbius values, which scales far beyond the
   divisor route (p(61) partitions instead of 2^pi(61) divisors).
@@ -23,19 +23,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from .arith import FactoredLike, FactoredNat, as_factored, small_primes
-from .cyclotomic import (
-    coeff_profile,
-    cyclo_coeff,
-    iter_partitions,
-    partition_count,
-    support_modulus,
-)
+from .arith import FactoredLike, as_factored, factorize, small_primes
+from .cyclotomic import coeff_profile, iter_partitions, partition_count
 from .density import Basis, DensityTable, merge_values
 from .errors import InternalConsistencyError, ResourceBudgetError
-from .arith import least_prime_above
 
-MEAN_MAX_K = 40
 PARTITION_MEAN_BUDGET = 2_000_000  # p(k) cap; p(61) = 1_121_505 fits
 
 
@@ -67,7 +59,7 @@ def _make_ek(k: int, e_k: Fraction) -> EkValue:
 
 
 def mean_coeff(k: int) -> EkValue:
-    """e_k by the cheapest applicable divisor-profile formula.
+    """e_k as the first moment of the divisor-profile density table.
 
     k = 1 is special: the degree-1 polynomial at n = 1 breaks the generic
     d = 1 term, and the true mean of a_n(1) = -mu(n) (n > 1) is 0."""
@@ -75,47 +67,7 @@ def mean_coeff(k: int) -> EkValue:
         raise ValueError("mean_coeff requires k >= 1")
     if k == 1:
         return EkValue(1, Fraction(0), 0)
-    if k > MEAN_MAX_K:
-        raise ResourceBudgetError(f"divisor-profile mean limited to k <= {MEAN_MAX_K}")
-    primes = small_primes(k)
-    q = least_prime_above(k)
-    if k % 2 == 1 and len(as_factored(k).factors) == 1 and as_factored(k).factors[0][1] == 1:
-        # prime k >= 3: divisors of prod_(2<p<k) p suffice
-        fac = tuple((p, 1) for p in primes if 2 < p < k)
-        support = FactoredNat(math.prod(p for p, _ in fac), fac)
-        scale = Fraction(1, 6)
-        for p, _ in fac:
-            scale /= 1 + Fraction(1, p)
-        total = Fraction(0)
-        for d in support.iter_divisors_factored():
-            a = cyclo_coeff(d, k)
-            aq = cyclo_coeff(d.times_prime(q), k)
-            total += Fraction(a + aq, d.value)
-        return _make_ek(k, scale * total)
-    if k % 2 == 1:
-        # odd k >= 3: halve the divisor set via a_(2d)(k) = -a_d(k)
-        m_k = support_modulus(k)
-        half = FactoredNat(
-            m_k.value // 2, tuple((p, e) for p, e in m_k.factors if p != 2)
-        )
-        scale = Fraction(1, 6)
-        for p in primes:
-            if p > 2:
-                scale /= 1 + Fraction(1, p)
-        total = Fraction(0)
-        for d in half.iter_divisors_factored():
-            a = cyclo_coeff(d, k)
-            aq = cyclo_coeff(d.times_prime(q), k)
-            total += Fraction(a + aq, d.value)
-        return _make_ek(k, scale * total)
-    profile = coeff_profile(k)
-    scale = Fraction(1, 2)
-    for p in primes:
-        scale /= 1 + Fraction(1, p)
-    total = Fraction(0)
-    for d, (a, aq) in profile.entries.items():
-        total += Fraction(a + aq, d)
-    return _make_ek(k, scale * total)
+    return _make_ek(k, coeff_density(k).moment(1))
 
 
 # -- partition route ----------------------------------------------------------
@@ -123,19 +75,7 @@ def mean_coeff(k: int) -> EkValue:
 
 @lru_cache(maxsize=None)
 def _exponents_small(n: int) -> Tuple[Tuple[int, int], ...]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return tuple(out)
+    return factorize(n).factors
 
 
 @lru_cache(maxsize=None)
@@ -143,36 +83,30 @@ def _support_data(parts: Tuple[int, ...]):
     """Per distinct-part-set data: None when lcm/gcd of the parts has a
     non-squarefree quotient (no contribution), else
     (mu values of lcm/part aligned with parts, denominator G * prod_(p | L/G) (p+1))."""
+    part_exps = [dict(_exponents_small(j)) for j in parts]
     exps: Dict[int, int] = {}
-    for j in parts:
-        for p, e in _exponents_small(j):
+    for pe in part_exps:
+        for p, e in pe.items():
             if exps.get(p, 0) < e:
                 exps[p] = e
     g = parts[0]
     for j in parts[1:]:
         g = math.gcd(g, j)
     mus = []
-    for j in parts:
+    for pe in part_exps:
         cnt = 0
         for p, e in exps.items():
-            rem = e - _nu_small(j, p)
+            rem = e - pe.get(p, 0)
             if rem >= 2:
                 return None
             cnt += rem
         mus.append(-1 if cnt % 2 else 1)
     denom = g
+    g_exps = dict(_exponents_small(g))
     for p, e in exps.items():
-        if e > _nu_small(g, p):
+        if e > g_exps.get(p, 0):
             denom *= p + 1
     return tuple(mus), denom
-
-
-def _nu_small(n: int, p: int) -> int:
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
 
 
 def mean_coeff_partition(k: int) -> EkValue:
@@ -243,31 +177,6 @@ def coeff_density(k: int) -> DensityTable:
         w = scale / d
         pairs.append((a, w))
         pairs.append((aq, w))
-    return DensityTable.from_dict(
-        f"a_n({k})", Basis.SIX_OVER_PI2, merge_values(pairs)
-    )
-
-
-def _coeff_density_oddhalf(k: int) -> DensityTable:
-    """Same table for odd k >= 3 from the odd divisors only, using the
-    sign flip a_(2d)(k) = -a_d(k); cross-checked against coeff_density."""
-    if k < 3 or k % 2 == 0:
-        raise ValueError("odd-half density requires odd k >= 3")
-    m_k = support_modulus(k)
-    half = FactoredNat(m_k.value // 2, tuple((p, e) for p, e in m_k.factors if p != 2))
-    q = least_prime_above(k)
-    scale = Fraction(1, 2)
-    for p in small_primes(k):
-        scale /= 1 + Fraction(1, p)
-    pairs = []
-    for d in half.iter_divisors_factored():
-        a = cyclo_coeff(d, k)
-        aq = cyclo_coeff(d.times_prime(q), k)
-        w = scale / d.value
-        pairs.append((a, w))
-        pairs.append((aq, w))
-        pairs.append((-a, w / 2))
-        pairs.append((-aq, w / 2))
     return DensityTable.from_dict(
         f"a_n({k})", Basis.SIX_OVER_PI2, merge_values(pairs)
     )

@@ -27,6 +27,7 @@ from .arith import FactoredLike, SievePack, as_factored, default_pack
 from .cyclotomic import coeff_profile
 from .density import Basis, DensityTable, basis_numeric, merge_values
 from .errors import InternalConsistencyError, ResourceBudgetError
+from .ramanujan import _local_value
 
 #: pi(x) < 1.25506 x / log x (Rosser-Schoenfeld) turns, via partial
 #: summation, into  sum_(p > P) 1/(p(p-1)) <= 2.52 / (P log P).
@@ -185,16 +186,6 @@ def valuation_profile_density(constraint: ValuationConstraint) -> ProfileDensity
 
 
 # -- Ramanujan sums over shifted primes -------------------------------------------
-
-
-def _local_value(q: int, e: int, nu: int) -> int:
-    if e == 0:
-        return 1
-    if e <= nu:
-        return (q - 1) * q ** (e - 1)
-    if e == nu + 1:
-        return -(q**nu)
-    return 0
 
 
 def iter_prime_profiles(k: FactoredLike) -> Iterator[Tuple[int, Fraction]]:

@@ -93,12 +93,6 @@ class DensityTable:
     def zero_mass_numeric(self, basis_value: Optional[float] = None) -> float:
         return self.numeric(0, basis_value)
 
-    def total_numeric(self, basis_value: Optional[float] = None) -> float:
-        b = basis_value if basis_value is not None else basis_numeric(self.basis)
-        return self.zero_mass_numeric(b) + sum(
-            float(c) * b for _, c in self.entries
-        )
-
     def moment(self, order: int) -> Fraction:
         """sum_v v^order * coefficient(v), exact, on `basis` (the implicit
         v = 0 entry contributes nothing for order >= 1)."""
@@ -131,11 +125,14 @@ class DensityTable:
         return json.dumps(payload, **dump_kwargs)
 
     def validate(self, tol: float = 1e-12) -> None:
-        """Check the type invariants: no zero coefficients, numeric mass 1."""
-        if any(c == 0 for _, c in self.entries):
-            raise ValueError("density table carries a zero coefficient")
-        if abs(self.total_numeric() - 1.0) > tol:
-            raise ValueError("density table mass differs from 1")
+        """Check the type invariants: every stored coefficient is positive
+        and the numeric nonzero mass lies in [0, 1] (up to `tol`), so the
+        implicit v = 0 entry gets a mass in [0, 1] as well."""
+        if any(c <= 0 for _, c in self.entries):
+            raise ValueError("density table carries a non-positive coefficient")
+        mass = float(self.nonzero_mass()) * basis_numeric(self.basis)
+        if not -tol <= mass <= 1 + tol:
+            raise ValueError(f"density table nonzero mass {mass} outside [0, 1]")
 
 
 def merge_values(pairs: Iterable[Tuple[int, Fraction]]) -> Dict[int, Fraction]:

@@ -1,11 +1,12 @@
 """Deterministic empirical scans over primes and integers.
 
 Every counting routine here is exact, reproducible bit-for-bit, and
-ignorant of the theory it is used to validate: values of c_(p-1)(k) come
-from per-prime factorizations of p - 1, coefficient values from the
-divisor-memo reduction, and the k-th symmetric functions of primitive
-roots from an explicit expansion over the roots themselves (the one
-genuinely independent oracle for the congruence suite).
+ignorant of the theory it is used to validate: values of c_n(m) and
+a_n(k) come from one memoised reduction of n to its part at a finite
+prime set plus the Möbius value of the cofactor (see :class:`_SplitEvaluator`),
+and the k-th symmetric functions of primitive roots from an explicit
+expansion over the roots themselves (the one genuinely independent oracle
+for the congruence suite).
 
 Counts are reported as :class:`EmpiricalReport`: per-value counts, the
 number of primes scanned, and exact rational frequencies.
@@ -17,12 +18,20 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .arith import FactoredNat, SievePack, as_factored, default_pack, is_prime_int, least_prime_above
-from .cyclotomic import cyclo_coeff
+from .arith import (
+    FactoredNat,
+    SievePack,
+    as_factored,
+    default_pack,
+    is_prime_int,
+    least_prime_above,
+    small_primes,
+)
+from .cyclotomic import PROFILE_MAX_K, cyclo_coeff
 from .densities_prime import ValuationConstraint
 from .errors import ResourceBudgetError
 from .ramanujan import ramanujan_sum
@@ -97,18 +106,6 @@ def merge_reports(a: EmpiricalReport, b: EmpiricalReport) -> EmpiricalReport:
     )
 
 
-def _factor_with_spf(n: int, spf: np.ndarray) -> List[Tuple[int, int]]:
-    out = []
-    while n > 1:
-        p = int(spf[n])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
-    return out
-
-
 def _phi_from_factors(factors: Sequence[Tuple[int, int]]) -> int:
     out = 1
     for p, e in factors:
@@ -116,81 +113,87 @@ def _phi_from_factors(factors: Sequence[Tuple[int, int]]) -> int:
     return out
 
 
-def _ramanujan_from_factors(factors: Sequence[Tuple[int, int]], k: int) -> int:
-    """c_n(k) from the factorization of n (Hölder, prime by prime)."""
-    out = 1
-    for q, e in factors:
-        a = 0
-        kk = k
-        while kk % q == 0:
-            kk //= q
-            a += 1
-        if e <= a:
-            out *= (q - 1) * q ** (e - 1)
-        elif e == a + 1:
-            out *= -(q**a)
-        else:
-            return 0
-    return out
+class _SplitEvaluator:
+    """f(n) for 1 <= n <= pack.limit, where f depends only on n_S, the part
+    of n supported on a finite prime set S, and on mu(c) for the cofactor
+    c = n / n_S: f(n) = pair(n_S)[0] if mu(c) = 1, pair(n_S)[1] if
+    mu(c) = -1, and 0 if mu(c) = 0 or nu_p(n) exceeds caps[p] for some p
+    in S (where f must vanish).  The pair is memoised per n_S."""
 
-
-class _CoeffEvaluator:
-    """Fast a_(p-1)(k): n splits as n_k * c with n_k supported on primes
-    <= k; the coefficient depends only on n_k and mu(c), so the two
-    divisor-indexed values are memoized and c only needs a Möbius lookup."""
-
-    def __init__(self, k: int, pack: SievePack):
-        self.k = k
-        self.pack = pack
-        self.small_primes = [int(p) for p in pack.primes[pack.primes <= k]]
-        self.aux_prime = least_prime_above(k)
-        # exponent caps: nu_q of lcm(1..k) * prod p = floor(log_q k) + 1
-        self.caps = {p: int(math.log(k, p) + 1e-9) + 1 for p in self.small_primes}
+    def __init__(
+        self,
+        caps: Dict[int, int],
+        pair: Callable[[FactoredNat], Tuple[int, int]],
+        pack: SievePack,
+    ):
+        self.caps = sorted(caps.items())
+        self.pair = pair
+        self.mobius = pack.mobius
         self.memo: Dict[int, Tuple[int, int]] = {}
 
-    def value(self, n: int) -> int:
-        if self.k == 1:
-            return 1 if n == 1 else -int(self.pack.mobius[n])
-        nk_factors = []
-        nk = 1
-        for p in self.small_primes:
+    def __call__(self, n: int) -> int:
+        ns_factors = []
+        ns = 1
+        for p, cap in self.caps:
             if n % p == 0:
                 e = 0
                 while n % p == 0:
                     n //= p
                     e += 1
-                if e > self.caps[p]:
+                if e > cap:
                     return 0
-                nk_factors.append((p, e))
-                nk *= p**e
-        mu_c = int(self.pack.mobius[n])
+                ns_factors.append((p, e))
+                ns *= p**e
+        mu_c = int(self.mobius[n])
         if mu_c == 0:
             return 0
-        pair = self.memo.get(nk)
+        pair = self.memo.get(ns)
         if pair is None:
-            fnk = FactoredNat(nk, tuple(nk_factors))
-            pair = (
-                cyclo_coeff(fnk, self.k),
-                cyclo_coeff(fnk.times_prime(self.aux_prime), self.k),
-            )
-            self.memo[nk] = pair
+            pair = self.memo[ns] = self.pair(FactoredNat(ns, tuple(ns_factors)))
         return pair[0] if mu_c == 1 else pair[1]
 
 
-def s_k_residue(p: int, k: int, factors, evaluator: "_CoeffEvaluator") -> int:
+def _coeff_evaluator(k: int, pack: SievePack) -> Callable[[int], int]:
+    """n -> a_n(k).  S = primes <= k; nu_p(n) > floor(log_p k) + 1 makes
+    n / rad(n) exceed k, so a_n(k) = 0.  A squarefree cofactor coprime to
+    S acts like 1 or like q, the least prime above k.  k = 1 is special:
+    a_1(1) = 1 while a_n(1) = -mu(n) for n > 1."""
+    if k == 1:
+        mobius = pack.mobius
+        return lambda n: 1 if n == 1 else -int(mobius[n])
+    q = least_prime_above(k)
+    caps = {p: int(math.log(k, p) + 1e-9) + 1 for p in small_primes(k)}
+    return _SplitEvaluator(
+        caps, lambda f: (cyclo_coeff(f, k), cyclo_coeff(f.times_prime(q), k)), pack
+    )
+
+
+def _ramanujan_evaluator(m: int, pack: SievePack) -> Callable[[int], int]:
+    """n -> c_n(m).  S = primes dividing m; nu_p(n) >= nu_p(m) + 2 gives 0,
+    and a squarefree cofactor c coprime to m contributes c_c(m) = mu(c)."""
+
+    def pair(f: FactoredNat) -> Tuple[int, int]:
+        c = ramanujan_sum(f, m)
+        return c, -c
+
+    caps = {q: nu + 1 for q, nu in as_factored(m).factors}
+    return _SplitEvaluator(caps, pair, pack)
+
+
+def s_k_residue(p: int, k: int, factors, coeff: Callable[[int], int]) -> int:
     """s_k(p) mod p in symmetric-residue form, by case analysis on
     t = phi(p-1): zero above t, else (-1)^k a_(p-1)(k).
 
     The latter congruence covers the k = t boundary as well (it evaluates
     to +1 for p >= 5 and to -1 for p = 3, where the lone primitive root 2
     makes the product of roots -1, not +1).  p = 2 has the single root 1,
-    so every s_k(2) with k <= 1 is 1."""
+    so every s_k(2) with k <= 1 is 1.  `coeff` maps n to a_n(k)."""
     t = _phi_from_factors(factors)
     if k > t:
         return 0
     if p == 2:
         return 1
-    v = evaluator.value(p - 1)
+    v = coeff(p - 1)
     if k % 2:
         v = -v
     return symmetric_residue(v, p)
@@ -241,8 +244,10 @@ def scan_primes(
     if needs_k:
         if k is None or k < 1:
             raise ValueError(f"statistic {statistic} requires k >= 1")
-        if k > 40:
-            raise ResourceBudgetError("coefficient statistics capped at k <= 40")
+        if k > PROFILE_MAX_K:
+            raise ResourceBudgetError(
+                f"coefficient statistics capped at k <= {PROFILE_MAX_K}"
+            )
     if statistic == "kfree_shift":
         if shift is None or shift == 0 or kfree_order is None or kfree_order < 2:
             raise ValueError("kfree_shift requires shift != 0 and kfree_order >= 2")
@@ -252,36 +257,35 @@ def scan_primes(
     if statistic == "conjecture1" and constraint is None:
         raise ValueError("conjecture1 requires a valuation constraint")
 
-    spf = pack.smallest_prime_factor
     mob = pack.mobius
     counts: Counter = Counter()
-    evaluator = _CoeffEvaluator(k, pack) if statistic in ("a_pminus1", "s_k_mod_p") else None
+    value = None
+    if statistic in ("c_pminus1", "S_k_mod_p"):
+        value = _ramanujan_evaluator(k, pack)
+    elif statistic in ("a_pminus1", "s_k_mod_p"):
+        value = _coeff_evaluator(k, pack)
+    needs_factors = constraint is not None or statistic in ("s_k_mod_p", "conjecture1")
     cond_primes = constraint.primes() if constraint is not None else ()
 
     total = 0
     for p in primes.tolist():
         total += 1
-        factors = None
-        if statistic != "kfree_shift" or constraint is not None:
-            factors = _factor_with_spf(p - 1, spf) if p > 2 else []
+        factors = pack.factor(p - 1) if needs_factors else None
         if constraint is not None and not constraint.matches(factors):
             continue
         if statistic == "mu_pminus1":
             counts[int(mob[p - 1])] += 1
-        elif statistic == "c_pminus1":
-            counts[_ramanujan_from_factors(factors, k)] += 1
+        elif statistic in ("c_pminus1", "a_pminus1"):
+            counts[value(p - 1)] += 1
         elif statistic == "S_k_mod_p":
-            counts[symmetric_residue(_ramanujan_from_factors(factors, k), p)] += 1
-        elif statistic == "a_pminus1":
-            counts[evaluator.value(p - 1)] += 1
+            counts[symmetric_residue(value(p - 1), p)] += 1
         elif statistic == "s_k_mod_p":
-            counts[s_k_residue(p, k, factors, evaluator)] += 1
+            counts[s_k_residue(p, k, factors, value)] += 1
         elif statistic == "kfree_shift":
             m = p - shift
             if m < 1:
                 continue
-            mf = _factor_with_spf(m, spf)
-            counts[1 if all(e < kfree_order for _, e in mf) else 0] += 1
+            counts[1 if all(e < kfree_order for _, e in pack.factor(m)) else 0] += 1
         else:  # conjecture1
             outside = [(q, e) for q, e in factors if q not in cond_primes]
             if any(e >= 2 for _, e in outside):
@@ -406,75 +410,30 @@ def count_ramanujan_values(
 ) -> Dict[int, Counter]:
     """Counts of c_n(m) over 1 <= n <= limit for each m, in one pass.
 
-    Per n only the exponents at primes dividing any m and the Möbius value
-    of the remaining cofactor matter; the finitely many prime-power values
-    c_(q^e)(m) are taken from ramanujan_sum."""
+    Per n only the exponents at primes dividing m and the Möbius value of
+    the remaining cofactor matter (see _ramanujan_evaluator)."""
     pack = pack or default_pack()
     if limit > pack.limit:
         raise ResourceBudgetError(f"limit {limit} exceeds sieve capacity")
-    union: List[int] = sorted({q for m in ms for q, _ in as_factored(m).factors})
-    caps = []
-    for q in union:
-        cap = max(_nu(m, q) for m in ms) + 2
-        caps.append(cap)
-    tables: Dict[int, Dict[Tuple[int, ...], int]] = {}
-    for m in ms:
-        tab: Dict[Tuple[int, ...], int] = {}
-        for key in _exponent_keys(caps):
-            val = 1
-            for q, e in zip(union, key):
-                val *= ramanujan_sum(FactoredNat(q**e, ((q, e),) if e else ()), m)
-            tab[key] = val
-        tables[m] = tab
+    evaluators = {m: _ramanujan_evaluator(m, pack) for m in ms}
     counts: Dict[int, Counter] = {m: Counter() for m in ms}
-    mob = pack.mobius
     for n in range(1, limit + 1):
-        rest = n
-        key = []
-        for q in union:
-            e = 0
-            while rest % q == 0:
-                rest //= q
-                e += 1
-            key.append(e)
-        mu_c = int(mob[rest])
-        for m in ms:
-            if mu_c == 0:
-                counts[m][0] += 1
-                continue
-            capped = tuple(min(e, c) for e, c in zip(key, caps))
-            counts[m][tables[m][capped] * mu_c] += 1
+        for m, ev in evaluators.items():
+            counts[m][ev(n)] += 1
     return counts
-
-
-def _nu(m: int, q: int) -> int:
-    e = 0
-    while m % q == 0:
-        m //= q
-        e += 1
-    return e
-
-
-def _exponent_keys(caps: List[int]):
-    import itertools
-
-    return itertools.product(*(range(c + 1) for c in caps))
 
 
 def count_cyclo_values(
     ks: Sequence[int], limit: int, pack: Optional[SievePack] = None
 ) -> Dict[int, Counter]:
     """Counts of a_n(k) over 1 <= n <= limit for each k, in one pass,
-    via the divisor-memo evaluators."""
+    via the memoised evaluators (see _coeff_evaluator)."""
     pack = pack or default_pack()
     if limit > pack.limit:
         raise ResourceBudgetError(f"limit {limit} exceeds sieve capacity")
-    evaluators = {k: _CoeffEvaluator(k, pack) for k in ks}
+    evaluators = {k: _coeff_evaluator(k, pack) for k in ks}
     counts: Dict[int, Counter] = {k: Counter() for k in ks}
     for n in range(1, limit + 1):
         for k, ev in evaluators.items():
-            if n == 1:
-                counts[k][1 if k <= 1 else 0] += 1
-            else:
-                counts[k][ev.value(n)] += 1
+            counts[k][ev(n)] += 1
     return counts

@@ -30,6 +30,18 @@ _DIRECT_LIMIT = 100_000
 _ROUND_TOLERANCE = 0.4
 
 
+def _local_value(q: int, e: int, nu: int) -> int:
+    """Hölder's local factor c_{q^e}(q^nu): 1, phi(q^e), -q^nu or 0
+    depending on e vs nu."""
+    if e == 0:
+        return 1
+    if e <= nu:
+        return (q - 1) * q ** (e - 1)
+    if e == nu + 1:
+        return -(q**nu)
+    return 0
+
+
 def ramanujan_sum(n: FactoredLike, m: int) -> int:
     """c_n(m) by Hölder's formula, exact integer arithmetic throughout."""
     if m < 1:
@@ -42,12 +54,9 @@ def ramanujan_sum(n: FactoredLike, m: int) -> int:
         while mm % q == 0:
             mm //= q
             a += 1
-        # local factor c_{q^e}(q^a): the cofactor of m coprime to q is invisible
-        if e <= a:
-            out *= (q - 1) * q ** (e - 1)  # phi(q^e)
-        elif e == a + 1:
-            out *= -(q**a)
-        else:
+        # the cofactor of m coprime to q is invisible to the local factor
+        out *= _local_value(q, e, a)
+        if not out:
             return 0
     return out
 
@@ -130,17 +139,6 @@ class LocalProfile:
         for q, e in self.exponents:
             out *= q**e
         return out
-
-
-def _local_value(q: int, e: int, nu: int) -> int:
-    """c_{q^e}(q^nu): 1, phi(q^e), or -q^nu depending on e vs nu."""
-    if e == 0:
-        return 1
-    if e <= nu:
-        return (q - 1) * q ** (e - 1)
-    if e == nu + 1:
-        return -(q**nu)
-    return 0
 
 
 def iter_local_profiles(m: FactoredLike) -> Iterator[Tuple[LocalProfile, int, Fraction]]:

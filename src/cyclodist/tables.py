@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from .arith import SievePack, default_pack
-from .cyclotomic import value_set
+from .cyclotomic import PROFILE_MAX_K, value_set
 from .densities_natural import coeff_density, mean_coeff, mean_coeff_partition
 from .densities_prime import (
     ValuationConstraint,
@@ -370,9 +370,9 @@ def build_table10(kmax: int = 10) -> TableArtifact:
 
 
 def build_table11(kmax: int = 30) -> TableArtifact:
-    if kmax > 40:
-        # per-value densities need the divisor profile, capped at k = 40
-        raise ValueError("table 11 reproduction is limited to kmax <= 40")
+    if kmax > PROFILE_MAX_K:
+        # per-value densities need the divisor profile
+        raise ValueError(f"table 11 reproduction is limited to kmax <= {PROFILE_MAX_K}")
     data = {"entries": {}}
     rows = []
     for k in range(1, kmax + 1):

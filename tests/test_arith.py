@@ -198,10 +198,36 @@ def test_sieve_pack_cache_env(tmp_path, monkeypatch):
 
 
 def test_numpy_sieve_fallback_matches_linear():
-    from cyclodist.arith import _sieve_arrays_numpy
+    # the sieve against the independent routes: Miller-Rabin for the prime
+    # list, trial division for smallest prime factors and Möbius values
+    from cyclodist.arith import _sieve_arrays_numpy, is_prime_int
 
-    pk = sieve_pack(50_000)
     spf, mu, primes = _sieve_arrays_numpy(50_000)
-    assert primes.tolist() == pk.primes.tolist()
-    assert (spf == pk.smallest_prime_factor).all()
-    assert (mu == pk.mobius).all()
+    assert primes.tolist() == [n for n in range(50_001) if is_prime_int(n)]
+    assert spf[0] == spf[1] == 0 and mu[0] == 0 and mu[1] == 1
+    for n in range(2, 50_001):
+        fn = factorize(n)
+        assert spf[n] == fn.factors[0][0], n
+        assert mu[n] == fn.mobius(), n
+
+
+def test_sieve_cache_rejects_corrupt_prime_list(tmp_path):
+    fresh = sieve_pack(100_000)
+    path = tmp_path / "sieve_100000.cpd1"
+    good = fresh.primes.tolist()
+    corruptions = {
+        "truncated": good[:-100],
+        "missing small prime": [p for p in good if p != 3],
+        "extra composite": sorted(good + [91]),
+    }
+    for label, primes in corruptions.items():
+        write_sieve_cache(path, 100_000, primes)
+        pk = sieve_pack(100_000, cache_dir=tmp_path)
+        assert pk.prime_count(100_000) == 9592, label
+        assert (pk.smallest_prime_factor == fresh.smallest_prime_factor).all(), label
+        assert (pk.mobius == fresh.mobius).all(), label
+        # the rejected file was rewritten in place, with no temporary left over
+        assert read_sieve_cache(path, 100_000).tolist() == good, label
+        assert [f.name for f in tmp_path.iterdir()] == [path.name], label
+
+

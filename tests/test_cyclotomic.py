@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from cyclodist.arith import euler_phi, factorize, small_primes
@@ -166,6 +169,34 @@ def test_coeff_profile_counts():
     assert all(isinstance(v, tuple) for v in profile.entries.values())
     with pytest.raises(ValueError):
         coeff_profile(1)
+
+
+def test_coeff_profile_entries_match_direct():
+    # the entries at 2d come from the sign flip, the others are evaluated
+    for k in range(2, 21):
+        profile = coeff_profile(k)
+        assert len(profile.entries) == len(profile.m_k.divisors()), k
+        for d in profile.m_k.iter_divisors_factored():
+            want = (cyclo_coeff(d, k), cyclo_coeff(d.times_prime(profile.q), k))
+            assert profile.entries[d.value] == want, (k, d.value)
+
+
+def test_random_squarefree_cross_routes():
+    # recurrence = series = partition = full expansion on random squarefree n
+    rng = random.Random(2025)
+    primes = small_primes(50)
+    checked = 0
+    while checked < 40:
+        fn = factorize(math.prod(rng.sample(primes, rng.randint(1, 5))))
+        if fn.phi() > 6000:
+            continue
+        checked += 1
+        poly = cyclo_poly(fn)
+        for k in rng.sample(range(min(len(poly) + 3, 80)), min(len(poly) + 3, 8)):
+            want = poly[k] if k < len(poly) else 0
+            assert cyclo_coeff(fn, k) == want, (fn.value, k)
+            assert cyclo_coeff_series(fn, k) == want, (fn.value, k)
+            assert cyclo_coeff_partition(fn, k) == want, (fn.value, k)
 
 
 def test_construct_examples():

@@ -4,14 +4,13 @@ import pytest
 
 from cyclodist.cyclotomic import value_set
 from cyclodist.densities_natural import (
-    _coeff_density_oddhalf,
     coeff_density,
     mean_coeff,
     mean_coeff_partition,
     moller_conjecture_scan,
     squarefree_coprime_density,
 )
-from cyclodist.density import Basis
+from cyclodist.density import Basis, DensityTable
 from cyclodist.errors import ResourceBudgetError
 
 
@@ -65,9 +64,18 @@ def test_density_tables_validate():
         table.validate()
 
 
-def test_odd_half_route_agrees():
-    for k in range(3, 26, 2):
-        assert _coeff_density_oddhalf(k).entries == coeff_density(k).entries, k
+def test_validate_rejects_bad_tables():
+    with pytest.raises(ValueError):
+        DensityTable.from_dict("neg", Basis.ONE, {1: Fraction(1, 2), 2: Fraction(-1, 4)}).validate()
+    with pytest.raises(ValueError):
+        DensityTable("zero", Basis.ONE, ((1, Fraction(0)),)).validate()
+    with pytest.raises(ValueError):
+        DensityTable.from_dict("over", Basis.ONE, {-1: Fraction(3, 4), 1: Fraction(1, 2)}).validate()
+    # on the basis 6/pi^2 a coefficient may reach pi^2/6 = 1.644...
+    with pytest.raises(ValueError):
+        DensityTable.from_dict("over", Basis.SIX_OVER_PI2, {1: Fraction(17, 10)}).validate()
+    DensityTable.from_dict("ok", Basis.SIX_OVER_PI2, {1: Fraction(16, 10)}).validate()
+    DensityTable.from_dict("full", Basis.ONE, {-1: Fraction(1, 2), 1: Fraction(1, 2)}).validate()
 
 
 def test_doubling_halves_density_outside_odd_set():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,8 @@ from cyclodist.arith import factorize, small_primes
 from cyclodist.cyclotomic import cyclo_coeff
 from cyclodist.densities_prime import ValuationConstraint, artin_constant
 from cyclodist.empirics import (
-    _CoeffEvaluator,
+    _coeff_evaluator,
+    _ramanujan_evaluator,
     count_ramanujan_values,
     count_squarefree_coprime,
     count_cyclo_values,
@@ -74,7 +76,7 @@ def test_symmetric_function_boundaries(pack):
         assert s[t] == 0 and s[t + 1] == 0, p
         factors = factorize(p - 1, pack).factors if p > 2 else ()
         for k in (t, t + 1, t + 2):
-            ev = _CoeffEvaluator(k, pack)
+            ev = _coeff_evaluator(k, pack)
             want = symmetric_residue(s[k - 1], p) if p > 2 else s[k - 1]
             assert s_k_residue(p, k, factors, ev) == want, (p, k)
 
@@ -149,10 +151,24 @@ def test_scan_S_residues(pack):
 
 
 def test_coeff_evaluator_matches_cyclo_coeff(pack):
-    for k in (2, 3, 7, 15):
-        ev = _CoeffEvaluator(k, pack)
-        for n in range(2, 3001):
-            assert ev.value(n) == cyclo_coeff(factorize(n, pack), k), (n, k)
+    for k in (1, 2, 3, 7, 15):
+        ev = _coeff_evaluator(k, pack)
+        for n in range(1, 3001):
+            assert ev(n) == cyclo_coeff(factorize(n, pack), k), (n, k)
+
+
+def test_evaluators_match_direct_random(pack):
+    rng = random.Random(2024)
+    ns = [rng.randrange(1, 10**5 + 1) for _ in range(600)]
+    ns += [2**16, 3**10, 2**5 * 3**4 * 5**3]  # valuations above every cap
+    for k in (1, 2, 6, 13, 24, 40):
+        ev = _coeff_evaluator(k, pack)
+        for n in ns:
+            assert ev(n) == cyclo_coeff(factorize(n, pack), k), (n, k)
+    for m in (1, 2, 12, 15, 36, 210, 1024):
+        ev = _ramanujan_evaluator(m, pack)
+        for n in ns:
+            assert ev(n) == ramanujan_sum(factorize(n, pack), m), (n, m)
 
 
 def test_scan_a_statistic(pack):
@@ -282,10 +298,10 @@ def test_root_product_boundary_full_range(pack):
             product = product * g % p
         want = 1 if p != 3 else 2
         assert product == want, p
-        ev_t = _CoeffEvaluator(t, pack)
+        ev_t = _coeff_evaluator(t, pack)
         # p = 2 aliases under the symmetric map (documented exclusion):
         # the scan reports the root value itself there
         expected = 1 if p == 2 else symmetric_residue(product, p)
         assert s_k_residue(p, t, fn.factors, ev_t) == expected, p
-        ev_above = _CoeffEvaluator(t + 1, pack)
+        ev_above = _coeff_evaluator(t + 1, pack)
         assert s_k_residue(p, t + 1, fn.factors, ev_above) == 0, p
