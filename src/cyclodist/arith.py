@@ -95,13 +95,38 @@ def _sieve_arrays_numpy(limit: int, primes: Optional[np.ndarray] = None):
     if primes is not None and not np.array_equal(prime_idx, primes):
         return None
     spf[prime_idx] = prime_idx
-    mu = np.ones(limit + 1, dtype=np.int8)
-    mu[0] = 0
-    for p in prime_idx:
-        mu[p::p] *= -1
-    for p in prime_idx[prime_idx <= root]:
-        mu[p * p :: p * p] = 0
+    mu = _mobius_segmented(limit, prime_idx[prime_idx <= root].tolist())
     return spf, mu, prime_idx
+
+
+#: segment length of the Möbius pass (int32 work buffer of 1 MB)
+_MU_SEGMENT = 1 << 18
+
+
+def _mobius_segmented(limit: int, small: Sequence[int]) -> np.ndarray:
+    """μ over [0..limit] from the primes <= sqrt(limit) alone.
+
+    Segment by segment, each small prime p flips the sign at its multiples,
+    divides them once out of `rem` (n itself to start with), and zeroes the
+    multiples of p^2.  A squarefree n then keeps in `rem` the product of its
+    prime factors above sqrt(limit), and there is at most one since two
+    would exceed the limit: exactly where rem > 1, one more sign flip."""
+    mu = np.ones(limit + 1, dtype=np.int8)
+    offsets = np.arange(_MU_SEGMENT, dtype=np.int32)
+    rem = np.empty(_MU_SEGMENT, dtype=np.int32)
+    for lo in range(0, limit + 1, _MU_SEGMENT):
+        size = min(_MU_SEGMENT, limit + 1 - lo)
+        seg = mu[lo : lo + size]
+        r = rem[:size]
+        np.add(offsets[:size], lo, out=r)
+        for p in small:
+            start = -lo % p
+            seg[start::p] *= -1
+            r[start::p] //= p
+            seg[-lo % (p * p) :: p * p] = 0
+        seg[r > 1] *= -1
+    mu[0] = 0
+    return mu
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,13 +268,39 @@ _default_pack: Optional[SievePack] = None
 
 
 def default_pack(limit: Optional[int] = None) -> SievePack:
-    """Process-wide shared pack; grows monotonically if a larger limit is
-    requested."""
+    """Process-wide shared pack covering at least `limit` (default
+    DEFAULT_SIEVE_LIMIT).
+
+    The pack is built for exactly the limit asked for, so callers pass the
+    limit their request needs (see `sieve_limit_for`).  A later request
+    that the shared pack already covers reuses it, a larger one replaces it
+    by a pack of the larger limit."""
     global _default_pack
-    want = limit or DEFAULT_SIEVE_LIMIT
+    want = DEFAULT_SIEVE_LIMIT if limit is None else max(limit, 2)
     if _default_pack is None or _default_pack.limit < want:
-        _default_pack = sieve_pack(max(want, DEFAULT_SIEVE_LIMIT))
+        _default_pack = sieve_pack(want)
     return _default_pack
+
+
+def sieve_limit_for(
+    nprimes: Optional[int] = None, x: Optional[int] = None, shift: Optional[int] = None
+) -> int:
+    """A sieve limit that a scan over the first `nprimes` primes, or over
+    the primes p <= `x`, is sure to fit in; exactly one of the two is given.
+
+    p_n < n (ln n + ln ln n) for n >= 6 (Rosser), and p_5 = 11 covers
+    smaller n.  A scan of p - `shift` needs |shift| more."""
+    if (nprimes is None) == (x is None):
+        raise ValueError("specify exactly one of nprimes= or x=")
+    if nprimes is not None:
+        if nprimes < 0:
+            raise ValueError("nprimes must be >= 0")
+        limit = 11
+        if nprimes >= 6:
+            limit = int(nprimes * (math.log(nprimes) + math.log(math.log(nprimes)))) + 1
+    else:
+        limit = max(x, 2)
+    return limit + abs(shift or 0)
 
 
 def small_primes(limit: int) -> list:

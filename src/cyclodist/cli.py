@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import tables
-from .arith import DEFAULT_SIEVE_LIMIT, default_pack, sieve_pack
+from .arith import DEFAULT_SIEVE_LIMIT, default_pack, sieve_limit_for, sieve_pack
 from .cyclotomic import (
     cyclo_coeff,
     cyclo_coeff_partition,
@@ -99,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Ramanujan-sum / cyclotomic-coefficient distributions",
     )
     ap.add_argument("--cache-dir", default=None, help="sieve cache directory (or $CYCLODIST_CACHE)")
-    ap.add_argument("--sieve-limit", type=int, default=None, help=f"sieve limit (default {DEFAULT_SIEVE_LIMIT})")
+    ap.add_argument("--sieve-limit", type=int, default=None,
+                    help=f"sieve limit (default: what the query needs; {DEFAULT_SIEVE_LIMIT} for constants)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def fmt(p):
@@ -200,16 +201,12 @@ def _resolve_stat(stat: str, k: Optional[int]):
 
 
 def _run(args) -> int:
-    pack = None
-
-    def get_pack():
-        nonlocal pack
-        if pack is None:
-            if args.sieve_limit or args.cache_dir:
-                pack = sieve_pack(args.sieve_limit or DEFAULT_SIEVE_LIMIT, args.cache_dir)
-            else:
-                pack = default_pack()
-        return pack
+    def get_pack(limit: int):
+        """The pack for a query that needs `limit`: --sieve-limit overrides
+        it, --cache-dir only says where the cache for it lives."""
+        if args.sieve_limit or args.cache_dir:
+            return sieve_pack(args.sieve_limit or limit, args.cache_dir)
+        return default_pack(limit)
 
     cmd = args.command
 
@@ -292,12 +289,13 @@ def _run(args) -> int:
                      f"{float(mean) * basis_numeric(table.basis):.6f}"])
         _emit_rows(cols, rows, args.format, payload=payload)
     elif cmd == "constants":
-        a = artin_constant(args.precision, pack=get_pack())
+        pack = get_pack(DEFAULT_SIEVE_LIMIT)
+        a = artin_constant(args.precision, pack=pack)
         rows = [["artin", f"{a.value:.10f}", f"{a.tail_bound:.3g}", str(a.truncation_prime)]]
         payload = {"artin": {"value": a.value, "tail_bound": a.tail_bound,
                              "truncation_prime": a.truncation_prime}}
         if args.kfree:
-            m = shifted_prime_kfree_density(1, args.kfree, pack=get_pack())
+            m = shifted_prime_kfree_density(1, args.kfree, pack=pack)
             rows.append([f"kfree(r=1,k={args.kfree})", f"{m.value:.10f}",
                          f"{m.tail_bound:.3g}", str(m.truncation_prime)])
             payload["kfree"] = {"value": m.value, "tail_bound": m.tail_bound}
@@ -306,9 +304,10 @@ def _run(args) -> int:
     elif cmd == "empirical":
         stat, k = _resolve_stat(args.stat, args.k)
         constraint = _parse_constraint(args.cond) if args.cond else None
+        limit = sieve_limit_for(nprimes=args.nprimes, x=args.x, shift=args.r)
         report = scan_primes(
             stat, k=k, shift=args.r, kfree_order=args.kfree_order,
-            nprimes=args.nprimes, x=args.x, constraint=constraint, pack=get_pack())
+            nprimes=args.nprimes, x=args.x, constraint=constraint, pack=get_pack(limit))
         rows = [[str(r["value"]), str(r["count"]), f"{r['frequency']:.6f}"] for r in report.rows()]
         payload = {
             "statistic": report.statistic, "bound": report.bound,
@@ -329,8 +328,9 @@ def _run(args) -> int:
                        payload={"p": args.p, "s": s, "S": S})
     elif cmd in ("table", "table3", "table11"):
         tid = {"table3": "3", "table11": "11"}.get(cmd) or args.id
-        artifact = tables.build_table(tid, full=args.full, kmax=args.kmax, pack=
-                                      get_pack() if tid in ("1", "6", "7", "8", "9") else None)
+        limit = tables.sieve_limit([tid], args.full)
+        artifact = tables.build_table(tid, full=args.full, kmax=args.kmax,
+                                      pack=get_pack(limit) if limit else None)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(artifact.to_json())
@@ -341,7 +341,8 @@ def _run(args) -> int:
         else:
             print(artifact.to_markdown())
     elif cmd == "reproduce-all":
-        manifest = tables.reproduce_all(args.out_dir, full=args.full, pack=get_pack())
+        manifest = tables.reproduce_all(args.out_dir, full=args.full,
+                                        pack=get_pack(tables.sieve_limit(tables.TABLE_IDS, args.full)))
         for tid, entry in sorted(manifest["tables"].items(), key=lambda kv: int(kv[0])):
             print(f"table {tid}: {entry['status']}")
             for d in entry["diffs"]:

@@ -27,9 +27,9 @@ class Basis(enum.Enum):
 @lru_cache(maxsize=1)
 def _artin_default() -> float:
     # local import: densities_prime depends on this module
-    from .densities_prime import artin_constant
+    from .densities_prime import artin_constant_accelerated
 
-    return artin_constant(1e-8).value
+    return artin_constant_accelerated().value
 
 
 def basis_numeric(basis: Basis) -> float:
@@ -66,7 +66,9 @@ class DensityTable:
         items = tuple(
             (int(v), Fraction(c)) for v, c in sorted(mapping.items()) if c != 0
         )
-        return cls(statistic, basis, items, conditional)
+        table = cls(statistic, basis, items, conditional)
+        table.validate()
+        return table
 
     def as_dict(self) -> Dict[int, Fraction]:
         return dict(self.entries)

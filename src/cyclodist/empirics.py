@@ -29,6 +29,7 @@ from .arith import (
     default_pack,
     is_prime_int,
     least_prime_above,
+    sieve_limit_for,
     small_primes,
 )
 from .cyclotomic import PROFILE_MAX_K, cyclo_coeff
@@ -202,8 +203,6 @@ def s_k_residue(p: int, k: int, factors, coeff: Callable[[int], int]) -> int:
 def _select_primes(
     pack: SievePack, nprimes: Optional[int], x: Optional[int]
 ) -> Tuple[np.ndarray, str]:
-    if (nprimes is None) == (x is None):
-        raise ValueError("specify exactly one of nprimes= or x=")
     if nprimes is not None:
         if nprimes > len(pack.primes):
             raise ResourceBudgetError(
@@ -238,7 +237,8 @@ def scan_primes(
     """
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
-    pack = pack or default_pack()
+    limit = sieve_limit_for(nprimes=nprimes, x=x, shift=shift)
+    pack = pack or default_pack(limit)
     primes, bound = _select_primes(pack, nprimes, x)
     needs_k = statistic in ("c_pminus1", "a_pminus1", "s_k_mod_p", "S_k_mod_p")
     if needs_k:
@@ -382,7 +382,7 @@ def count_squarefree_coprime(x: int, r, pack: Optional[SievePack] = None) -> int
         raise ValueError("x must be >= 0")
     if x == 0:
         return 0
-    pack = pack or default_pack()
+    pack = pack or default_pack(x)
     if x > pack.limit:
         raise ResourceBudgetError(f"x = {x} exceeds sieve limit")
     mask = _coprime_mask(x, as_factored(r).primes())
@@ -395,7 +395,7 @@ def mertens_coprime(x: int, r, pack: Optional[SievePack] = None) -> int:
         raise ValueError("x must be >= 0")
     if x == 0:
         return 0
-    pack = pack or default_pack()
+    pack = pack or default_pack(x)
     if x > pack.limit:
         raise ResourceBudgetError(f"x = {x} exceeds sieve limit")
     mask = _coprime_mask(x, as_factored(r).primes())
@@ -412,7 +412,7 @@ def count_ramanujan_values(
 
     Per n only the exponents at primes dividing m and the Möbius value of
     the remaining cofactor matter (see _ramanujan_evaluator)."""
-    pack = pack or default_pack()
+    pack = pack or default_pack(limit)
     if limit > pack.limit:
         raise ResourceBudgetError(f"limit {limit} exceeds sieve capacity")
     evaluators = {m: _ramanujan_evaluator(m, pack) for m in ms}
@@ -428,7 +428,7 @@ def count_cyclo_values(
 ) -> Dict[int, Counter]:
     """Counts of a_n(k) over 1 <= n <= limit for each k, in one pass,
     via the memoised evaluators (see _coeff_evaluator)."""
-    pack = pack or default_pack()
+    pack = pack or default_pack(limit)
     if limit > pack.limit:
         raise ResourceBudgetError(f"limit {limit} exceeds sieve capacity")
     evaluators = {k: _coeff_evaluator(k, pack) for k in ks}

@@ -2,17 +2,21 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cyclodist.arith import (
+    DEFAULT_SIEVE_LIMIT,
     ExactRational,
     FactoredNat,
+    default_pack,
     divisors,
     euler_phi,
     factorize,
     is_kth_powerfree,
     mobius,
     read_sieve_cache,
+    sieve_limit_for,
     sieve_pack,
     write_sieve_cache,
 )
@@ -231,3 +235,37 @@ def test_sieve_cache_rejects_corrupt_prime_list(tmp_path):
         assert [f.name for f in tmp_path.iterdir()] == [path.name], label
 
 
+
+
+def test_segmented_mobius_across_a_partial_segment():
+    # the last segment of the Möbius pass holds only 5000 entries; check
+    # both ends of the range and the segment boundary by trial division
+    from cyclodist.arith import _MU_SEGMENT, _sieve_arrays_numpy
+
+    limit = _MU_SEGMENT + 4_999
+    _, mu, _ = _sieve_arrays_numpy(limit)
+    assert len(mu) == limit + 1 and mu[0] == 0
+    for n in [*range(1, 5_001), *range(_MU_SEGMENT - 5_000, limit + 1)]:
+        assert mu[n] == FactoredNat(n, trial_factor(n)).mobius(), n
+
+
+def test_sieve_limit_for_covers_the_nth_prime(pack):
+    assert pack.limit == DEFAULT_SIEVE_LIMIT  # default_pack() with no argument
+    n_max = len(pack.primes)
+    limits = np.array([sieve_limit_for(nprimes=n) for n in range(1, n_max + 1)])
+    assert (limits >= pack.primes).all()
+    assert sieve_limit_for(nprimes=0) >= 2
+    assert sieve_limit_for(nprimes=10_000) < 2 * pack.nth_prime(10_000)
+    assert sieve_limit_for(x=1000) == 1000
+    assert sieve_limit_for(nprimes=10, shift=-7) == sieve_limit_for(nprimes=10) + 7
+    for bad in ({}, {"nprimes": 10, "x": 100}, {"nprimes": -1}):
+        with pytest.raises(ValueError):
+            sieve_limit_for(**bad)
+
+
+def test_default_pack_builds_the_limit_asked_for(sieve_builds):
+    small = default_pack(1000)
+    assert small.limit == 1000
+    assert default_pack(500) is small
+    assert default_pack(5000).limit == 5000
+    assert sieve_builds == [1000, 5000]

@@ -4,9 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cyclodist import arith
 from cyclodist.densities_prime import (
     ValuationConstraint,
     artin_constant,
+    artin_constant_accelerated,
     coeff_prime_density,
     ramanujan_prime_density,
     ramanujan_prime_mean_abs,
@@ -15,10 +17,12 @@ from cyclodist.densities_prime import (
     shifted_prime_kfree_density,
     valuation_profile_density,
 )
-from cyclodist.density import Basis
+from cyclodist.density import Basis, basis_numeric
 from cyclodist.errors import ResourceBudgetError
 
 A_REFERENCE = 0.3739558136
+#: Wrench (1961), to 20 places
+A_DIGITS = 0.37395581361920228805
 
 
 def test_artin_constant(pack):
@@ -40,6 +44,31 @@ def test_artin_partial_products_decrease(pack):
 def test_artin_unreachable_precision(pack):
     with pytest.raises(ResourceBudgetError):
         artin_constant(1e-10, pack=pack)
+
+
+def test_artin_accelerated_within_proven_bound(pack):
+    a = artin_constant_accelerated()
+    assert abs(a.value - A_DIGITS) <= a.tail_bound <= 1e-10
+    assert a.truncation_prime == 99_991
+    # the sieve truncation is the independent check of the same number
+    sieved = artin_constant(1e-8, pack=pack)
+    assert abs(a.value - sieved.value) <= a.tail_bound + sieved.tail_bound
+    # the bound is proven, not fitted: it holds at every cutoff
+    for cutoff in (4, 6, 10, 100, 1000, 10_000):
+        coarse = artin_constant_accelerated(cutoff)
+        assert 0 <= coarse.value - A_DIGITS <= coarse.tail_bound, cutoff
+    with pytest.raises(ValueError):
+        artin_constant_accelerated(101)
+
+
+def test_artin_basis_builds_no_sieve(monkeypatch, sieve_builds):
+    def refuse(*args, **kwargs):
+        raise AssertionError("basis_numeric(ARTIN) built a sieve")
+
+    monkeypatch.setattr(arith, "sieve_pack", refuse)
+    assert basis_numeric(Basis.ARTIN) == artin_constant_accelerated().value
+    assert ramanujan_prime_density(15).numeric(1) > 0
+    assert sieve_builds == []
 
 
 def test_shifted_kfree_density(pack):

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from cyclodist.arith import sieve_limit_for
 from cyclodist.cli import main
 from cyclodist.tables import TABLE_IDS, build_table, compare_to_golden, reproduce_all
 
@@ -223,3 +224,33 @@ def test_cli_rejects_both_bounds(capsys):
     code, _, err = run_cli(capsys, "empirical", "--stat", "mu", "--nprimes", "10",
                            "--x", "100")
     assert code == 2
+
+
+def test_cli_sieve_sized_to_the_query(capsys, tmp_path, sieve_builds):
+    # queries that need no primes build no sieve at all
+    assert run_cli(capsys, "density", "prime", "--k", "15")[0] == 0
+    assert run_cli(capsys, "table", "--id", "11")[0] == 0
+    assert run_cli(capsys, "table", "--id", "6")[0] == 0
+    assert sieve_builds == []
+    # 10^4-prime scans stay far below the 2*10^7 default
+    assert run_cli(capsys, "table", "--id", "1")[0] == 0
+    assert run_cli(capsys, "reproduce-all", "--out-dir", str(tmp_path / "out"))[0] == 0
+    assert sieve_builds and max(sieve_builds) <= 200_000
+
+
+def test_cli_cache_dir_sized_to_the_query(capsys, tmp_path, sieve_builds):
+    code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "empirical", "--stat", "s2",
+                           "--nprimes", "1000", "--format", "csv")
+    assert code == 0
+    limit = sieve_limit_for(nprimes=1000)
+    assert [f.name for f in tmp_path.glob("*.cpd1")] == [f"sieve_{limit}.cpd1"]
+    code, again, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "empirical", "--stat", "s2",
+                             "--nprimes", "1000", "--format", "csv")
+    assert code == 0 and again == out
+    assert sieve_builds == [limit, limit]  # a build, then a verified load
+
+
+def test_cli_empirical_needs_a_range(capsys, sieve_builds):
+    code, _, err = run_cli(capsys, "empirical", "--stat", "mu")
+    assert code == 2 and "nprimes" in err
+    assert sieve_builds == []
