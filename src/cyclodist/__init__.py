@@ -14,7 +14,6 @@ from .arith import (
     is_kth_powerfree,
     mobius,
     read_sieve_cache,
-    sieve_limit_for,
     sieve_pack,
     write_sieve_cache,
 )
@@ -43,7 +42,6 @@ from .densities_prime import (
     EulerProductConstant,
     ValuationConstraint,
     artin_constant,
-    artin_constant_accelerated,
     coeff_prime_density,
     ramanujan_prime_density,
     ramanujan_prime_mean_abs,

@@ -75,27 +75,25 @@ def artin_constant(
 _ARTIN_CUTOFF = 100_000
 
 
-def artin_constant_accelerated(cutoff: int = _ARTIN_CUTOFF) -> EulerProductConstant:
+def artin_constant_accelerated() -> EulerProductConstant:
     """A without a sieve, by dividing out zeta(2) (Wrench, Math. Comp. 15,
     1961):
 
         (1 - 1/(p(p-1))) / (1 - p^-2) = 1 - 1/((p-1)^2 (p+1)),
 
     so A = (6/pi^2) prod_p (1 - 1/((p-1)^2 (p+1))), whose factors approach 1
-    like p^-3.  The product runs over the primes p <= `cutoff` (an even
-    N >= 4).  Every omitted factor has x = 1/((p-1)^2 (p+1)) < 1/(p-1)^3
+    like p^-3.  The product runs over the primes p <= N = _ARTIN_CUTOFF
+    (even).  Every omitted factor has x = 1/((p-1)^2 (p+1)) < 1/(p-1)^3
     with p - 1 = 2j even and j >= N/2, and -log(1 - x) <= 2x for x <= 1/2,
     so the omitted log-product is at most
     (2/8) sum_(j >= N/2) j^-3 <= 1/(2 (N-2)^2).  The truncated value
     exceeds A by a factor e^t with t at most that, i.e. by at most t
     since the value is below 1."""
-    if cutoff < 4 or cutoff % 2:
-        raise ValueError("cutoff must be an even number >= 4")
-    primes = small_primes(cutoff)
+    primes = small_primes(_ARTIN_CUTOFF)
     p = np.array(primes, dtype=np.float64)
     log_product = np.log1p(-1.0 / ((p - 1.0) ** 2 * (p + 1.0))).sum()
     value = 6.0 / math.pi**2 * float(np.exp(log_product))
-    bound = 1.0 / (2.0 * (cutoff - 2) ** 2) + _FLOAT_SLACK
+    bound = 1.0 / (2.0 * (_ARTIN_CUTOFF - 2) ** 2) + _FLOAT_SLACK
     return EulerProductConstant(value, primes[-1], bound)
 
 

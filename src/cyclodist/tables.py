@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .arith import SievePack, default_pack, sieve_limit_for
+from .arith import SievePack, sieve_limit_for
 from .cyclotomic import PROFILE_MAX_K, value_set
 from .densities_natural import coeff_density, mean_coeff, mean_coeff_partition
 from .densities_prime import (
@@ -39,15 +39,6 @@ NUMERIC_TOLERANCE = 1e-6
 EMPIRICAL_TOLERANCE = 1e-3
 SCAN_SCALE = 10_000
 FULL_SCALE = 1_000_000
-
-#: primes scanned by the sieve-backed tables, without and with ``full``
-_SCANNED_PRIMES = {
-    "1": (SCAN_SCALE, FULL_SCALE),
-    "6": (0, FULL_SCALE),
-    "7": (0, FULL_SCALE),
-    "8": (SCAN_SCALE, FULL_SCALE),
-    "9": (SCAN_SCALE, FULL_SCALE),
-}
 
 
 @dataclass(frozen=True)
@@ -107,21 +98,21 @@ def _artin() -> float:
 
 
 def sieve_limit(table_ids: Iterable[str], full: bool = False) -> Optional[int]:
-    """Sieve limit covering the prime scans of every listed table, or None
-    when none of them scans primes."""
-    n = max((_SCANNED_PRIMES.get(t, (0, 0))[full] for t in table_ids), default=0)
-    return sieve_limit_for(nprimes=n) if n else None
-
-
-def _pack(table_id: str, full: bool, pack: Optional[SievePack]) -> SievePack:
-    return pack or default_pack(sieve_limit((table_id,), full))
+    """Sieve limit covering the prime scans behind the listed tables, or
+    None when none of them scans primes: tables 1, 8 and 9 scan up to
+    SCAN_SCALE primes, and with `full` they and tables 6 and 7 scan
+    FULL_SCALE.  Builders given no pack size the shared one per scan; this
+    is for callers that build a pack up front."""
+    scanning = ("1", "6", "7", "8", "9") if full else ("1", "8", "9")
+    if not any(t in scanning for t in table_ids):
+        return None
+    return sieve_limit_for(nprimes=FULL_SCALE if full else SCAN_SCALE)
 
 
 # -- builders -----------------------------------------------------------------
 
 
 def build_table1(full: bool = False, pack: Optional[SievePack] = None) -> TableArtifact:
-    pack = _pack("1", full, pack)
     scales = [100, 1000, SCAN_SCALE] + ([100_000, FULL_SCALE] if full else [])
     rows = []
     data = {"rows": []}
@@ -189,7 +180,6 @@ def build_table6(full: bool = False, pack: Optional[SievePack] = None) -> TableA
     }
     empirical = {}
     if full:
-        pack = _pack("6", full, pack)
         rep = scan_primes("c_pminus1", k=15, nprimes=FULL_SCALE, pack=pack)
         folded: Dict[int, int] = {}
         for v, c in rep.counts.items():
@@ -217,7 +207,6 @@ def build_table7(full: bool = False, pack: Optional[SievePack] = None) -> TableA
     data = {"means": means, "theory_numeric": numeric}
     empirical = {}
     if full:
-        pack = _pack("7", full, pack)
         for k in ks:
             rep = scan_primes("c_pminus1", k=k, nprimes=FULL_SCALE, pack=pack)
             mean = sum(abs(v) * c for v, c in rep.counts.items()) / rep.total
@@ -237,7 +226,7 @@ def _ab_str(const: Fraction, acoef: Fraction) -> Tuple[str, str]:
     return str(const), str(acoef)
 
 
-def _stratified_rows(k: int, strata, full: bool, pack: SievePack):
+def _stratified_rows(k: int, strata, full: bool, pack: Optional[SievePack]):
     """Theory rows for the conditioned distributions of s_k(p) mod p.
 
     Each stratum is (label, constraint or None, {v: (const, A-coeff)});
@@ -314,7 +303,7 @@ def build_table8(full: bool = False, pack: Optional[SievePack] = None) -> TableA
             (F(1), F(0)),
         ),
     ]
-    rows, data_rows = _stratified_rows(2, strata, full, _pack("8", full, pack))
+    rows, data_rows = _stratified_rows(2, strata, full, pack)
     return TableArtifact(
         "8",
         "Value distribution of s_2(p) mod p by nu_2(p-1)",
@@ -353,7 +342,7 @@ def build_table9(full: bool = False, pack: Optional[SievePack] = None) -> TableA
             (F(1), F(0)),
         ),
     ]
-    rows, data_rows = _stratified_rows(3, strata, full, _pack("9", full, pack))
+    rows, data_rows = _stratified_rows(3, strata, full, pack)
     return TableArtifact(
         "9",
         "Value distribution of s_3(p) mod p by nu_3(p-1)",
@@ -437,7 +426,7 @@ def build_table(table_id: str, full: bool = False, kmax: Optional[int] = None,
         raise ValueError(f"unknown table id {table_id!r}; known: {TABLE_IDS}")
     builder = _BUILDERS[table_id]
     kwargs = {}
-    if table_id in _SCANNED_PRIMES:
+    if table_id in ("1", "6", "7", "8", "9"):
         kwargs["full"] = full
         kwargs["pack"] = pack
     if kmax is not None:

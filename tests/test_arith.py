@@ -235,8 +235,6 @@ def test_sieve_cache_rejects_corrupt_prime_list(tmp_path):
         assert [f.name for f in tmp_path.iterdir()] == [path.name], label
 
 
-
-
 def test_segmented_mobius_across_a_partial_segment():
     # the last segment of the Möbius pass holds only 5000 entries; check
     # both ends of the range and the segment boundary by trial division
