@@ -148,11 +148,6 @@ class SievePack:
         for arr in (self.smallest_prime_factor, self.mobius, self.primes):
             arr.setflags(write=False)
 
-    def is_prime(self, n: int) -> bool:
-        if n < 2 or n > self.limit:
-            raise ValueError(f"{n} outside sieve range [2, {self.limit}]")
-        return int(self.smallest_prime_factor[n]) == n
-
     def prime_count(self, x: int) -> int:
         """pi(x) for x <= limit."""
         if x > self.limit:

@@ -1,10 +1,9 @@
 """Command-line front end.
 
 Subcommands: coeff, poly, valueset, rama, mean, density, moment,
-s-density, a-density, constants, empirical, oracle, table, table3,
-table11, reproduce-all.  Output formats: markdown (default), csv, json.
-Exit codes: 2 usage/domain error, 3 resource budget exceeded, 4 internal
-consistency failure.
+s-density, a-density, constants, empirical, oracle, table, reproduce-all.
+Output formats: markdown (default), csv, json.  Exit codes: 2 usage/domain
+error, 3 resource budget exceeded, 4 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -165,13 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--kmax", type=int, default=4)
 
-    for name in ("table", "table3", "table11"):
-        p = fmt(sub.add_parser(name, help="reproduce a numbered reference table"))
-        if name == "table":
-            p.add_argument("--id", required=True, choices=tables.TABLE_IDS)
-        p.add_argument("--kmax", type=int, default=None)
-        p.add_argument("--out", type=str, default=None, help="write JSON artifact here")
-        p.add_argument("--full", action="store_true", help="include 10^6-prime columns")
+    p = fmt(sub.add_parser("table", help="reproduce a numbered reference table"))
+    p.add_argument("--id", required=True, choices=tables.TABLE_IDS)
+    p.add_argument("--kmax", type=int, default=None)
+    p.add_argument("--out", type=str, default=None, help="write JSON artifact here")
+    p.add_argument("--full", action="store_true", help="include 10^6-prime columns")
 
     p = sub.add_parser("reproduce-all", help="rebuild all tables and check against golden values")
     p.add_argument("--out-dir", required=True)
@@ -204,8 +201,10 @@ def _run(args) -> int:
     def get_pack(limit: int):
         """The pack for a query that needs `limit`: --sieve-limit overrides
         it, --cache-dir only says where the cache for it lives."""
-        if args.sieve_limit or args.cache_dir:
-            return sieve_pack(args.sieve_limit or limit, args.cache_dir)
+        if args.sieve_limit is not None:
+            return sieve_pack(args.sieve_limit, args.cache_dir)
+        if args.cache_dir:
+            return sieve_pack(limit, args.cache_dir)
         return default_pack(limit)
 
     cmd = args.command
@@ -326,10 +325,9 @@ def _run(args) -> int:
             rows = [[str(i + 1), str(s[i]), str(S[i])] for i in range(args.kmax)]
             _emit_rows(["k", "s_k mod p", "S_k mod p"], rows, args.format,
                        payload={"p": args.p, "s": s, "S": S})
-    elif cmd in ("table", "table3", "table11"):
-        tid = {"table3": "3", "table11": "11"}.get(cmd) or args.id
-        limit = tables.sieve_limit([tid], args.full)
-        artifact = tables.build_table(tid, full=args.full, kmax=args.kmax,
+    elif cmd == "table":
+        limit = tables.sieve_limit([args.id], args.full)
+        artifact = tables.build_table(args.id, full=args.full, kmax=args.kmax,
                                       pack=get_pack(limit) if limit else None)
         if args.out:
             with open(args.out, "w") as fh:

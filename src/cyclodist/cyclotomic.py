@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterator, List, Tuple
 
@@ -344,10 +343,6 @@ class CoeffProfile:
     q: int
     m_k: FactoredNat
     entries: Dict[int, Tuple[int, int]]  # d -> (a_d(k), a_dq(k))
-
-    def half_sum(self, d: int) -> Fraction:
-        a, aq = self.entries[d]
-        return Fraction(a + aq, 2)
 
 
 def support_modulus(k: int) -> FactoredNat:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .arith import FactoredLike, SievePack, as_factored, default_pack, small_primes
 from .cyclotomic import coeff_profile
-from .density import Basis, DensityTable, basis_numeric, merge_values
+from .density import Basis, DensityTable, merge_values
 from .errors import InternalConsistencyError, ResourceBudgetError
 from .ramanujan import _local_value
 
@@ -183,12 +183,6 @@ class ProfileDensity:
     coefficient: Fraction
     basis: Basis
     note: Optional[str] = None
-
-    def numeric(self, artin_value: Optional[float] = None) -> float:
-        if self.basis is Basis.ARTIN:
-            a = artin_value if artin_value is not None else basis_numeric(Basis.ARTIN)
-            return float(self.coefficient) * a
-        return float(self.coefficient)
 
 
 def valuation_profile_density(constraint: ValuationConstraint) -> ProfileDensity:

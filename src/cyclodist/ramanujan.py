@@ -134,12 +134,6 @@ class LocalProfile:
     exponents: Tuple[Tuple[int, int], ...]  # (q, e_q) with 0 <= e_q <= nu_q(m)+1
     cofactor_sign: int  # mu(b) in {-1, +1}
 
-    def n_part(self) -> int:
-        out = 1
-        for q, e in self.exponents:
-            out *= q**e
-        return out
-
 
 def iter_local_profiles(m: FactoredLike) -> Iterator[Tuple[LocalProfile, int, Fraction]]:
     """Yield (profile, value of c_n(m) on it, density coefficient on 6/pi^2).

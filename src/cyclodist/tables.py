@@ -2,11 +2,21 @@
 
 Each builder recomputes one numbered table from scratch and packages it as
 a :class:`TableArtifact` (exact fraction strings plus 6-decimal numeric
-strings).  Golden copies of the printed tables live in ``golden/*.json``;
-``compare_to_golden`` checks exact entries string-for-string (as reduced
-fractions) and numeric columns within 1e-6.  Empirical columns at the
-10^6-prime scale are only produced in ``full`` mode and compared within
-1e-3.
+strings).  Golden copies of the printed tables live in ``golden/*.json``.
+``compare_to_golden`` walks a golden file next to the artifact's data, the
+same way for every table:
+
+- leaves under ``theory_numeric`` compare within 1e-6 and leaves under
+  ``empirical_1e6`` (the 10^6-prime columns of ``full`` mode) within 1e-3;
+  every other leaf compares exactly, as ``str(got) == str(want)``;
+- in a scan column (``counts``, ``freq``, ``empirical_1e6``) a value no
+  prime took counts as zero;
+- row lists pair their rows by ``nprimes`` or ``label``;
+- wherever values are keyed by integers, a key the golden file lacks is
+  reported as unexpected;
+- golden rows the artifact lacks (a smaller scale) are skipped, tables
+  that take ``kmax`` are compared for k up to the smaller of the two kmax,
+  and ``empirical_1e6`` is skipped outside ``full`` mode.
 """
 
 from __future__ import annotations
@@ -19,14 +29,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from .arith import SievePack, sieve_limit_for
 from .cyclotomic import PROFILE_MAX_K, value_set
 from .densities_natural import coeff_density, mean_coeff, mean_coeff_partition
 from .densities_prime import (
     ValuationConstraint,
-    artin_constant,
     coeff_prime_density,
     ramanujan_prime_density,
     ramanujan_prime_mean_abs,
@@ -34,9 +43,11 @@ from .densities_prime import (
 from .empirics import scan_primes
 
 TABLE_IDS = ("1", "2", "3", "4", "6", "7", "8", "9", "10", "11")
+# Builders of these tables scan primes and take `full` and `pack` (tables 6
+# and 7 scan only with `full`); the others take `kmax`.
+SCAN_TABLES = ("1", "6", "7", "8", "9")
+KMAX_TABLES = tuple(t for t in TABLE_IDS if t not in SCAN_TABLES)
 
-NUMERIC_TOLERANCE = 1e-6
-EMPIRICAL_TOLERANCE = 1e-3
 SCAN_SCALE = 10_000
 FULL_SCALE = 1_000_000
 
@@ -103,7 +114,7 @@ def sieve_limit(table_ids: Iterable[str], full: bool = False) -> Optional[int]:
     SCAN_SCALE primes, and with `full` they and tables 6 and 7 scan
     FULL_SCALE.  Builders given no pack size the shared one per scan; this
     is for callers that build a pack up front."""
-    scanning = ("1", "6", "7", "8", "9") if full else ("1", "8", "9")
+    scanning = SCAN_TABLES if full else ("1", "8", "9")
     if not any(t in scanning for t in table_ids):
         return None
     return sieve_limit_for(nprimes=FULL_SCALE if full else SCAN_SCALE)
@@ -222,10 +233,6 @@ def build_table7(full: bool = False, pack: Optional[SievePack] = None) -> TableA
     return TableArtifact("7", "Average of |c_(p-1)(k)| over primes", False, cols, rows, data)
 
 
-def _ab_str(const: Fraction, acoef: Fraction) -> Tuple[str, str]:
-    return str(const), str(acoef)
-
-
 def _stratified_rows(k: int, strata, full: bool, pack: Optional[SievePack]):
     """Theory rows for the conditioned distributions of s_k(p) mod p.
 
@@ -242,8 +249,8 @@ def _stratified_rows(k: int, strata, full: bool, pack: Optional[SievePack]):
         }
         drow = {
             "label": label,
-            "entries": {v: _ab_str(*entries[v]) for v in entries},
-            "mass": _ab_str(*mass),
+            "entries": {v: (str(c0), str(c1)) for v, (c0, c1) in entries.items()},
+            "mass": (str(mass[0]), str(mass[1])),
             "theory_numeric": numeric,
         }
         rep = scan_primes(
@@ -271,9 +278,8 @@ def _stratified_rows(k: int, strata, full: bool, pack: Optional[SievePack]):
 def _linear_in_a_str(c0: Fraction, c1: Fraction) -> str:
     if c1 == 0:
         return str(c0)
-    a_part = "A" if c1 == 1 else f"({c1}) A"
     if c0 == 0:
-        return a_part
+        return "A" if c1 == 1 else f"({c1}) A"
     sign = "+" if c1 > 0 else "-"
     mag = abs(c1)
     a_part = "A" if mag == 1 else f"({mag}) A"
@@ -424,130 +430,84 @@ def build_table(table_id: str, full: bool = False, kmax: Optional[int] = None,
                 pack: Optional[SievePack] = None) -> TableArtifact:
     if table_id not in _BUILDERS:
         raise ValueError(f"unknown table id {table_id!r}; known: {TABLE_IDS}")
-    builder = _BUILDERS[table_id]
-    kwargs = {}
-    if table_id in ("1", "6", "7", "8", "9"):
-        kwargs["full"] = full
-        kwargs["pack"] = pack
+    kwargs = {"full": full, "pack": pack} if table_id in SCAN_TABLES else {}
     if kmax is not None:
-        if table_id not in ("2", "3", "4", "10", "11"):
+        if table_id not in KMAX_TABLES:
             raise ValueError(f"table {table_id} does not take kmax")
         kwargs["kmax"] = kmax
-    return builder(**kwargs)
+    return _BUILDERS[table_id](**kwargs)
 
 
 # -- golden comparison -----------------------------------------------------------
 
+# Leaves under these keys compare within a tolerance, all others exactly.
+_TOLERANCES = {"theory_numeric": 1e-6, "empirical_1e6": 1e-3}
+# Scan columns list only the values some prime took.
+_SCAN_COLUMNS = ("counts", "freq", "empirical_1e6")
+# Row lists pair their rows by the first of these keys a golden row has.
+_ROW_KEYS = ("nprimes", "label")
 
-def _diff_exact(diffs: List[str], where: str, got, want) -> None:
-    if str(got) != str(want):
+
+def _children(node, row_key: Optional[str]) -> Optional[dict]:
+    """A list as a map keyed by `row_key` (rows) or position; None for a leaf."""
+    if isinstance(node, dict):
+        return node
+    if isinstance(node, (list, tuple)):
+        return {str(v[row_key] if row_key else i): v for i, v in enumerate(node)}
+    return None
+
+
+def _is_int(key: str) -> bool:
+    return key.lstrip("-").isdigit()
+
+
+def _diff(diffs: List[str], where: str, got, want, tol: Optional[float] = None,
+          scan: bool = False, by_k: bool = False) -> None:
+    """Append to `diffs` every way `got` departs from the golden `want`.
+
+    `tol` is the tolerance of the enclosing key, `scan` marks a scan column,
+    and `by_k` says that the outermost integer-keyed map below is keyed by
+    k (a table that takes kmax)."""
+    if not isinstance(want, (dict, list)):
+        off = str(got) != str(want) if tol is None else abs(float(got) - float(want)) > tol
+        if off:
+            diffs.append(f"{where}: got {got!r}, want {want!r}" + (f" (tol {tol})" if tol else ""))
+        return
+    rows = bool(want) and isinstance(want, list) and isinstance(want[0], dict)
+    row_key = next(k for k in _ROW_KEYS if k in want[0]) if rows else None
+    gold, mine = _children(want, row_key), _children(got, row_key)
+    if mine is None:
         diffs.append(f"{where}: got {got!r}, want {want!r}")
-
-
-def _diff_numeric(diffs, where, got, want, tol) -> None:
-    if abs(float(got) - float(want)) > tol:
-        diffs.append(f"{where}: got {got}, want {want} (tol {tol})")
+        return
+    int_keyed = all(_is_int(k) for k in gold)
+    if rows:
+        # a golden row the artifact lacks is from a larger scale
+        gold = {k: w for k, w in gold.items() if k in mine}
+    elif by_k and int_keyed:
+        # compare k up to the smaller of the artifact's and the golden kmax
+        top = min(max(map(int, gold)), max((int(k) for k in mine if _is_int(k)), default=0))
+        gold = {k: w for k, w in gold.items() if int(k) <= top}
+        mine = {k: g for k, g in mine.items() if not _is_int(k) or int(k) <= top}
+        by_k = False
+    for key, w in gold.items():
+        here = f"{where}[{key}]"
+        if key in mine:
+            _diff(diffs, here, mine[key], w, _TOLERANCES.get(key, tol),
+                  key in _SCAN_COLUMNS, by_k)
+        elif scan:
+            _diff(diffs, here, 0, w, tol or 0.0)
+        elif key != "empirical_1e6":  # built only in full mode
+            diffs.append(f"{here}: missing")
+    if rows or int_keyed:
+        diffs.extend(f"{where}[{key}]: unexpected" for key in mine if key not in gold)
 
 
 def compare_to_golden(artifact: TableArtifact) -> List[str]:
     """Diffs between a rebuilt table and the printed reference values;
     empty result means the reproduction passes."""
-    gold = load_golden(artifact.table_id)
     diffs: List[str] = []
-    tid = artifact.table_id
-    data = artifact.data
-    if tid == "1":
-        gold_rows = {r["nprimes"]: r for r in gold["rows"]}
-        for row in data["rows"]:
-            want = gold_rows.get(row["nprimes"])
-            if want is None:
-                continue
-            for v, cnt in want["counts"].items():
-                _diff_exact(diffs, f"T1[{row['nprimes']}].count[{v}]",
-                            row["counts"].get(v, 0), cnt)
-            for v, fr in want["freq"].items():
-                _diff_exact(diffs, f"T1[{row['nprimes']}].freq[{v}]",
-                            row["freq"].get(v, "0.000000"), fr)
-    elif tid == "2":
-        for k, b in gold["bounds"].items():
-            if k in data["bounds"]:
-                _diff_exact(diffs, f"B({k})", data["bounds"][k], b)
-    elif tid == "3":
-        for k, e in gold["e"].items():
-            if k in data["e"]:
-                _diff_exact(diffs, f"e_{k}", data["e"][k], e)
-    elif tid == "4":
-        for k, entry in gold["zeta2_delta"].items():
-            if k not in data["zeta2_delta"]:
-                continue
-            mine = data["zeta2_delta"][k]
-            if mine != entry:
-                diffs.append(f"T4[k={k}]: got {mine}, want {entry}")
-    elif tid == "6":
-        if data["entries"] != gold["entries"]:
-            diffs.append(f"T6 entries: got {data['entries']}, want {gold['entries']}")
-        _diff_exact(diffs, "T6 mass", data["nonzero_mass"], gold["nonzero_mass"])
-        for v, s in gold["theory_numeric"].items():
-            _diff_numeric(diffs, f"T6 numeric[{v}]", data["theory_numeric"][v], s,
-                          NUMERIC_TOLERANCE)
-        if "empirical_1e6" in data:
-            for v, s in gold["empirical_1e6"].items():
-                _diff_numeric(diffs, f"T6 empirical[{v}]",
-                              data["empirical_1e6"].get(v, "0"), s, EMPIRICAL_TOLERANCE)
-    elif tid == "7":
-        for k, s in gold["means"].items():
-            _diff_exact(diffs, f"T7 mean[{k}]", data["means"][k], s)
-        for k, s in gold["theory_numeric"].items():
-            _diff_numeric(diffs, f"T7 numeric[{k}]", data["theory_numeric"][k], s,
-                          NUMERIC_TOLERANCE)
-        if "empirical_1e6" in data:
-            for k, s in gold["empirical_1e6"].items():
-                _diff_numeric(diffs, f"T7 empirical[{k}]", data["empirical_1e6"][k], s,
-                              EMPIRICAL_TOLERANCE)
-    elif tid in ("8", "9"):
-        gold_rows = {r["label"]: r for r in gold["rows"]}
-        for row in data["rows"]:
-            want = gold_rows.get(row["label"])
-            if want is None:
-                diffs.append(f"T{tid}: unexpected stratum {row['label']}")
-                continue
-            for v, pair in want["entries"].items():
-                got = row["entries"].get(v)
-                if got is None or [str(Fraction(g)) for g in got] != [
-                    str(Fraction(w)) for w in pair
-                ]:
-                    diffs.append(f"T{tid}[{row['label']}][{v}]: got {got}, want {pair}")
-            for v, s in want["theory_numeric"].items():
-                _diff_numeric(diffs, f"T{tid}[{row['label']}] numeric[{v}]",
-                              row["theory_numeric"][v], s, NUMERIC_TOLERANCE)
-            if "empirical_1e6" in row:
-                for v, s in want["empirical_1e6"].items():
-                    _diff_numeric(diffs, f"T{tid}[{row['label']}] empirical[{v}]",
-                                  row["empirical_1e6"].get(v, "0"), s,
-                                  EMPIRICAL_TOLERANCE)
-    elif tid == "10":
-        for k, want in gold["rows"].items():
-            if k not in data["rows"]:
-                continue
-            got = data["rows"][k]
-            for v, c in want["density"].items():
-                gv = got["density"].get(v)
-                if gv is None or Fraction(gv) != Fraction(c):
-                    diffs.append(f"T10[k={k}][{v}]: got {gv}, want {c}")
-            extra = set(got["density"]) - set(want["density"])
-            if extra:
-                diffs.append(f"T10[k={k}]: unexpected values {sorted(extra)}")
-            if Fraction(got["mean"]) != Fraction(want["mean"]):
-                diffs.append(f"T10[k={k}] mean: got {got['mean']}, want {want['mean']}")
-    elif tid == "11":
-        for k, want in gold["entries"].items():
-            if k not in data["entries"]:
-                continue
-            got = data["entries"][k]
-            _diff_exact(diffs, f"T11 e_{k}", got["e"], want["e"])
-            _diff_exact(diffs, f"T11 bracket[{k}]", got["bracket"], want["bracket"])
-            if got["V"] != want["V"]:
-                diffs.append(f"T11 V[{k}]: got {got['V']}, want {want['V']}")
+    _diff(diffs, f"T{artifact.table_id}", artifact.data, load_golden(artifact.table_id),
+          by_k=artifact.table_id in KMAX_TABLES)
     return diffs
 
 

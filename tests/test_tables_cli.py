@@ -1,6 +1,8 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +22,67 @@ def test_all_tables_match_golden(pack):
         artifact = build_table(tid, pack=pack)
         diffs = compare_to_golden(artifact)
         assert not diffs, (tid, diffs)
+    # a table built to a smaller kmax is compared only as far as it goes
+    assert compare_to_golden(build_table("3", kmax=5)) == []
+
+
+# Corruptions of one artifact each, as (action, path into the artifact's data):
+# "bump" changes an exact leaf, "nudge" moves a theory_numeric leaf by 2e-6,
+# "add" puts an unexpected value key into a map, "drop" deletes a key and
+# "stratum" appends a copy of a row under a new label.
+_CORRUPTIONS = {
+    "1": [("bump", ("rows", 0, "counts", "-1")), ("bump", ("rows", 2, "freq", "0")),
+          ("add", ("rows", 1, "counts")), ("drop", ("rows", 0, "freq", "1")),
+          ("drop", ("rows", 1, "counts")), ("drop", ("rows", 2, "freq"))],
+    "2": [("bump", ("bounds", "17")), ("drop", ("bounds", "5"))],
+    "3": [("bump", ("e", "15")), ("drop", ("e", "5"))],
+    "4": [("bump", ("zeta2_delta", "7", "-2")), ("add", ("zeta2_delta", "7")),
+          ("drop", ("zeta2_delta", "7", "1"))],
+    "6": [("bump", ("entries", "1")), ("bump", ("nonzero_mass",)), ("bump", ("k",)),
+          ("nudge", ("theory_numeric", "0")), ("add", ("entries",)),
+          ("add", ("theory_numeric",)), ("drop", ("entries", "15")),
+          ("drop", ("theory_numeric", "4"))],
+    "7": [("bump", ("means", "21")), ("nudge", ("theory_numeric", "24")),
+          ("add", ("means",)), ("drop", ("means", "8"))],
+    "8": [("bump", ("rows", 0, "entries", "1", 1)), ("bump", ("rows", 2, "mass", 0)),
+          ("nudge", ("rows", 1, "theory_numeric", "0")), ("stratum", ("rows",)),
+          ("drop", ("rows", 0, "entries", "0"))],
+    "9": [("bump", ("rows", 3, "entries", "0", 1)), ("nudge", ("rows", 2, "theory_numeric", "1")),
+          ("stratum", ("rows",)), ("drop", ("rows", 1, "theory_numeric", "-1"))],
+    "10": [("bump", ("rows", "7", "mean")), ("bump", ("rows", "7", "density", "2")),
+           ("add", ("rows", "7", "density")), ("drop", ("rows", "7", "density", "2"))],
+    "11": [("bump", ("entries", "11", "bracket")), ("bump", ("entries", "11", "e")),
+           ("add", ("entries", "11", "V")), ("drop", ("entries", "11", "V", "-2"))],
+}
+
+
+def _corrupt(data: dict, action: str, path: tuple) -> dict:
+    *head, last = path
+    node = data
+    for key in head:
+        node = node[key]
+    value = node[last]
+    if action == "bump":
+        node[last] = value + 1 if isinstance(value, int) else str(Fraction(value) + 1)
+    elif action == "nudge":
+        node[last] = f"{float(value) + 2e-6:.6f}"
+    elif action == "add":
+        value["99"] = "1/7"
+    elif action == "drop":
+        del node[last]
+    else:  # "stratum"
+        value.append(dict(value[-1], label="nu(p-1)>=9"))
+    return data
+
+
+@pytest.mark.parametrize("tid", TABLE_IDS)
+def test_compare_to_golden_flags_corruption(tid, pack):
+    artifact = build_table(tid, pack=pack)
+    text = artifact.to_json()
+    assert compare_to_golden(replace(artifact, data=json.loads(text)["data"])) == []
+    for action, path in _CORRUPTIONS[tid]:
+        data = _corrupt(json.loads(text)["data"], action, path)
+        assert compare_to_golden(replace(artifact, data=data)), (action, path)
 
 
 def test_artifact_renderers(pack):
@@ -136,9 +199,9 @@ def test_cli_tables(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "table", "--id", "3", "--kmax", "20")
     assert code == 0 and "2287/20160" in out
     out_file = tmp_path / "t3.json"
-    code, _, _ = run_cli(capsys, "table3", "--kmax", "5", "--out", str(out_file))
+    code, _, _ = run_cli(capsys, "table", "--id", "3", "--kmax", "5", "--out", str(out_file))
     assert code == 0 and json.loads(out_file.read_text())["table_id"] == "3"
-    code, out, _ = run_cli(capsys, "table11", "--kmax", "7", "--format", "json")
+    code, out, _ = run_cli(capsys, "table", "--id", "11", "--kmax", "7", "--format", "json")
     assert code == 0
     assert json.loads(out)["data"]["entries"]["7"]["bracket"] == 224
 
@@ -164,6 +227,10 @@ def test_cli_exit_codes(capsys):
     code, _, err = run_cli(capsys, "empirical", "--stat", "mu", "--nprimes", "10",
                            "--cond", "garbage")
     assert code == 2
+    for limit in ("0", "1", "-5"):  # 0 is a limit too, not "unset"
+        code, _, err = run_cli(capsys, "--sieve-limit", limit, "empirical", "--stat", "mu",
+                               "--nprimes", "10")
+        assert code == 2 and "sieve limit" in err
 
 
 def test_cli_cache_dir(capsys, tmp_path):
