@@ -355,6 +355,8 @@ def _run(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.sieve_limit is not None and args.sieve_limit < 2:
+            raise ValueError("sieve limit must be >= 2")
         return _run(args)
     except (ResourceBudgetError, OSError) as exc:
         # filesystem failures (unwritable out-dir etc.) count as resource errors

@@ -23,7 +23,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .arith import FactoredLike, SievePack, as_factored, default_pack, small_primes
+from .arith import (FactoredLike, SievePack, as_factored, default_pack, is_prime_int,
+                    small_primes)
 from .cyclotomic import coeff_profile
 from .density import Basis, DensityTable, merge_values
 from .errors import InternalConsistencyError, ResourceBudgetError
@@ -135,8 +136,8 @@ class ValuationConstraint:
     def __post_init__(self):
         last = 1
         for q, spec in self.entries:
-            if q <= last:
-                raise ValueError("constraint primes must be distinct and increasing")
+            if q <= last or not is_prime_int(q):
+                raise ValueError("constraint primes must be distinct, increasing primes")
             last = q
             if isinstance(spec, tuple):
                 tag, e = spec

@@ -1,12 +1,16 @@
 """Deterministic empirical scans over primes and integers.
 
 Every counting routine here is exact, reproducible bit-for-bit, and
-ignorant of the theory it is used to validate: values of c_n(m) and
-a_n(k) come from one memoised reduction of n to its part at a finite
-prime set plus the Möbius value of the cofactor (see :class:`_SplitEvaluator`),
-and the k-th symmetric functions of primitive roots from an explicit
-expansion over the roots themselves (the one genuinely independent oracle
-for the congruence suite).
+ignorant of the theory it is used to validate (it shares only the value
+maps `cyclo_coeff` and `ramanujan_sum`, never density weights).  A scan is
+a numpy pass over blocks of `_BLOCK` primes p (or integers n); values of
+a_n(k) and c_n(m), n = p - 1 for primes, depend only on the part n_S of n
+at a finite prime set S and on μ of the cofactor n / n_S, and one engine
+(:func:`_split_values`) evaluates them for a whole block at a time.
+Conditioning is a mask on peeled exponents.  The k-th symmetric functions
+of primitive roots come from an explicit expansion over the roots
+themselves (the one genuinely independent oracle for the congruence
+suite).
 
 Counts are reported as :class:`EmpiricalReport`: per-value counts, the
 number of primes scanned, and exact rational frequencies.
@@ -27,6 +31,7 @@ from .arith import (
     SievePack,
     as_factored,
     default_pack,
+    factorize,
     is_prime_int,
     least_prime_above,
     sieve_limit_for,
@@ -40,6 +45,9 @@ from .ramanujan import ramanujan_sum
 PRIMITIVE_ROOT_LIMIT = 1_000_000
 SYMMETRIC_ORACLE_LIMIT = 100_000
 
+#: entries per block of a scan
+_BLOCK = 1 << 16
+
 STATISTICS = (
     "mu_pminus1",
     "c_pminus1",
@@ -51,12 +59,13 @@ STATISTICS = (
 )
 
 
-def symmetric_residue(v: int, p: int) -> int:
+def symmetric_residue(v, p):
     """Residue of v mod p mapped into (-p/2, p/2]: r stays put when
     r <= (p-1)/2, otherwise r - p.  Unambiguous for |true value| < p/2;
-    primes p <= 2|v| alias and are excluded from frequency comparisons."""
+    primes p <= 2|v| alias and are excluded from frequency comparisons.
+    Works elementwise on integer arrays as well."""
     r = v % p
-    return r if r <= (p - 1) // 2 else r - p
+    return r - p * (r > (p - 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -92,112 +101,121 @@ class EmpiricalReport:
         ]
 
 
-def merge_reports(a: EmpiricalReport, b: EmpiricalReport) -> EmpiricalReport:
-    """Associative, commutative block merge (same statistic and conditioning)."""
-    if (a.statistic, a.conditioning) != (b.statistic, b.conditioning):
-        raise ValueError("cannot merge reports of different statistics")
-    counts = Counter(a.counts)
-    counts.update(b.counts)
-    return EmpiricalReport(
-        a.statistic,
-        f"{a.bound}+{b.bound}",
-        dict(counts),
-        a.total + b.total,
-        a.conditioning,
-    )
+# -- the array engine ---------------------------------------------------------------
 
 
-def _phi_from_factors(factors: Sequence[Tuple[int, int]]) -> int:
-    out = 1
-    for p, e in factors:
-        out *= (p - 1) * p ** (e - 1)
-    return out
+def _peel(ns: np.ndarray, primes: Sequence[int]) -> Tuple[List[np.ndarray], np.ndarray]:
+    """The valuations of the entries of `ns` at each of `primes`, and what
+    is left of the entries once those primes are divided out."""
+    rest = ns.copy()
+    exps = []
+    for p in primes:
+        e = np.zeros(len(rest), dtype=np.int8)
+        idx = np.flatnonzero(rest % p == 0)
+        while idx.size:
+            rest[idx] //= p
+            e[idx] += 1
+            idx = idx[rest[idx] % p == 0]
+        exps.append(e)
+    return exps, rest
 
 
-class _SplitEvaluator:
-    """f(n) for 1 <= n <= pack.limit, where f depends only on n_S, the part
-    of n supported on a finite prime set S, and on mu(c) for the cofactor
-    c = n / n_S: f(n) = pair(n_S)[0] if mu(c) = 1, pair(n_S)[1] if
-    mu(c) = -1, and 0 if mu(c) = 0 or nu_p(n) exceeds caps[p] for some p
-    in S (where f must vanish).  The pair is memoised per n_S."""
+def _split_values(caps: Dict[int, int], pair: Callable[[FactoredNat], Tuple[int, int]],
+                  pack: SievePack) -> Callable[[np.ndarray], np.ndarray]:
+    """The array map n -> f(n) for 1 <= n <= pack.limit, where f depends
+    only on n_S, the part of n supported on the primes S of `caps`, and on
+    mu(c) for the cofactor c = n / n_S: f(n) = pair(n_S)[0] if mu(c) = 1,
+    pair(n_S)[1] if mu(c) = -1, and 0 if mu(c) = 0 or nu_p(n) exceeds
+    caps[p] for some p in S (where f must vanish).  The pair is memoised
+    per n_S across the calls of the returned map."""
+    primes = sorted(caps)
+    memo: Dict[int, Tuple[int, int]] = {}
 
-    def __init__(
-        self,
-        caps: Dict[int, int],
-        pair: Callable[[FactoredNat], Tuple[int, int]],
-        pack: SievePack,
-    ):
-        self.caps = sorted(caps.items())
-        self.pair = pair
-        self.mobius = pack.mobius
-        self.memo: Dict[int, Tuple[int, int]] = {}
+    def values(ns: np.ndarray) -> np.ndarray:
+        exps, rest = _peel(ns, primes)
+        mu = pack.mobius[rest]
+        live = mu != 0
+        for p, e in zip(primes, exps):
+            live &= e <= caps[p]
+        keys, inv = np.unique(ns[live] // rest[live], return_inverse=True)
+        keys = keys.tolist()
+        for key in keys:
+            if key not in memo:
+                memo[key] = pair(factorize(key, pack))
+        table = np.array([memo[key] for key in keys], dtype=np.int64).reshape(-1, 2)
+        out = np.zeros(len(ns), dtype=np.int64)
+        out[live] = table[inv, (mu[live] < 0).astype(np.intp)]
+        return out
 
-    def __call__(self, n: int) -> int:
-        ns_factors = []
-        ns = 1
-        for p, cap in self.caps:
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                if e > cap:
-                    return 0
-                ns_factors.append((p, e))
-                ns *= p**e
-        mu_c = int(self.mobius[n])
-        if mu_c == 0:
-            return 0
-        pair = self.memo.get(ns)
-        if pair is None:
-            pair = self.memo[ns] = self.pair(FactoredNat(ns, tuple(ns_factors)))
-        return pair[0] if mu_c == 1 else pair[1]
+    return values
 
 
-def _coeff_evaluator(k: int, pack: SievePack) -> Callable[[int], int]:
-    """n -> a_n(k).  S = primes <= k; nu_p(n) > floor(log_p k) + 1 makes
-    n / rad(n) exceed k, so a_n(k) = 0.  A squarefree cofactor coprime to
-    S acts like 1 or like q, the least prime above k.  k = 1 is special:
+def _coeff_values(k: int, pack: SievePack) -> Callable[[np.ndarray], np.ndarray]:
+    """n -> a_n(k) on arrays.  S = primes <= k; nu_p(n) > floor(log_p k) + 1
+    makes n / rad(n) exceed k, so a_n(k) = 0.  A squarefree cofactor coprime
+    to S acts like 1 or like q, the least prime above k.  k = 1 is special:
     a_1(1) = 1 while a_n(1) = -mu(n) for n > 1."""
     if k == 1:
-        mobius = pack.mobius
-        return lambda n: 1 if n == 1 else -int(mobius[n])
+        return lambda ns: np.where(ns == 1, 1, -pack.mobius[ns].astype(np.int64))
     q = least_prime_above(k)
     caps = {p: int(math.log(k, p) + 1e-9) + 1 for p in small_primes(k)}
-    return _SplitEvaluator(
-        caps, lambda f: (cyclo_coeff(f, k), cyclo_coeff(f.times_prime(q), k)), pack
-    )
+    return _split_values(caps, lambda f: (cyclo_coeff(f, k), cyclo_coeff(f.times_prime(q), k)),
+                         pack)
 
 
-def _ramanujan_evaluator(m: int, pack: SievePack) -> Callable[[int], int]:
-    """n -> c_n(m).  S = primes dividing m; nu_p(n) >= nu_p(m) + 2 gives 0,
-    and a squarefree cofactor c coprime to m contributes c_c(m) = mu(c)."""
+def _ramanujan_values(m: int, pack: SievePack) -> Callable[[np.ndarray], np.ndarray]:
+    """n -> c_n(m) on arrays.  S = primes dividing m; nu_p(n) >= nu_p(m) + 2
+    gives 0, and a cofactor c coprime to m contributes c_c(m) = mu(c)."""
 
     def pair(f: FactoredNat) -> Tuple[int, int]:
         c = ramanujan_sum(f, m)
         return c, -c
 
     caps = {q: nu + 1 for q, nu in as_factored(m).factors}
-    return _SplitEvaluator(caps, pair, pack)
+    return _split_values(caps, pair, pack)
 
 
-def s_k_residue(p: int, k: int, factors, coeff: Callable[[int], int]) -> int:
-    """s_k(p) mod p in symmetric-residue form, by case analysis on
-    t = phi(p-1): zero above t, else (-1)^k a_(p-1)(k).
+def _s_k_values(ps: np.ndarray, k: int, coeff: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """s_k(p) mod p for an array of primes, `coeff` the map n -> a_n(k):
+    s_k(p) = (-1)^k a_(p-1)(k) mod p.  This covers k > phi(p-1), where
+    both sides vanish (Phi_(p-1) has degree phi(p-1)), and the k = phi(p-1)
+    boundary (+1 for p >= 5, -1 for p = 3, whose lone primitive root 2
+    makes the product of roots -1).  The one exception is p = 2 with
+    k = 1: its single root 1 gives s_1(2) = 1, while a_1(1) = 1 gives -1."""
+    a = coeff(ps - 1)
+    out = symmetric_residue(-a if k % 2 else a, ps)
+    if k == 1:
+        out[ps == 2] = 1
+    return out
 
-    The latter congruence covers the k = t boundary as well (it evaluates
-    to +1 for p >= 5 and to -1 for p = 3, where the lone primitive root 2
-    makes the product of roots -1, not +1).  p = 2 has the single root 1,
-    so every s_k(2) with k <= 1 is 1.  `coeff` maps n to a_n(k)."""
-    t = _phi_from_factors(factors)
-    if k > t:
-        return 0
-    if p == 2:
-        return 1
-    v = coeff(p - 1)
-    if k % 2:
-        v = -v
-    return symmetric_residue(v, p)
+
+def _kfree(ms: np.ndarray, order: int, spf: np.ndarray) -> np.ndarray:
+    """1 where no q^order divides m (m >= 1), else 0: every m is peeled one
+    prime at a time along the smallest-prime-factor table."""
+    out = np.ones(len(ms), dtype=np.int64)
+    rest = ms.copy()
+    idx = np.flatnonzero(rest > 1)
+    while idx.size:
+        q = spf[rest[idx]]
+        e = np.zeros(len(idx), dtype=np.int64)
+        div = np.arange(len(idx))
+        while div.size:
+            rest[idx[div]] //= q[div]
+            e[div] += 1
+            div = div[rest[idx[div]] % q[div] == 0]
+        out[idx[e >= order]] = 0
+        idx = idx[rest[idx] > 1]
+    return out
+
+
+def _count_blocks(size: int, block: Callable[[int, int], np.ndarray]) -> Dict[int, int]:
+    """Counts of the values `block(lo, hi)` returns for the blocks
+    [lo, hi) of range(size), as Python ints in increasing value order."""
+    counts: Counter = Counter()
+    for lo in range(0, size, _BLOCK):
+        values, hits = np.unique(block(lo, min(lo + _BLOCK, size)), return_counts=True)
+        counts.update(dict(zip(values.tolist(), hits.tolist())))
+    return dict(sorted(counts.items()))
 
 
 def _select_primes(
@@ -257,41 +275,35 @@ def scan_primes(
     if statistic == "conjecture1" and constraint is None:
         raise ValueError("conjecture1 requires a valuation constraint")
 
-    mob = pack.mobius
-    counts: Counter = Counter()
     value = None
     if statistic in ("c_pminus1", "S_k_mod_p"):
-        value = _ramanujan_evaluator(k, pack)
+        value = _ramanujan_values(k, pack)
     elif statistic in ("a_pminus1", "s_k_mod_p"):
-        value = _coeff_evaluator(k, pack)
-    needs_factors = constraint is not None or statistic in ("s_k_mod_p", "conjecture1")
-    cond_primes = constraint.primes() if constraint is not None else ()
+        value = _coeff_values(k, pack)
 
-    total = 0
-    for p in primes.tolist():
-        total += 1
-        factors = pack.factor(p - 1) if needs_factors else None
-        if constraint is not None and not constraint.matches(factors):
-            continue
+    def block(lo: int, hi: int) -> np.ndarray:
+        ps = primes[lo:hi]
+        ns = ps - 1
+        keep = np.ones(len(ps), dtype=bool)
+        if constraint is not None:
+            exps, rest = _peel(ns, constraint.primes())
+            for (_, spec), e in zip(constraint.entries, exps):
+                keep &= e >= spec[1] if isinstance(spec, tuple) else e == spec
         if statistic == "mu_pminus1":
-            counts[int(mob[p - 1])] += 1
+            vals = pack.mobius[ns]
         elif statistic in ("c_pminus1", "a_pminus1"):
-            counts[value(p - 1)] += 1
+            vals = value(ns)
         elif statistic == "S_k_mod_p":
-            counts[symmetric_residue(value(p - 1), p)] += 1
+            vals = symmetric_residue(value(ns), ps)
         elif statistic == "s_k_mod_p":
-            counts[s_k_residue(p, k, factors, value)] += 1
+            vals = _s_k_values(ps, k, value)
         elif statistic == "kfree_shift":
-            m = p - shift
-            if m < 1:
-                continue
-            counts[1 if all(e < kfree_order for _, e in pack.factor(m)) else 0] += 1
-        else:  # conjecture1
-            outside = [(q, e) for q, e in factors if q not in cond_primes]
-            if any(e >= 2 for _, e in outside):
-                counts[0] += 1
-            else:
-                counts[-1 if len(outside) % 2 else 1] += 1
+            ms = ps - shift
+            keep &= ms >= 1
+            vals = _kfree(np.maximum(ms, 1), kfree_order, pack.smallest_prime_factor)
+        else:  # conjecture1: mu of p - 1 without the constraint primes
+            vals = pack.mobius[rest]
+        return vals[keep]
 
     label = statistic if not needs_k else f"{statistic}[k={k}]"
     if statistic == "kfree_shift":
@@ -299,8 +311,8 @@ def scan_primes(
     return EmpiricalReport(
         label,
         bound,
-        dict(counts),
-        total,
+        _count_blocks(len(primes), block),
+        len(primes),
         conditioning=repr(constraint) if constraint is not None else None,
     )
 
@@ -405,35 +417,26 @@ def mertens_coprime(x: int, r, pack: Optional[SievePack] = None) -> int:
 # -- bulk integer scans (value counts over n <= limit) ------------------------------
 
 
-def count_ramanujan_values(
-    ms: Sequence[int], limit: int, pack: Optional[SievePack] = None
+def _count_integers(
+    values_of: Callable[[int, SievePack], Callable[[np.ndarray], np.ndarray]],
+    args: Sequence[int], limit: int, pack: Optional[SievePack],
 ) -> Dict[int, Counter]:
-    """Counts of c_n(m) over 1 <= n <= limit for each m, in one pass.
-
-    Per n only the exponents at primes dividing m and the Möbius value of
-    the remaining cofactor matter (see _ramanujan_evaluator)."""
     pack = pack or default_pack(limit)
     if limit > pack.limit:
         raise ResourceBudgetError(f"limit {limit} exceeds sieve capacity")
-    evaluators = {m: _ramanujan_evaluator(m, pack) for m in ms}
-    counts: Dict[int, Counter] = {m: Counter() for m in ms}
-    for n in range(1, limit + 1):
-        for m, ev in evaluators.items():
-            counts[m][ev(n)] += 1
-    return counts
+    return {a: Counter(_count_blocks(limit, lambda lo, hi, f=values_of(a, pack):
+                                     f(np.arange(lo + 1, hi + 1)))) for a in args}
+
+
+def count_ramanujan_values(
+    ms: Sequence[int], limit: int, pack: Optional[SievePack] = None
+) -> Dict[int, Counter]:
+    """Counts of c_n(m) over 1 <= n <= limit for each m."""
+    return _count_integers(_ramanujan_values, ms, limit, pack)
 
 
 def count_cyclo_values(
     ks: Sequence[int], limit: int, pack: Optional[SievePack] = None
 ) -> Dict[int, Counter]:
-    """Counts of a_n(k) over 1 <= n <= limit for each k, in one pass,
-    via the memoised evaluators (see _coeff_evaluator)."""
-    pack = pack or default_pack(limit)
-    if limit > pack.limit:
-        raise ResourceBudgetError(f"limit {limit} exceeds sieve capacity")
-    evaluators = {k: _coeff_evaluator(k, pack) for k in ks}
-    counts: Dict[int, Counter] = {k: Counter() for k in ks}
-    for n in range(1, limit + 1):
-        for k, ev in evaluators.items():
-            counts[k][ev(n)] += 1
-    return counts
+    """Counts of a_n(k) over 1 <= n <= limit for each k."""
+    return _count_integers(_coeff_values, ks, limit, pack)

@@ -430,12 +430,13 @@ def build_table(table_id: str, full: bool = False, kmax: Optional[int] = None,
                 pack: Optional[SievePack] = None) -> TableArtifact:
     if table_id not in _BUILDERS:
         raise ValueError(f"unknown table id {table_id!r}; known: {TABLE_IDS}")
-    kwargs = {"full": full, "pack": pack} if table_id in SCAN_TABLES else {}
-    if kmax is not None:
-        if table_id not in KMAX_TABLES:
+    if table_id in SCAN_TABLES:
+        if kmax is not None:
             raise ValueError(f"table {table_id} does not take kmax")
-        kwargs["kmax"] = kmax
-    return _BUILDERS[table_id](**kwargs)
+        return _BUILDERS[table_id](full=full, pack=pack)
+    if full:
+        raise ValueError(f"table {table_id} has no full mode")
+    return _BUILDERS[table_id](**({} if kmax is None else {"kmax": kmax}))
 
 
 # -- golden comparison -----------------------------------------------------------
@@ -518,7 +519,7 @@ def reproduce_all(out_dir, full: bool = False, pack: Optional[SievePack] = None)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {"full": full, "tables": {}, "all_pass": True}
     for tid in TABLE_IDS:
-        artifact = build_table(tid, full=full, pack=pack)
+        artifact = build_table(tid, full=full and tid in SCAN_TABLES, pack=pack)
         path = out / f"table{tid}.json"
         path.write_text(artifact.to_json())
         diffs = compare_to_golden(artifact)

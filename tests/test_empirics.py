@@ -1,18 +1,21 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from cyclodist import empirics
 from cyclodist.arith import factorize, small_primes
 from cyclodist.cyclotomic import cyclo_coeff
 from cyclodist.densities_prime import ValuationConstraint, artin_constant
 from cyclodist.empirics import (
-    _coeff_evaluator,
-    _ramanujan_evaluator,
+    STATISTICS,
+    _coeff_values,
+    _ramanujan_values,
+    _s_k_values,
     count_ramanujan_values,
     count_squarefree_coprime,
     count_cyclo_values,
-    merge_reports,
     mertens_coprime,
     primitive_roots,
     scan_primes,
@@ -28,6 +31,9 @@ def test_symmetric_residue():
     assert symmetric_residue(3, 7) == 3
     assert symmetric_residue(-1, 11) == -1
     assert [symmetric_residue(r, 5) for r in range(5)] == [0, 1, 2, -2, -1]
+    # elementwise on arrays, with an array of moduli too
+    vs, ps = np.array([5, 3, -1, 4, -7]), np.array([7, 7, 11, 5, 5])
+    assert symmetric_residue(vs, ps).tolist() == [-2, 3, -1, -1, -2]
 
 
 def test_primitive_roots_examples():
@@ -62,10 +68,8 @@ def test_symmetric_functions_examples():
 
 def test_symmetric_function_boundaries(pack):
     # product of all roots is 1 mod p for p >= 5 (-1 for p = 3, where the
-    # lone root is 2); beyond phi(p-1) everything vanishes.  The scan-side
-    # case analysis must agree with the oracle at both boundaries.
-    from cyclodist.empirics import s_k_residue
-
+    # lone root is 2); beyond phi(p-1) everything vanishes.  The scan side
+    # must agree with the oracle at both boundaries.
     for p in small_primes(300):
         t = factorize(p - 1).phi() if p > 2 else 1
         s, _ = symmetric_functions_mod_p(p, t + 2)
@@ -74,11 +78,9 @@ def test_symmetric_function_boundaries(pack):
         else:
             assert s[t - 1] == 1 % p, p
         assert s[t] == 0 and s[t + 1] == 0, p
-        factors = factorize(p - 1, pack).factors if p > 2 else ()
         for k in (t, t + 1, t + 2):
-            ev = _coeff_evaluator(k, pack)
             want = symmetric_residue(s[k - 1], p) if p > 2 else s[k - 1]
-            assert s_k_residue(p, k, factors, ev) == want, (p, k)
+            assert _s_k_values(np.array([p]), k, _coeff_values(k, pack))[0] == want, (p, k)
 
 
 def test_congruences_small(pack):
@@ -122,15 +124,30 @@ def test_scan_bounds_validation(pack):
         scan_primes("mu_pminus1", nprimes=10**8, pack=pack)
 
 
-def test_scan_merge(pack):
-    a = scan_primes("mu_pminus1", nprimes=1000, pack=pack)
-    b = scan_primes("mu_pminus1", nprimes=2000, pack=pack)
-    merged = merge_reports(a, b)
-    assert merged.total == 3000
-    assert merged.counts == {
-        v: a.counts.get(v, 0) + b.counts.get(v, 0) for v in set(a.counts) | set(b.counts)
-    }
-    assert merge_reports(a, b).counts == merge_reports(b, a).counts
+def _every_scan(pack, nprimes):
+    """Reports of every statistic, with and without a constraint."""
+    out = {}
+    args = {"mu_pminus1": {}, "c_pminus1": {"k": 12}, "a_pminus1": {"k": 15},
+            "s_k_mod_p": {"k": 3}, "S_k_mod_p": {"k": 2},
+            "kfree_shift": {"shift": 1, "kfree_order": 2}, "conjecture1": {}}
+    for stat in STATISTICS:
+        for c in (None, ValuationConstraint(((2, ("ge", 2)), (3, 0)))):
+            if stat != "conjecture1" or c is not None:
+                out[stat, c] = scan_primes(stat, nprimes=nprimes, constraint=c, pack=pack,
+                                           **args[stat])
+    out["cyclo"] = count_cyclo_values((1, 6, 15), nprimes, pack)
+    out["rama"] = count_ramanujan_values((2, 12), nprimes, pack)
+    return out
+
+
+def test_scan_merge(pack, monkeypatch):
+    # per-block counts merge to the counts of one block, for every
+    # statistic and with blocks that end anywhere
+    whole = _every_scan(pack, 5000)
+    monkeypatch.setattr(empirics, "_BLOCK", 997)
+    blocked = _every_scan(pack, 5000)
+    assert blocked == whole
+    assert all(r.total == 5000 for key, r in whole.items() if isinstance(key, tuple))
 
 
 def test_scan_c_statistic_matches_direct(pack):
@@ -151,24 +168,50 @@ def test_scan_S_residues(pack):
 
 
 def test_coeff_evaluator_matches_cyclo_coeff(pack):
+    ns = np.arange(1, 3001)
     for k in (1, 2, 3, 7, 15):
-        ev = _coeff_evaluator(k, pack)
-        for n in range(1, 3001):
-            assert ev(n) == cyclo_coeff(factorize(n, pack), k), (n, k)
+        got = _coeff_values(k, pack)(ns).tolist()
+        assert got == [cyclo_coeff(factorize(n, pack), k) for n in range(1, 3001)], k
 
 
 def test_evaluators_match_direct_random(pack):
     rng = random.Random(2024)
     ns = [rng.randrange(1, 10**5 + 1) for _ in range(600)]
     ns += [2**16, 3**10, 2**5 * 3**4 * 5**3]  # valuations above every cap
+    arr = np.array(ns)
     for k in (1, 2, 6, 13, 24, 40):
-        ev = _coeff_evaluator(k, pack)
-        for n in ns:
-            assert ev(n) == cyclo_coeff(factorize(n, pack), k), (n, k)
+        got = _coeff_values(k, pack)(arr).tolist()
+        assert got == [cyclo_coeff(factorize(n, pack), k) for n in ns], k
     for m in (1, 2, 12, 15, 36, 210, 1024):
-        ev = _ramanujan_evaluator(m, pack)
-        for n in ns:
-            assert ev(n) == ramanujan_sum(factorize(n, pack), m), (n, m)
+        got = _ramanujan_values(m, pack)(arr).tolist()
+        assert got == [ramanujan_sum(factorize(n, pack), m) for n in ns], m
+
+
+def test_engine_above_every_cap(pack):
+    # n built with each prime of S raised up to two past its cap, times a
+    # random cofactor: the engine against the scalar routes
+    rng = random.Random(77)
+
+    def draws(caps):
+        ns = []
+        for _ in range(300):
+            n = 1
+            for p, cap in caps.items():
+                e = rng.randrange(cap + 3)
+                if n * p**e <= pack.limit:
+                    n *= p**e
+            ns.append(n * rng.randrange(1, pack.limit // n + 1))
+        ns += [p ** (cap + 1) for p, cap in caps.items() if p ** (cap + 1) <= pack.limit]
+        return ns
+
+    for k in (2, 6, 13, 24, 40):
+        ns = draws({p: int(np.log(k) / np.log(p) + 1e-9) + 1 for p in small_primes(k)})
+        got = _coeff_values(k, pack)(np.array(ns)).tolist()
+        assert got == [cyclo_coeff(factorize(n, pack), k) for n in ns], k
+    for m in (2, 12, 36, 210, 1024):
+        ns = draws({q: e + 1 for q, e in factorize(m).factors})
+        got = _ramanujan_values(m, pack)(np.array(ns)).tolist()
+        assert got == [ramanujan_sum(factorize(n, pack), m) for n in ns], m
 
 
 def test_scan_a_statistic(pack):
@@ -210,6 +253,31 @@ def test_conjecture1_scan(pack):
         squarefree_mass = (repc.counts.get(1, 0) + repc.counts.get(-1, 0)) / repc.total
         assert abs(squarefree_mass - coeff * a) < 0.01, e
 
+
+
+def test_conjecture1_and_kfree_match_scalar(pack):
+    # per prime from pack.factor, against the array scans over 2*10^4 primes
+    primes = pack.primes[:20_000].tolist()
+    for entries in ((), ((2, 1),), ((2, ("ge", 2)), (3, 0))):
+        c = ValuationConstraint(entries)
+        want = {}
+        for p in primes:
+            factors = pack.factor(p - 1)
+            if c.matches(factors):
+                outside = [e for q, e in factors if q not in c.primes()]
+                v = 0 if any(e >= 2 for e in outside) else (-1) ** len(outside)
+                want[v] = want.get(v, 0) + 1
+        rep = scan_primes("conjecture1", nprimes=20_000, constraint=c, pack=pack)
+        assert rep.counts == want and rep.total == 20_000, entries
+    for shift, order in ((1, 2), (-1, 3), (3, 2), (100, 2)):
+        want = {}
+        for p in primes:
+            if p - shift >= 1:
+                v = int(all(e < order for _, e in pack.factor(p - shift)))
+                want[v] = want.get(v, 0) + 1
+        rep = scan_primes("kfree_shift", shift=shift, kfree_order=order, nprimes=20_000,
+                          pack=pack)
+        assert rep.counts == want and rep.total == 20_000, (shift, order)
 
 def test_mobius_sums(pack):
     assert count_squarefree_coprime(100, 1, pack) == 61
@@ -286,10 +354,8 @@ def test_mu_scan_millionth(pack):
 
 def test_root_product_boundary_full_range(pack):
     # s_t(p) with t = phi(p-1) is the product of all primitive roots:
-    # 1 mod p for p >= 5, 2 for p = 3, 1 for p = 2; the scan-side case
-    # analysis must reproduce it for every p <= 2000.
-    from cyclodist.empirics import s_k_residue
-
+    # 1 mod p for p >= 5, 2 for p = 3, 1 for p = 2; the scan side must
+    # reproduce it for every p <= 2000.
     for p in pack.primes[: pack.prime_count(2000)].tolist():
         fn = factorize(p - 1, pack)
         t = fn.phi()
@@ -298,10 +364,9 @@ def test_root_product_boundary_full_range(pack):
             product = product * g % p
         want = 1 if p != 3 else 2
         assert product == want, p
-        ev_t = _coeff_evaluator(t, pack)
         # p = 2 aliases under the symmetric map (documented exclusion):
         # the scan reports the root value itself there
         expected = 1 if p == 2 else symmetric_residue(product, p)
-        assert s_k_residue(p, t, fn.factors, ev_t) == expected, p
-        ev_above = _coeff_evaluator(t + 1, pack)
-        assert s_k_residue(p, t + 1, fn.factors, ev_above) == 0, p
+        ps = np.array([p])
+        assert _s_k_values(ps, t, _coeff_values(t, pack))[0] == expected, p
+        assert _s_k_values(ps, t + 1, _coeff_values(t + 1, pack))[0] == 0, p

@@ -6,9 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from cyclodist.arith import sieve_limit_for
+from cyclodist.arith import factorize, sieve_limit_for
 from cyclodist.cli import main
-from cyclodist.tables import TABLE_IDS, build_table, compare_to_golden, reproduce_all
+from cyclodist.cyclotomic import cyclo_coeff
+from cyclodist.densities_prime import ValuationConstraint
+from cyclodist.empirics import symmetric_residue
+from cyclodist.tables import (
+    TABLE_IDS,
+    build_table,
+    compare_to_golden,
+    load_golden,
+    reproduce_all,
+)
 
 
 def run_cli(capsys, *argv):
@@ -46,9 +55,11 @@ _CORRUPTIONS = {
           ("add", ("means",)), ("drop", ("means", "8"))],
     "8": [("bump", ("rows", 0, "entries", "1", 1)), ("bump", ("rows", 2, "mass", 0)),
           ("nudge", ("rows", 1, "theory_numeric", "0")), ("stratum", ("rows",)),
-          ("drop", ("rows", 0, "entries", "0"))],
+          ("drop", ("rows", 0, "entries", "0")), ("nudge", ("rows", 0, "empirical_1e4", "0")),
+          ("add", ("rows", 2, "empirical_1e4"))],
     "9": [("bump", ("rows", 3, "entries", "0", 1)), ("nudge", ("rows", 2, "theory_numeric", "1")),
-          ("stratum", ("rows",)), ("drop", ("rows", 1, "theory_numeric", "-1"))],
+          ("stratum", ("rows",)), ("drop", ("rows", 1, "theory_numeric", "-1")),
+          ("nudge", ("rows", 3, "empirical_1e4", "1")), ("drop", ("rows", 2, "empirical_1e4", "-1"))],
     "10": [("bump", ("rows", "7", "mean")), ("bump", ("rows", "7", "density", "2")),
            ("add", ("rows", "7", "density")), ("drop", ("rows", "7", "density", "2"))],
     "11": [("bump", ("entries", "11", "bracket")), ("bump", ("entries", "11", "e")),
@@ -83,6 +94,38 @@ def test_compare_to_golden_flags_corruption(tid, pack):
     for action, path in _CORRUPTIONS[tid]:
         data = _corrupt(json.loads(text)["data"], action, path)
         assert compare_to_golden(replace(artifact, data=data)), (action, path)
+
+
+_STRATA = {
+    "nu2(p-1)<=1": ((2, 1),),
+    "nu2(p-1)>=2": ((2, ("ge", 2)),),
+    "nu3(p-1)=0": ((3, 0),),
+    "nu3(p-1)=1": ((3, 1),),
+    "nu3(p-1)>=2": ((3, ("ge", 2)),),
+    "total": (),
+}
+
+
+def test_empirical_1e4_golden_by_scalar_route(pack):
+    # the 10^4-prime strata of tables 8 and 9, recounted prime by prime
+    # from s_k(p) = (-1)^k a_(p-1)(k) mod p, zero for k > phi(p-1)
+    primes = pack.primes[:10_000].tolist()
+    for tid, k in (("8", 2), ("9", 3)):
+        values = []
+        for p in primes:
+            fn = factorize(p - 1, pack)
+            v = 0 if k > fn.phi() else symmetric_residue((-1) ** k * cyclo_coeff(fn, k), p)
+            values.append((fn.factors, v))
+        rows = load_golden(tid)["rows"]
+        for row in rows:
+            c = ValuationConstraint(_STRATA[row["label"]], squarefree_outside=False)
+            counts = {}
+            for factors, v in values:
+                if c.matches(factors):
+                    counts[v] = counts.get(v, 0) + 1
+            want = {str(v): f"{n / 10**4:.6f}" for v, n in sorted(counts.items())}
+            assert row["empirical_1e4"] == want, (tid, row["label"])
+        assert {r["label"] for r in rows} <= set(_STRATA)
 
 
 def test_artifact_renderers(pack):
@@ -227,10 +270,23 @@ def test_cli_exit_codes(capsys):
     code, _, err = run_cli(capsys, "empirical", "--stat", "mu", "--nprimes", "10",
                            "--cond", "garbage")
     assert code == 2
+    code, _, err = run_cli(capsys, "empirical", "--stat", "mu", "--nprimes", "10",
+                           "--cond", "nu4=0")  # a valuation at 4 is no valuation
+    assert code == 2 and "primes" in err
     for limit in ("0", "1", "-5"):  # 0 is a limit too, not "unset"
         code, _, err = run_cli(capsys, "--sieve-limit", limit, "empirical", "--stat", "mu",
                                "--nprimes", "10")
         assert code == 2 and "sieve limit" in err
+    # ... whether or not the query builds a sieve
+    for argv in (["table", "--id", "3", "--kmax", "3"], ["density", "prime", "--k", "15"],
+                 ["coeff", "--n", "6", "--k", "1"]):
+        code, _, err = run_cli(capsys, "--sieve-limit", "0", *argv)
+        assert code == 2 and "sieve limit" in err, argv
+    # --full exists only for the tables that scan primes
+    code, _, err = run_cli(capsys, "table", "--id", "3", "--kmax", "3", "--full")
+    assert code == 2 and "full" in err
+    with pytest.raises(ValueError):
+        build_table("11", full=True)
 
 
 def test_cli_cache_dir(capsys, tmp_path):
