@@ -19,7 +19,6 @@ from .arith import (
 )
 from .cyclotomic import (
     CoeffProfile,
-    Partition,
     ValueSetReport,
     bertrand_triple,
     coeff_profile,
@@ -36,6 +35,7 @@ from .densities_natural import (
     mean_coeff,
     mean_coeff_partition,
     moller_conjecture_scan,
+    partition_means,
     squarefree_coprime_density,
 )
 from .densities_prime import (

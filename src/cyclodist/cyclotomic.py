@@ -24,7 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from .arith import (
     FactoredLike,
@@ -41,7 +41,6 @@ from .errors import InternalConsistencyError, ResourceBudgetError
 #: and the coefficient scans.
 PROFILE_MAX_K = 40
 CYCLO_POLY_MAX_DEGREE = 100_000
-PARTITION_BUDGET = 10_000_000
 
 
 @lru_cache(maxsize=None)
@@ -264,40 +263,9 @@ def _div_xd_minus_1(poly: List[int], d: int) -> List[int]:
 # -- partitions ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A partition as multiplicities: parts[j] = n_j >= 1, total = sum j*n_j."""
-
-    parts: Tuple[Tuple[int, int], ...]  # (part, multiplicity), parts descending
-    total: int
-
-    def __post_init__(self):
-        if sum(j * m for j, m in self.parts) != self.total:
-            raise ValueError("partition parts do not sum to total")
-
-
-def iter_partitions(k: int) -> Iterator[Tuple[Tuple[int, int], ...]]:
-    """All partitions of k as ((part, mult), ...) with parts strictly
-    descending.  p(k) leaves; no repetition."""
-    acc: List[Tuple[int, int]] = []
-
-    def rec(remaining: int, max_part: int) -> Iterator[Tuple[Tuple[int, int], ...]]:
-        if remaining == 0:
-            yield tuple(acc)
-            return
-        top = min(remaining, max_part)
-        for part in range(top, 0, -1):
-            for mult in range(remaining // part, 0, -1):
-                acc.append((part, mult))
-                yield from rec(remaining - part * mult, part - 1)
-                acc.pop()
-
-    yield from rec(k, k)
-
-
 @lru_cache(maxsize=None)
 def partition_count(k: int) -> int:
-    """p(k) by Euler's pentagonal recurrence (used for budget guards)."""
+    """p(k) by Euler's pentagonal recurrence."""
     if k < 0:
         return 0
     if k == 0:

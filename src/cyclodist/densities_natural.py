@@ -7,8 +7,15 @@ is computed by two fully independent routes:
   table, i.e. a weighted sum of (a_d(k) + a_(d*q)(k))/d over the divisors
   d of M_k = k * prod_(p<=k) p;
 * the partition route: a sum over the partitions lambda of k involving
-  only lcm/gcd of the parts and Möbius values, which scales far beyond the
-  divisor route (p(61) partitions instead of 2^pi(61) divisors).
+  only lcm/gcd of the parts and Möbius values.  These depend only on the
+  set D of distinct parts, and the sum over the multiplicities of D is a
+  pair of coin-change counts, so one walk over the sets D with sum(D) <= K
+  gives every e_k for k <= K.  A set whose lcm has a non-squarefree
+  quotient by one of its parts contributes nothing, and neither does any
+  superset (adding parts only raises the exponents of the lcm), so the
+  walk prunes it with its whole subtree.  This reaches far beyond the
+  divisor route (7.8*10^4 sets for every k <= 80 against 2^pi(k)
+  divisors for one k).
 
 Per-value densities delta(a_n(k) = v) come from the same divisor profiles
 and are stored in Table convention: coefficient zeta(2)*delta on the basis
@@ -24,11 +31,11 @@ from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from .arith import FactoredLike, as_factored, factorize, small_primes
-from .cyclotomic import coeff_profile, iter_partitions, partition_count
+from .cyclotomic import coeff_profile
 from .density import Basis, DensityTable, merge_values
 from .errors import InternalConsistencyError, ResourceBudgetError
 
-PARTITION_MEAN_BUDGET = 2_000_000  # p(k) cap; p(61) = 1_121_505 fits
+PARTITION_MAX_K = 80  # the walk to k = 80 visits about 7.8*10^4 distinct-part sets
 
 
 @dataclass(frozen=True)
@@ -80,8 +87,8 @@ def _exponents_small(n: int) -> Tuple[Tuple[int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _support_data(parts: Tuple[int, ...]):
-    """Per distinct-part-set data: None when lcm/gcd of the parts has a
-    non-squarefree quotient (no contribution), else
+    """Per distinct-part-set data: None when L/j is not squarefree for some
+    part j, L the lcm of the parts (no contribution), else
     (mu values of lcm/part aligned with parts, denominator G * prod_(p | L/G) (p+1))."""
     part_exps = [dict(_exponents_small(j)) for j in parts]
     exps: Dict[int, int] = {}
@@ -109,6 +116,67 @@ def _support_data(parts: Tuple[int, ...]):
     return tuple(mus), denom
 
 
+def _coin_counts(coins: List[int], rmax: int) -> List[int]:
+    """[P(coins, r) for r = 0..rmax]: the ways to write r as a sum of the
+    coins, each used any number of times."""
+    ways = [1] + [0] * rmax
+    for c in coins:
+        for r in range(c, rmax + 1):
+            ways[r] += ways[r - c]
+    return ways
+
+
+def partition_means(kmax: int) -> List[EkValue]:
+    """[e_1, ..., e_kmax] by one depth-first walk over the sets D of distinct
+    parts with sum(D) <= kmax (see :func:`mean_coeff_partition`).
+
+    Children add a part smaller than the last one.  A set whose
+    :func:`_support_data` is None is skipped with its whole subtree: adding
+    parts only raises the exponents of L = lcm(D), while the part whose
+    quotient L/j is not squarefree stays in the set.  A surviving D with
+    s = sum(D) splits into D+ and D- by mu_j; summed over every multiplicity
+    vector of D with total k = s + r, eps is
+
+        (-1)^|D+| * P(D-, r) + (-1)^|D-| * P(D+, r),
+
+    since the first product is nonzero only when every D+ part occurs once
+    (the D- parts are then free), and the second with the roles swapped."""
+    if kmax > PARTITION_MAX_K:
+        raise ResourceBudgetError(
+            f"partition route capped at k <= {PARTITION_MAX_K}, asked for {kmax}"
+        )
+    # integer eps sums per k, bucketed per denominator; one Fraction pass per k
+    buckets: List[Dict[int, int]] = [{} for _ in range(kmax + 1)]
+
+    def visit(parts: Tuple[int, ...], s: int) -> None:
+        data = _support_data(parts)
+        if data is None:
+            return
+        mus, denom = data
+        plus = [j for j, mu in zip(parts, mus) if mu == 1]
+        minus = [j for j, mu in zip(parts, mus) if mu == -1]
+        room = kmax - s
+        sign_plus = -1 if len(plus) % 2 else 1
+        sign_minus = -1 if len(minus) % 2 else 1
+        ways_minus = _coin_counts(minus, room)
+        ways_plus = _coin_counts(plus, room)
+        for r in range(room + 1):
+            eps = sign_plus * ways_minus[r] + sign_minus * ways_plus[r]
+            if eps:
+                bucket = buckets[s + r]
+                bucket[denom] = bucket.get(denom, 0) + eps
+        for j in range(min(parts[-1] - 1, room), 0, -1):
+            visit(parts + (j,), s + j)
+
+    for top in range(1, kmax + 1):
+        visit((top,), top)
+    out = []
+    for k in range(1, kmax + 1):
+        e_k = sum((Fraction(num, 2 * den) for den, num in buckets[k].items()), Fraction(0))
+        out.append(_make_ek(k, e_k))
+    return out
+
+
 def mean_coeff_partition(k: int) -> EkValue:
     """e_k as (1/2) * sum over partitions of k of eps(lambda) / denom(lambda).
 
@@ -120,39 +188,13 @@ def mean_coeff_partition(k: int) -> EkValue:
 
     where (-1)^n C(1, n) is 1, -1, 0 for n = 0, 1, >= 2 and
     (-1)^n C(-1, n) = 1 — so each of the two products is (+-1 or 0) read off
-    from which parts have multiplicity 1."""
+    from which parts have multiplicity 1.  denom and the mu_j depend only on
+    the set D of distinct parts, so the sum is taken per D, with the
+    multiplicities summed in closed form (:func:`partition_means`): no
+    partition is enumerated."""
     if k < 1:
         raise ValueError("mean_coeff_partition requires k >= 1")
-    if partition_count(k) > PARTITION_MEAN_BUDGET:
-        raise ResourceBudgetError(f"p({k}) exceeds partition budget")
-    # integer epsilon sums bucketed per denominator; one Fraction pass at the end
-    buckets: Dict[int, int] = {}
-    for partition in iter_partitions(k):
-        parts = tuple(j for j, _ in partition)
-        data = _support_data(parts)
-        if data is None:
-            continue
-        mus, denom = data
-        plus_ok = 1  # prod over mu_j = +1 parts of (-1 if n_j == 1 else 0)
-        minus_ok = 1  # same with roles of the signs swapped
-        for (j, mult), mu_j in zip(partition, mus):
-            if mu_j == 1:
-                if mult == 1:
-                    plus_ok = -plus_ok
-                else:
-                    plus_ok = 0
-            else:
-                if mult == 1:
-                    minus_ok = -minus_ok
-                else:
-                    minus_ok = 0
-            if not plus_ok and not minus_ok:
-                break
-        eps = plus_ok + minus_ok
-        if eps:
-            buckets[denom] = buckets.get(denom, 0) + eps
-    e_k = sum((Fraction(num, 2 * den) for den, num in buckets.items()), Fraction(0))
-    return _make_ek(k, e_k)
+    return partition_means(k)[-1]
 
 
 # -- per-value densities --------------------------------------------------------
@@ -204,7 +246,7 @@ def moller_conjecture_scan(kmax: int) -> List[MollerScanEntry]:
     k = 1..kmax (e_(kmax+1) is computed internally for the last sign flag)."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    evals = [mean_coeff_partition(k).e_k for k in range(1, kmax + 2)]
+    evals = [ek.e_k for ek in partition_means(kmax + 1)]
     out = []
     for k in range(1, kmax + 1):
         e_k, e_next = evals[k - 1], evals[k]

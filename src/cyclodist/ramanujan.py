@@ -88,40 +88,6 @@ def ramanujan_sum_direct(n: int, m: int) -> int:
     return int(nearest)
 
 
-def ramanujan_local_product(n: FactoredLike, m: int) -> int:
-    """c_n(m) assembled prime by prime over all p | n*m:
-
-        prod_p mu(p^nu_p(n) / (n, p^nu_p(m))) * phi(n) / phi(n / (n, p^nu_p(m)))
-
-    (primes dividing m but not n contribute a factor 1; primes dividing n
-    but not m contribute mu of their full power)."""
-    if m < 1:
-        raise ValueError("requires m >= 1")
-    fn = as_factored(n)
-    phi_n = fn.phi()
-    out = 1
-    support = sorted(set(fn.primes()) | set(as_factored(m).primes()))
-    for p in support:
-        e = fn.nu(p)
-        a = 0
-        mm = m
-        while mm % p == 0:
-            mm //= p
-            a += 1
-        g = p ** min(e, a)  # (n, p^nu_p(m))
-        rem = e - min(e, a)
-        mu_part = 0 if rem >= 2 else (-1 if rem == 1 else 1)
-        # phi(n)/phi(n/g): only the p-component differs
-        if g == 1:
-            ratio = 1
-        elif rem == 0:
-            ratio = (p - 1) * p ** (e - 1)  # phi(p^e)
-        else:
-            ratio = p ** min(e, a)
-        out *= mu_part * ratio
-    return out
-
-
 # -- value distribution over the integers -----------------------------------
 
 

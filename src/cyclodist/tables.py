@@ -33,7 +33,7 @@ from typing import Dict, Iterable, List, Optional
 
 from .arith import SievePack, sieve_limit_for
 from .cyclotomic import PROFILE_MAX_K, value_set
-from .densities_natural import coeff_density, mean_coeff, mean_coeff_partition
+from .densities_natural import coeff_density, mean_coeff, partition_means
 from .densities_prime import (
     ValuationConstraint,
     coeff_prime_density,
@@ -390,8 +390,7 @@ def build_table11(kmax: int = 30) -> TableArtifact:
         raise ValueError(f"table 11 reproduction is limited to kmax <= {PROFILE_MAX_K}")
     data = {"entries": {}}
     rows = []
-    for k in range(1, kmax + 1):
-        ek = mean_coeff_partition(k)
+    for k, ek in enumerate(partition_means(kmax), 1):
         table = coeff_density(k)
         entry = {
             "e": str(ek.e_k),

@@ -1,13 +1,20 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from cyclodist.arith import small_primes
 from cyclodist.cyclotomic import value_set
 from cyclodist.densities_natural import (
+    PARTITION_MAX_K,
+    _make_ek,
+    _support_data,
     coeff_density,
     mean_coeff,
     mean_coeff_partition,
     moller_conjecture_scan,
+    partition_means,
     squarefree_coprime_density,
 )
 from cyclodist.density import Basis, DensityTable
@@ -30,8 +37,91 @@ def test_mean_partition_examples():
 
 
 def test_methods_agree_through_30():
-    for k in range(2, 31):
-        assert mean_coeff(k).e_k == mean_coeff_partition(k).e_k, k
+    for ek in partition_means(30):
+        assert mean_coeff(ek.k).e_k == ek.e_k, ek.k
+
+
+@pytest.mark.slow
+def test_methods_agree_31_to_40():
+    for ek in partition_means(40)[30:]:
+        assert mean_coeff(ek.k).e_k == ek.e_k, ek.k
+
+
+def _partitions(k, max_part):
+    """Every partition of k into parts <= max_part, as {part: multiplicity}."""
+    if k == 0:
+        yield {}
+        return
+    for part in range(min(k, max_part), 0, -1):
+        for mult in range(k // part, 0, -1):
+            for rest in _partitions(k - part * mult, part - 1):
+                yield {part: mult, **rest}
+
+
+_PRIMES_TO_30 = small_primes(30)
+
+
+def _exponents(n):
+    """Prime exponents of n, for n whose prime factors are at most 30."""
+    return {p: e for p in _PRIMES_TO_30 if (e := _valuation(n, p))}
+
+
+def _valuation(n, p):
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+def _partition_term(partition):
+    """eps(lambda) / (2 denom(lambda)) read straight off the per-partition
+    formula in the mean_coeff_partition docstring."""
+    parts = list(partition)
+    lcm, gcd = math.lcm(*parts), math.gcd(*parts)
+    plus = minus = 1
+    for j, mult in partition.items():
+        quotient = _exponents(lcm // j)
+        if any(e >= 2 for e in quotient.values()):
+            return Fraction(0)
+        mu_j = (-1) ** len(quotient)
+        # (-1)^n C(mu, n): 1 at n = 0, -mu at n = 1; for n >= 2 it is 0 at
+        # mu = 1 and 1 at mu = -1
+        plus *= -mu_j if mult == 1 else (mu_j == -1)
+        minus *= mu_j if mult == 1 else (mu_j == 1)
+    denom = gcd
+    for p in _exponents(lcm // gcd):
+        denom *= p + 1
+    return Fraction(plus + minus, 2 * denom)
+
+
+def test_partition_means_match_per_partition_sum():
+    got = partition_means(30)
+    assert [ek.k for ek in got] == list(range(1, 31))
+    for ek in got:
+        want = sum((_partition_term(lam) for lam in _partitions(ek.k, ek.k)), Fraction(0))
+        assert ek.e_k == want, ek.k
+
+
+def test_partition_means_truncate():
+    rng = random.Random(20)
+    for _ in range(6):
+        K = rng.randint(2, 50)
+        k = rng.randint(1, K - 1)
+        assert partition_means(K)[k - 1] == partition_means(k)[-1], (k, K)
+    assert partition_means(0) == []
+
+
+def test_pruned_sets_have_pruned_supersets():
+    rng = random.Random(7)
+    pruned = 0
+    while pruned < 60:
+        parts = tuple(sorted(rng.sample(range(2, 61), rng.randint(1, 5)), reverse=True))
+        if _support_data(parts) is not None:
+            continue
+        pruned += 1
+        for j in range(1, parts[-1]):
+            assert _support_data(parts + (j,)) is None, (parts, j)
 
 
 def test_density_mean_consistency():
@@ -121,12 +211,21 @@ def test_moller_scan_counterexamples_at_33_and_34():
     assert all(entry.range_ok for entry in scan)
 
 
-@pytest.mark.slow
 def test_moller_scan_range_through_61():
     scan = moller_conjecture_scan(61)
     assert all(entry.range_ok for entry in scan)
     sign_violations = [entry.k for entry in scan if not entry.sign_ok]
     assert sign_violations == [33, 34, 45]
+
+
+@pytest.mark.slow
+def test_moller_scan_range_to_partition_cap():
+    # past k = 61 no second route checks the values, so none is pinned
+    scan = moller_conjecture_scan(PARTITION_MAX_K - 1)
+    assert len(scan) == PARTITION_MAX_K - 1
+    assert all(entry.range_ok for entry in scan)
+    for entry in scan:
+        _make_ek(entry.k, entry.e_k)  # raises unless e_k * k * prod(p+1) is integral
 
 
 def test_squarefree_coprime_density():

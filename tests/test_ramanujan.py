@@ -10,7 +10,6 @@ from cyclodist.errors import ResourceBudgetError
 from cyclodist.ramanujan import (
     natural_density_of_ramanujan,
     natural_moment_of_ramanujan,
-    ramanujan_local_product,
     ramanujan_sum,
     ramanujan_sum_direct,
 )
@@ -77,19 +76,6 @@ def test_semi_multiplicative_in_m(pack):
         lhs = ramanujan_sum(fn, m1) * ramanujan_sum(fn, m2)
         rhs = ramanujan_sum(fn, math.gcd(m1, m2)) * ramanujan_sum(fn, math.lcm(m1, m2))
         assert lhs == rhs, (n, m1, m2)
-
-
-def test_local_product_matches_holder(pack):
-    # prime-by-prime product over p | n*m (primes dividing only n contribute
-    # mu of their full power; the product over p | m alone would drop them)
-    for n in range(1, 301):
-        fn = factorize(n, pack)
-        for m in range(1, 301):
-            assert ramanujan_local_product(fn, m) == ramanujan_sum(fn, m)
-    rng = random.Random(3)
-    for _ in range(2000):
-        n, m = rng.randrange(1, 1001), rng.randrange(1, 1001)
-        assert ramanujan_local_product(n, m) == ramanujan_sum(n, m)
 
 
 def test_orthogonality():

@@ -263,6 +263,8 @@ def test_cli_exit_codes(capsys):
     assert exc.value.code == 2
     code, _, err = run_cli(capsys, "valueset", "--k", "55")
     assert code == 3 and "resource" in err.lower()
+    code, _, err = run_cli(capsys, "mean", "--k", "81", "--method", "partition")
+    assert code == 3 and "resource" in err.lower()
     code, _, err = run_cli(capsys, "moment", "prime", "--k", "2", "--z", "1")
     assert code == 2
     code, _, err = run_cli(capsys, "empirical", "--stat", "c", "--nprimes", "10")
