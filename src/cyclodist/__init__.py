@@ -62,7 +62,6 @@ from .empirics import (
 )
 from .errors import InternalConsistencyError, OraclePrecisionError, ResourceBudgetError
 from .ramanujan import (
-    LocalProfile,
     natural_density_of_ramanujan,
     natural_moment_of_ramanujan,
     ramanujan_sum,

@@ -373,9 +373,6 @@ class FactoredNat:
             out *= p
         return out
 
-    def omega(self) -> int:
-        return len(self.factors)
-
     def nu(self, p: int) -> int:
         for q, e in self.factors:
             if q == p:

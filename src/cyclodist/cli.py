@@ -67,7 +67,7 @@ def _density_rows(table: DensityTable):
         [str(v), str(c), table.basis.value, f"{float(c) * b:.6f}"]
         for v, c in table.entries
     ]
-    payload = json.loads(table.to_json(basis_value=b))
+    payload = json.loads(table.to_json())
     return columns, rows, payload
 
 

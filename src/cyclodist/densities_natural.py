@@ -17,9 +17,9 @@ is computed by two fully independent routes:
   divisor route (7.8*10^4 sets for every k <= 80 against 2^pi(k)
   divisors for one k).
 
-Per-value densities delta(a_n(k) = v) come from the same divisor profiles
-and are stored in Table convention: coefficient zeta(2)*delta on the basis
-6/pi^2.
+Per-value densities delta(a_n(k) = v) are one split-profile fold over the
+same divisor profiles (:func:`coeff_split`), stored in Table convention:
+coefficient zeta(2)*delta on the basis 6/pi^2.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .arith import FactoredLike, as_factored, factorize, small_primes
 from .cyclotomic import coeff_profile
-from .density import Basis, DensityTable, merge_values
+from .density import Basis, DensityTable, split_density
 from .errors import InternalConsistencyError, ResourceBudgetError
 
 PARTITION_MAX_K = 80  # the walk to k = 80 visits about 7.8*10^4 distinct-part sets
@@ -200,28 +200,28 @@ def mean_coeff_partition(k: int) -> EkValue:
 # -- per-value densities --------------------------------------------------------
 
 
+def coeff_split(k: int) -> Tuple[Tuple[Tuple[int, int], ...], Callable]:
+    """(caps, pair) of a_n(k) for :func:`cyclodist.density.split_density`.
+
+    S is the primes p <= k, capped at the exponents of M_k.  For
+    n = n_S * b with b squarefree and coprime to M_k, a_n(k) is a_(n_S)(k)
+    when mu(b) = +1 and a_(n_S*q)(k) when mu(b) = -1 (the pair of the
+    coefficient profile), and every other n has a_n(k) = 0.  For k = 1, S
+    is empty and a_n(1) = -mu(n) (n > 1)."""
+    if k == 1:
+        return (), lambda n_s: (-1, 1)
+    profile = coeff_profile(k)
+    return profile.m_k.factors, profile.entries.__getitem__
+
+
 def coeff_density(k: int) -> DensityTable:
     """Exact density of each nonzero value of a_n(k) over n, stored as
     zeta(2)*delta on the basis 6/pi^2 (so entries can be compared to the
     reference tables string-for-string)."""
     if k < 1:
         raise ValueError("coeff_density requires k >= 1")
-    if k == 1:
-        return DensityTable.from_dict(
-            "a_n(1)", Basis.SIX_OVER_PI2, {-1: Fraction(1, 2), 1: Fraction(1, 2)}
-        )
-    profile = coeff_profile(k)
-    scale = Fraction(1, 2)
-    for p in small_primes(k):
-        scale /= 1 + Fraction(1, p)
-    pairs = []
-    for d, (a, aq) in profile.entries.items():
-        w = scale / d
-        pairs.append((a, w))
-        pairs.append((aq, w))
-    return DensityTable.from_dict(
-        f"a_n({k})", Basis.SIX_OVER_PI2, merge_values(pairs)
-    )
+    caps, pair = coeff_split(k)
+    return split_density(f"a_n({k})", Basis.SIX_OVER_PI2, caps, pair)
 
 
 def squarefree_coprime_density(r: FactoredLike) -> Tuple[Fraction, Basis]:

@@ -19,16 +19,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .arith import (FactoredLike, SievePack, as_factored, default_pack, is_prime_int,
                     small_primes)
-from .cyclotomic import coeff_profile
-from .density import Basis, DensityTable, merge_values
+from .densities_natural import coeff_split
+from .density import (Basis, DensityTable, ExponentSpec, artin_local_factor,
+                      local_valuation_density, split_density)
 from .errors import InternalConsistencyError, ResourceBudgetError
-from .ramanujan import _local_value
+from .ramanujan import ramanujan_split
 
 #: pi(x) < 1.25506 x / log x (Rosser-Schoenfeld) turns, via partial
 #: summation, into  sum_(p > P) 1/(p(p-1)) <= 2.52 / (P log P).
@@ -120,8 +121,6 @@ def shifted_prime_kfree_density(
 
 # -- valuation profiles ----------------------------------------------------------
 
-ExponentSpec = Union[int, Tuple[str, int]]  # e or ("ge", E)
-
 
 @dataclass(frozen=True)
 class ValuationConstraint:
@@ -146,37 +145,20 @@ class ValuationConstraint:
             elif spec < 0:
                 raise ValueError("exponents must be >= 0")
 
+    def allows(self, q: int, e: int) -> bool:
+        """Does nu_q(p-1) = e satisfy the prescription at q (if any)?"""
+        spec = dict(self.entries).get(q)
+        if isinstance(spec, tuple):
+            return e >= spec[1]
+        return spec is None or e == spec
+
     def matches(self, factors: Sequence[Tuple[int, int]]) -> bool:
         """Does a factorization of p - 1 satisfy the valuation part?"""
         exps = dict(factors)
-        for q, spec in self.entries:
-            e = exps.get(q, 0)
-            if isinstance(spec, tuple):
-                if e < spec[1]:
-                    return False
-            elif e != spec:
-                return False
-        return True
+        return all(self.allows(q, exps.get(q, 0)) for q in self.primes())
 
     def primes(self) -> Tuple[int, ...]:
         return tuple(q for q, _ in self.entries)
-
-
-def local_valuation_density(q: int, spec: ExponentSpec) -> Fraction:
-    """delta(nu_q(p-1) = e) = 1 - 1/(q-1) (e = 0) or q^-e (e >= 1);
-    tail classes ("ge", E) sum the geometric series."""
-    if isinstance(spec, tuple):
-        e = spec[1]
-        if e == 0:
-            return Fraction(1)
-        return Fraction(1, q ** (e - 1) * (q - 1))
-    if spec == 0:
-        return 1 - Fraction(1, q - 1)
-    return Fraction(1, q**spec)
-
-
-def artin_local_factor(q: int) -> Fraction:
-    return 1 - Fraction(1, q * (q - 1))
 
 
 @dataclass(frozen=True)
@@ -211,24 +193,6 @@ def valuation_profile_density(constraint: ValuationConstraint) -> ProfileDensity
 # -- Ramanujan sums over shifted primes -------------------------------------------
 
 
-def iter_prime_profiles(k: FactoredLike) -> Iterator[Tuple[int, Fraction]]:
-    """(value of c_(p-1)(k), A-coefficient) over all valuation profiles of
-    p - 1 at the primes dividing k with squarefree cofactor; exponents
-    nu_q(p-1) >= nu_q(k) + 2 force the value 0 and are skipped."""
-    fk = as_factored(k)
-    combos = [(Fraction(1), 1)]
-    for q, nu in fk.factors:
-        nxt = []
-        for coeff, val in combos:
-            for e in range(nu + 2):
-                loc = local_valuation_density(q, e) / artin_local_factor(q)
-                if loc == 0:
-                    continue
-                nxt.append((coeff * loc, val * _local_value(q, e, nu)))
-        combos = nxt
-    yield from ((val, coeff) for coeff, val in combos)
-
-
 def ramanujan_prime_density(k: FactoredLike, signed: bool = False) -> DensityTable:
     """Value distribution of c_(p-1)(k) over primes p, basis A.
 
@@ -236,17 +200,12 @@ def ramanujan_prime_density(k: FactoredLike, signed: bool = False) -> DensityTab
     between the two Möbius signs of the cofactor and is flagged
     conditional."""
     fk = as_factored(k)
-    pairs = []
-    for value, coeff in iter_prime_profiles(fk):
-        if signed:
-            pairs.append((value, coeff / 2))
-            pairs.append((-value, coeff / 2))
-        else:
-            pairs.append((abs(value), coeff))
-    name = f"c_(p-1)({fk.value})" if signed else f"|c_(p-1)({fk.value})|"
-    return DensityTable.from_dict(
-        name, Basis.ARTIN, merge_values(pairs), conditional=signed
-    )
+    caps, pair = ramanujan_split(fk)
+    if signed:
+        return split_density(f"c_(p-1)({fk.value})", Basis.ARTIN, caps, pair,
+                             conditional=True)
+    return split_density(f"|c_(p-1)({fk.value})|", Basis.ARTIN, caps,
+                         lambda n_s: tuple(abs(c) for c in pair(n_s)))
 
 
 def ramanujan_prime_mean_abs(k: FactoredLike) -> Tuple[Fraction, Basis]:
@@ -299,76 +258,53 @@ def ramanujan_prime_moment(
     return out, Basis.ARTIN
 
 
-# -- elementary symmetric functions of primitive roots, small k --------------------
-
-_S_SMALL: Dict[int, Dict[int, Fraction]] = {
-    1: {-1: Fraction(1, 2), 1: Fraction(1, 2)},
-    2: {-1: Fraction(1, 4), 1: Fraction(3, 4)},
-    3: {-1: Fraction(1, 15), 1: Fraction(17, 30)},
-    4: {-1: Fraction(13, 40), 1: Fraction(27, 40)},
-}
+# -- a_(p-1)(k) and the elementary symmetric functions of primitive roots ----------
 
 
-def s_small_density(k: int) -> DensityTable:
-    """Distribution of the k-th elementary symmetric function of the
-    primitive roots mod p, reduced to the symmetric residue range, for
-    k <= 4; closed forms assembled from the valuation cases of mu(p-1),
-    mu((p-1)/2), nu_3(p-1) and nu_2(p-1).  Sign splits are conditional."""
-    if k not in _S_SMALL:
-        raise ValueError("closed forms cover k in {1, 2, 3, 4}; use coeff_prime_density")
-    return DensityTable.from_dict(
-        f"s_{k}(p) mod p", Basis.ARTIN, dict(_S_SMALL[k]), conditional=True
-    )
-
-
-def coeff_prime_density(k: int) -> Tuple[DensityTable, Fraction]:
+def coeff_prime_density(
+    k: int, constraint: Optional[ValuationConstraint] = None
+) -> Tuple[DensityTable, Fraction]:
     """Value distribution and mean of a_(p-1)(k) over primes p, as
-    multiples of A (table coefficients are delta/A).  Conditional on the
-    Möbius sign-equidistribution conjecture.
+    multiples of A (table coefficients are delta/A), optionally among the
+    primes whose p - 1 meets the valuation part of `constraint`, which may
+    only name primes <= k.  Conditional on the Möbius sign-equidistribution
+    conjecture.
 
-    Built from the divisor profile of M_k restricted to even d:
-
-        delta(a_(p-1)(k) = v)/A = prod_(2<q<=k) q(q-2)/(q^2-q-1) *
-            sum over even d | M_k with a_d(k) = v (or a_(dr)(k) = v)
-            of (1/d) prod_(q | d, q > 2) (q-1)/(q-2).
-    """
+    The fold of :func:`coeff_split` over p - 1: the divisor profile of M_k
+    weighted by the valuation densities of p - 1, which vanish for odd
+    divisors."""
     if k < 1:
         raise ValueError("coeff_prime_density requires k >= 1")
-    if k == 1:
-        # a_(p-1)(1) = -mu(p-1) for p >= 3; the sign flip is invisible by symmetry
-        table = DensityTable.from_dict(
-            "a_(p-1)(1)",
-            Basis.ARTIN,
-            {-1: Fraction(1, 2), 1: Fraction(1, 2)},
-            conditional=True,
-        )
-        return table, Fraction(0)
-    profile = coeff_profile(k)
-    prefactor = Fraction(1)
-    for q in _odd_primes_upto(k):
-        prefactor *= Fraction(q * (q - 2), q * q - q - 1)
-    pairs = []
-    mean = Fraction(0)
-    for d in profile.m_k.iter_divisors_factored():
-        if d.value % 2:
-            continue
-        a, aq = profile.entries[d.value]
-        w = prefactor / d.value
-        for q, _ in d.factors:
-            if q > 2:
-                w *= Fraction(q - 1, q - 2)
-        pairs.append((a, w))
-        pairs.append((aq, w))
-        mean += (a + aq) * w
-    table = DensityTable.from_dict(
-        f"a_(p-1)({k})", Basis.ARTIN, merge_values(pairs), conditional=True
+    caps, pair = coeff_split(k)
+    keep = None
+    if constraint is not None:
+        outside = set(constraint.primes()) - {q for q, _ in caps}
+        if outside:
+            raise ValueError(
+                f"a_(p-1)({k}) does not depend on nu_q(p-1) for q in {sorted(outside)}"
+            )
+        keep = constraint.allows
+    table = split_density(
+        f"a_(p-1)({k})", Basis.ARTIN, caps, pair, keep=keep, conditional=True
     )
-    if table.moment(1) != mean:
-        raise InternalConsistencyError(
-            f"mean of a_(p-1)({k}) disagrees with its own distribution"
-        )
-    return table, mean
+    return table, table.moment(1)
 
 
-def _odd_primes_upto(k: int) -> List[int]:
-    return [p for p in small_primes(k) if p > 2]
+def s_small_density(
+    k: int, constraint: Optional[ValuationConstraint] = None
+) -> DensityTable:
+    """Distribution of the k-th elementary symmetric function of the
+    primitive roots mod p, reduced to the symmetric residue range, for
+    k <= 4 (optionally under a valuation constraint, as in
+    :func:`coeff_prime_density`).  The primitive roots are the roots of
+    Phi_(p-1) mod p, so s_k(p) = (-1)^k a_(p-1)(k) mod p, and for k <= 4 the
+    coefficients are -1, 0 or 1: the table of a_(p-1)(k), mirrored for odd
+    k.  Sign splits are conditional."""
+    if k not in (1, 2, 3, 4):
+        raise ValueError("s_small_density covers k in {1, 2, 3, 4}; use coeff_prime_density")
+    table, _ = coeff_prime_density(k, constraint)
+    sign = -1 if k % 2 else 1
+    return DensityTable.from_dict(
+        f"s_{k}(p) mod p", Basis.ARTIN, {sign * v: c for v, c in table.entries},
+        conditional=True,
+    )

@@ -5,6 +5,11 @@ exact rational coefficient on a symbolic basis: 1, 6/pi^2 (natural
 densities over the integers), or the Artin constant A (relative densities
 over the primes).  The v = 0 entry is implicit: its mass is whatever is
 left to bring the total to 1.
+
+Every exact table is one :func:`split_density` fold: the statistics of n
+(or of p - 1) studied here depend only on the part n_S at a finite prime
+set S and on the Möbius sign of the cofactor, so their distribution is a
+sum of local valuation weights over the exponent vectors at S.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 
 class Basis(enum.Enum):
@@ -86,14 +91,11 @@ class DensityTable:
         """Total coefficient of all nonzero values (on `basis`)."""
         return sum((c for _, c in self.entries), Fraction(0))
 
-    def numeric(self, v: int, basis_value: Optional[float] = None) -> float:
-        b = basis_value if basis_value is not None else basis_numeric(self.basis)
+    def numeric(self, v: int) -> float:
+        b = basis_numeric(self.basis)
         if v == 0:
             return 1.0 - float(self.nonzero_mass()) * b
         return float(self.coefficient(v)) * b
-
-    def zero_mass_numeric(self, basis_value: Optional[float] = None) -> float:
-        return self.numeric(0, basis_value)
 
     def moment(self, order: int) -> Fraction:
         """sum_v v^order * coefficient(v), exact, on `basis` (the implicit
@@ -102,8 +104,8 @@ class DensityTable:
             raise ValueError("moment order must be >= 1")
         return sum((Fraction(v) ** order * c for v, c in self.entries), Fraction(0))
 
-    def records(self, basis_value: Optional[float] = None) -> list:
-        b = basis_value if basis_value is not None else basis_numeric(self.basis)
+    def records(self) -> list:
+        b = basis_numeric(self.basis)
         out = []
         for v, c in self.entries:
             out.append(
@@ -116,15 +118,14 @@ class DensityTable:
             )
         return out
 
-    def to_json(self, basis_value: Optional[float] = None, **dump_kwargs) -> str:
+    def to_json(self) -> str:
         payload = {
             "statistic": self.statistic,
             "conditional": self.conditional,
-            "entries": self.records(basis_value),
-            "zero_mass_numeric": self.zero_mass_numeric(basis_value),
+            "entries": self.records(),
+            "zero_mass_numeric": self.numeric(0),
         }
-        dump_kwargs.setdefault("sort_keys", True)
-        return json.dumps(payload, **dump_kwargs)
+        return json.dumps(payload, sort_keys=True)
 
     def validate(self, tol: float = 1e-12) -> None:
         """Check the type invariants: every stored coefficient is positive
@@ -137,11 +138,78 @@ class DensityTable:
             raise ValueError(f"density table nonzero mass {mass} outside [0, 1]")
 
 
-def merge_values(pairs: Iterable[Tuple[int, Fraction]]) -> Dict[int, Fraction]:
-    """Sum coefficients of coinciding values; drop zero totals and v = 0."""
-    acc: Dict[int, Fraction] = {}
-    for v, c in pairs:
-        if v == 0:
-            continue
-        acc[v] = acc.get(v, Fraction(0)) + c
-    return {v: c for v, c in acc.items() if c != 0}
+# -- the split-profile fold ---------------------------------------------------------
+
+ExponentSpec = Union[int, Tuple[str, int]]  # e or ("ge", E)
+
+
+def local_valuation_density(q: int, spec: ExponentSpec) -> Fraction:
+    """delta(nu_q(p-1) = e) = 1 - 1/(q-1) (e = 0) or q^-e (e >= 1);
+    tail classes ("ge", E) sum the geometric series."""
+    if isinstance(spec, tuple):
+        e = spec[1]
+        if e == 0:
+            return Fraction(1)
+        return Fraction(1, q ** (e - 1) * (q - 1))
+    if spec == 0:
+        return 1 - Fraction(1, q - 1)
+    return Fraction(1, q**spec)
+
+
+def artin_local_factor(q: int) -> Fraction:
+    return 1 - Fraction(1, q * (q - 1))
+
+
+def _local_weight(basis: Basis, q: int, e: int) -> Fraction:
+    """Density, relative to the basis, of the class nu_q = e with the
+    cofactor squarefree at q: over n, q^-e / (1 + 1/q) on 6/pi^2; over
+    p - 1, delta(nu_q(p-1) = e) / (1 - 1/(q(q-1))) on A."""
+    if basis is Basis.SIX_OVER_PI2:
+        return Fraction(1, q**e) / (1 + Fraction(1, q))
+    if basis is Basis.ARTIN:
+        return local_valuation_density(q, e) / artin_local_factor(q)
+    raise ValueError(f"no split-profile weights on basis {basis.value}")
+
+
+def split_density(
+    statistic: str,
+    basis: Basis,
+    caps: Sequence[Tuple[int, int]],
+    pair: Callable[[int], Tuple[int, int]],
+    keep: Optional[Callable[[int, int], bool]] = None,
+    conditional: bool = False,
+) -> DensityTable:
+    """Value distribution of a statistic of n (basis 6/pi^2) or of p - 1
+    (basis A) that depends only on n_S, the part of n at the primes q of
+    `caps`, and on the Möbius sign of the cofactor n / n_S.
+
+    Every exponent vector with e_q <= cap_q (and `keep(q, e_q)`, if given)
+    carries the density prod_q w(q, e_q) of its class with a squarefree
+    cofactor (:func:`_local_weight`), split evenly between the two signs;
+    `pair(n_S)` gives the value for sign +1 and for sign -1.  Exponents past
+    a cap, and cofactors that are not squarefree, must give the value 0,
+    whose mass stays implicit.  Weights are integer numerators over one
+    common denominator, so each value costs one Fraction at the end."""
+    denom = 2
+    rows = [(1, 1)]  # (n_S, numerator) over the primes folded in so far
+    for q, cap in caps:
+        weights = [
+            (e, _local_weight(basis, q, e))
+            for e in range(cap + 1)
+            if keep is None or keep(q, e)
+        ]
+        den = math.lcm(*(w.denominator for _, w in weights))
+        local = [(q**e, w.numerator * (den // w.denominator)) for e, w in weights if w]
+        rows = [(n * qe, num * wnum) for n, num in rows for qe, wnum in local]
+        denom *= den
+    acc: Dict[int, int] = {}
+    for n_s, num in rows:
+        for v in pair(n_s):
+            if v:
+                acc[v] = acc.get(v, 0) + num
+    return DensityTable.from_dict(
+        statistic,
+        basis,
+        {v: Fraction(num, denom) for v, num in acc.items()},
+        conditional,
+    )

@@ -82,12 +82,6 @@ class EmpiricalReport:
     total: int
     conditioning: Optional[str] = None
 
-    def matched(self) -> int:
-        return sum(self.counts.values())
-
-    def frequency(self, v: int) -> Fraction:
-        return Fraction(self.counts.get(v, 0), self.total)
-
     def frequencies(self) -> Dict[int, Fraction]:
         return {v: Fraction(c, self.total) for v, c in sorted(self.counts.items())}
 

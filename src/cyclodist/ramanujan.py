@@ -7,23 +7,22 @@ evaluation path is Hölder's closed form
 
 always an integer.  A root-of-unity summation oracle is kept alongside as
 an independent check.  For fixed m the sequence n -> c_n(m) has an
-asymptotic distribution; its exact point masses and moments are computed
-here from local valuation profiles.
+asymptotic distribution; its exact point masses are one split-profile fold
+(:func:`cyclodist.density.split_density`) and its moments are closed-form
+Euler products, checked against the point masses.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
 from .arith import FactoredLike, as_factored
-from .density import Basis, DensityTable, merge_values
+from .density import Basis, DensityTable, split_density
 from .errors import InternalConsistencyError, OraclePrecisionError, ResourceBudgetError
 
 _DIRECT_LIMIT = 100_000
@@ -91,46 +90,35 @@ def ramanujan_sum_direct(n: int, m: int) -> int:
 # -- value distribution over the integers -----------------------------------
 
 
-@dataclass(frozen=True)
-class LocalProfile:
-    """One class of n in the decomposition n = (prod_q q^e_q) * b with b
-    squarefree and coprime to m: the exponent e_q at each prime q | m plus
-    the Möbius sign of b."""
+def ramanujan_split(m: FactoredLike) -> Tuple[List[Tuple[int, int]], Callable]:
+    """(caps, pair) of c_n(m) for :func:`cyclodist.density.split_density`.
 
-    exponents: Tuple[Tuple[int, int], ...]  # (q, e_q) with 0 <= e_q <= nu_q(m)+1
-    cofactor_sign: int  # mu(b) in {-1, +1}
-
-
-def iter_local_profiles(m: FactoredLike) -> Iterator[Tuple[LocalProfile, int, Fraction]]:
-    """Yield (profile, value of c_n(m) on it, density coefficient on 6/pi^2).
-
-    Exponents e_q >= nu_q(m) + 2 force value 0 and are excluded; the
-    squarefree-cofactor density of each exponent pattern is
-    (1/2) * prod_q q^(-e_q) / (1 + 1/q) per Möbius sign.
-    """
+    With n = n_S * b, S the primes of m and b coprime to m,
+    c_n(m) = mu(b) * c_(n_S)(m) by Hölder's local factors, and it vanishes
+    once nu_q(n) >= nu_q(m) + 2, so S is capped at nu_q(m) + 1.  The pair
+    reads the exponents of n_S by division, with no factoring."""
     fm = as_factored(m)
-    qs = fm.factors
-    ranges = [range(e + 2) for _, e in qs]
-    for combo in itertools.product(*ranges):
-        weight = Fraction(1, 2)
-        val = 1
-        for (q, nu), e in zip(qs, combo):
-            val *= _local_value(q, e, nu)
-            weight *= Fraction(1, q**e) / (1 + Fraction(1, q))
-        for sign in (1, -1):
-            profile = LocalProfile(
-                tuple((q, e) for (q, _), e in zip(qs, combo)), sign
-            )
-            yield profile, sign * val, weight
+
+    def pair(n_s: int) -> Tuple[int, int]:
+        c = 1
+        for q, nu in fm.factors:
+            e = 0
+            while n_s % q == 0:
+                n_s //= q
+                e += 1
+            c *= _local_value(q, e, nu)
+        return c, -c
+
+    return [(q, nu + 1) for q, nu in fm.factors], pair
 
 
 def natural_density_of_ramanujan(m: FactoredLike) -> DensityTable:
     """Exact density of each nonzero value of c_n(m) over the integers n,
-    as coefficients on the basis 6/pi^2; coinciding values from different
-    profiles merge by summation, and v = 0 carries the complementary mass."""
+    as coefficients on the basis 6/pi^2; coinciding values merge by
+    summation, and v = 0 carries the complementary mass."""
     fm = as_factored(m)
-    merged = merge_values((value, coeff) for _, value, coeff in iter_local_profiles(fm))
-    return DensityTable.from_dict(f"c_n({fm.value})", Basis.SIX_OVER_PI2, merged)
+    caps, pair = ramanujan_split(fm)
+    return split_density(f"c_n({fm.value})", Basis.SIX_OVER_PI2, caps, pair)
 
 
 def _local_moment_factor(q: int, nu: int, order: int) -> Fraction:

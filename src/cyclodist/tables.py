@@ -2,7 +2,11 @@
 
 Each builder recomputes one numbered table from scratch and packages it as
 a :class:`TableArtifact` (exact fraction strings plus 6-decimal numeric
-strings).  Golden copies of the printed tables live in ``golden/*.json``.
+strings).  The theory columns are computed, never copied: the T8/T9 strata
+come from the coefficient profile of a_(p-1)(k) under each valuation
+constraint (:func:`cyclodist.densities_prime.s_small_density`) and the
+constraint's valuation density.  Golden copies of the printed tables live
+in ``golden/*.json``.
 ``compare_to_golden`` walks a golden file next to the artifact's data, the
 same way for every table:
 
@@ -39,7 +43,10 @@ from .densities_prime import (
     coeff_prime_density,
     ramanujan_prime_density,
     ramanujan_prime_mean_abs,
+    s_small_density,
+    valuation_profile_density,
 )
+from .density import Basis, basis_numeric
 from .empirics import scan_primes
 
 TABLE_IDS = ("1", "2", "3", "4", "6", "7", "8", "9", "10", "11")
@@ -100,12 +107,6 @@ def load_golden(table_id: str) -> dict:
 
 def _fmt6(x: float) -> str:
     return f"{x:.6f}"
-
-
-def _artin() -> float:
-    from .density import Basis, basis_numeric
-
-    return basis_numeric(Basis.ARTIN)
 
 
 def sieve_limit(table_ids: Iterable[str], full: bool = False) -> Optional[int]:
@@ -179,7 +180,7 @@ def build_table4(kmax: int = 16) -> TableArtifact:
 
 def build_table6(full: bool = False, pack: Optional[SievePack] = None) -> TableArtifact:
     table = ramanujan_prime_density(15)
-    a_val = _artin()
+    a_val = basis_numeric(Basis.ARTIN)
     entries = {str(v): str(c) for v, c in table.entries}
     numeric = {str(v): _fmt6(float(c) * a_val) for v, c in table.entries}
     numeric["0"] = _fmt6(1 - float(table.nonzero_mass()) * a_val)
@@ -199,7 +200,8 @@ def build_table6(full: bool = False, pack: Optional[SievePack] = None) -> TableA
         data["empirical_1e6"] = empirical
     rows = []
     for v in sorted([0] + [int(v) for v in entries]):
-        exact = "1 - (561/475) A" if v == 0 else f"({entries[str(v)]}) A"
+        exact = (_linear_in_a_str(Fraction(1), -table.nonzero_mass()) if v == 0
+                 else f"({entries[str(v)]}) A")
         row = [str(v), exact, numeric[str(v)]]
         if full:
             row.append(empirical.get(str(v), ""))
@@ -212,7 +214,7 @@ def build_table6(full: bool = False, pack: Optional[SievePack] = None) -> TableA
 
 def build_table7(full: bool = False, pack: Optional[SievePack] = None) -> TableArtifact:
     ks = (8, 21, 24, 27, 30, 36)
-    a_val = _artin()
+    a_val = basis_numeric(Basis.ARTIN)
     means = {str(k): str(ramanujan_prime_mean_abs(k)[0]) for k in ks}
     numeric = {k: _fmt6(float(Fraction(c)) * a_val) for k, c in means.items()}
     data = {"means": means, "theory_numeric": numeric}
@@ -234,23 +236,35 @@ def build_table7(full: bool = False, pack: Optional[SievePack] = None) -> TableA
 
 
 def _stratified_rows(k: int, strata, full: bool, pack: Optional[SievePack]):
-    """Theory rows for the conditioned distributions of s_k(p) mod p.
+    """Rows for the conditioned distributions of s_k(p) mod p.
 
-    Each stratum is (label, constraint or None, {v: (const, A-coeff)});
-    a 10^4-prime scan column is always attached, the 10^6-prime column
-    (the one compared against the printed empirics) only in full mode.
+    Each stratum is (label, constraint or None for all primes).  Its theory
+    is c0 + c1 * A per value: the s_k table under the constraint gives c1
+    for v = -1, 1, and v = 0 gets the stratum's mass (the valuation density
+    of the constraint, or 1) less the table's nonzero mass.  A 10^4-prime
+    scan column is always attached, the 10^6-prime column (the one compared
+    against the printed empirics) only in full mode.
     """
-    a_val = _artin()
+    a_val = basis_numeric(Basis.ARTIN)
     rows = []
     data_rows = []
-    for label, constraint, entries, mass in strata:
+    for label, constraint in strata:
+        table = s_small_density(k, constraint)
+        mass = Fraction(1)
+        if constraint is not None:
+            mass = valuation_profile_density(constraint).coefficient
+        entries = {
+            "-1": (Fraction(0), table.coefficient(-1)),
+            "0": (mass, -table.nonzero_mass()),
+            "1": (Fraction(0), table.coefficient(1)),
+        }
         numeric = {
             v: _fmt6(float(c0) + float(c1) * a_val) for v, (c0, c1) in entries.items()
         }
         drow = {
             "label": label,
             "entries": {v: (str(c0), str(c1)) for v, (c0, c1) in entries.items()},
-            "mass": (str(mass[0]), str(mass[1])),
+            "mass": (str(mass), "0"),
             "theory_numeric": numeric,
         }
         rep = scan_primes(
@@ -287,27 +301,11 @@ def _linear_in_a_str(c0: Fraction, c1: Fraction) -> str:
 
 
 def build_table8(full: bool = False, pack: Optional[SievePack] = None) -> TableArtifact:
-    F = Fraction
     strata = [
-        (
-            # odd p have nu_2(p-1) >= 1, so "<= 1" is exactly "= 1"
-            "nu2(p-1)<=1",
-            ValuationConstraint(((2, 1),), squarefree_outside=False),
-            {"-1": (F(0), F(0)), "0": (F(1, 2), F(-1, 2)), "1": (F(0), F(1, 2))},
-            (F(1, 2), F(0)),
-        ),
-        (
-            "nu2(p-1)>=2",
-            ValuationConstraint(((2, ("ge", 2)),), squarefree_outside=False),
-            {"-1": (F(0), F(1, 4)), "0": (F(1, 2), F(-1, 2)), "1": (F(0), F(1, 4))},
-            (F(1, 2), F(0)),
-        ),
-        (
-            "total",
-            None,
-            {"-1": (F(0), F(1, 4)), "0": (F(1), F(-1)), "1": (F(0), F(3, 4))},
-            (F(1), F(0)),
-        ),
+        # odd p have nu_2(p-1) >= 1, so "<= 1" is exactly "= 1"
+        ("nu2(p-1)<=1", ValuationConstraint(((2, 1),), squarefree_outside=False)),
+        ("nu2(p-1)>=2", ValuationConstraint(((2, ("ge", 2)),), squarefree_outside=False)),
+        ("total", None),
     ]
     rows, data_rows = _stratified_rows(2, strata, full, pack)
     return TableArtifact(
@@ -321,32 +319,11 @@ def build_table8(full: bool = False, pack: Optional[SievePack] = None) -> TableA
 
 
 def build_table9(full: bool = False, pack: Optional[SievePack] = None) -> TableArtifact:
-    F = Fraction
     strata = [
-        (
-            "nu3(p-1)=0",
-            ValuationConstraint(((3, 0),), squarefree_outside=False),
-            {"-1": (F(0), F(0)), "0": (F(1, 2), F(-3, 10)), "1": (F(0), F(3, 10))},
-            (F(1, 2), F(0)),
-        ),
-        (
-            "nu3(p-1)=1",
-            ValuationConstraint(((3, 1),), squarefree_outside=False),
-            {"-1": (F(0), F(0)), "0": (F(1, 3), F(-1, 5)), "1": (F(0), F(1, 5))},
-            (F(1, 3), F(0)),
-        ),
-        (
-            "nu3(p-1)>=2",
-            ValuationConstraint(((3, ("ge", 2)),), squarefree_outside=False),
-            {"-1": (F(0), F(1, 15)), "0": (F(1, 6), F(-2, 15)), "1": (F(0), F(1, 15))},
-            (F(1, 6), F(0)),
-        ),
-        (
-            "total",
-            None,
-            {"-1": (F(0), F(1, 15)), "0": (F(1), F(-19, 30)), "1": (F(0), F(17, 30))},
-            (F(1), F(0)),
-        ),
+        ("nu3(p-1)=0", ValuationConstraint(((3, 0),), squarefree_outside=False)),
+        ("nu3(p-1)=1", ValuationConstraint(((3, 1),), squarefree_outside=False)),
+        ("nu3(p-1)>=2", ValuationConstraint(((3, ("ge", 2)),), squarefree_outside=False)),
+        ("total", None),
     ]
     rows, data_rows = _stratified_rows(3, strata, full, pack)
     return TableArtifact(
