@@ -6,13 +6,18 @@ coefficient a_n(k) is computed by
 * :func:`cyclo_coeff` — reduction to the squarefree kernel followed by the
   log-derivative recurrence b_j = -(1/j) sum b_m T_(j-m) with
   T_r = mu(n) mu((r,d)) phi((r,d)), d the part of n supported on primes <= k;
-* :func:`cyclo_coeff_series` — truncated power-series expansion of
-  prod_(d|n) (1 - X^d)^(mu(n/d));
+* :func:`cyclo_coeff_series` — the lattice lift of truncated series
+  (Arnold & Monagan, *Calculating cyclotomic polynomials*, Math. Comp. 80,
+  2011): Phi_dp = Phi_d(X^p) / Phi_d(X) mod X^(k+1) is carried with its
+  inverse, one prime at a time, so no step divides (:func:`_lift`);
 * :func:`cyclo_coeff_partition` — the partition sum
   sum over (sum j*n_j = k) of prod_j (-1)^(n_j) * binom(mu(n/j), n_j).
 
 The three paths share no code, which is what makes their agreement a real
-test.  The module also computes the value set B(k) = {a_n(k) : n} with its
+test.  The coefficient profile behind the value sets and the divisor-route
+densities runs the lift over every squarefree divisor of prod_(p<=k) p at
+once (:func:`coeff_profile`), so the other two routes check it.  The module
+also computes the value set B(k) = {a_n(k) : n} with its
 even/odd-n refinement, witnesses (n, k) realising any prescribed integer
 coefficient, and triples of consecutive odd primes p1 < p2 < p3 with
 p3 <= k < p1 + p2.
@@ -26,6 +31,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Tuple
 
+import numpy as np
+
 from .arith import (
     FactoredLike,
     FactoredNat,
@@ -36,10 +43,11 @@ from .arith import (
 )
 from .errors import InternalConsistencyError, ResourceBudgetError
 
-#: Largest k for which the divisor profile of M_k is built (divisor counts
-#: grow like 2^pi(k)); caps value sets, divisor-route densities and means,
-#: and the coefficient scans.
-PROFILE_MAX_K = 40
+#: Largest k for which the divisor profile of M_k is built (its lattice has
+#: 2^pi(k) rows, 2^18 at k = 61, where a profile build peaks at about 140 MB);
+#: caps value sets, divisor-route densities and means, and the coefficient
+#: scans.
+PROFILE_MAX_K = 61
 CYCLO_POLY_MAX_DEGREE = 100_000
 
 
@@ -123,29 +131,70 @@ def cyclo_coeff_prefix(n: FactoredLike, kmax: int) -> List[int]:
     return out
 
 
+def _phi_1_rows(rows: int, k: int, dtype) -> Tuple[np.ndarray, np.ndarray]:
+    """(F, G), each rows x (k+1), with row 0 holding Phi_1 = X - 1 and
+    1/Phi_1 = -sum X^i mod X^(k+1) and the other rows zero."""
+    F = np.zeros((rows, k + 1), dtype)
+    G = np.zeros((rows, k + 1), dtype)
+    F[0, 0] = -1
+    if k >= 1:
+        F[0, 1] = 1
+    G[0, :] = -1
+    return F, G
+
+
+def _height(*blocks: np.ndarray) -> int:
+    """max |coefficient| over the blocks."""
+    return max(max(int(b.max()), -int(b.min())) for b in blocks)
+
+
+def _lift(F: np.ndarray, G: np.ndarray, p: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows Phi_dp and 1/Phi_dp mod X^(k+1) from rows F = Phi_d and
+    G = 1/Phi_d mod X^(k+1), for d coprime to the prime p.
+
+    Phi_dp = Phi_d(X^p) / Phi_d(X) = Phi_d(X^p) * G and 1/Phi_dp = F * G(X^p),
+    each a product with a series of floor(k/p) + 1 terms, so nothing is
+    divided.  Arithmetic is in the dtype of F and G: an integer dtype must
+    hold (floor(k/p) + 1) * max|coefficient|^2, else InternalConsistencyError
+    (it would wrap silently); object rows of Python ints are always exact."""
+    terms = k // p + 1
+    if F.dtype.kind == "i":
+        top = _height(F, G)
+        if terms * top * top > np.iinfo(F.dtype).max:
+            raise InternalConsistencyError(
+                f"lift by p={p} at k={k}: coefficients up to {top} overflow {F.dtype}"
+            )
+    F_dp = np.zeros_like(F)
+    G_dp = np.zeros_like(G)
+    for j in range(terms):
+        s = j * p
+        F_dp[:, s:] += F[:, j : j + 1] * G[:, : k + 1 - s]
+        G_dp[:, s:] += G[:, j : j + 1] * F[:, : k + 1 - s]
+    return F_dp, G_dp
+
+
 def cyclo_coeff_series(n: FactoredLike, k: int) -> int:
-    """a_n(k) for squarefree n >= 2 by multiplying the truncated series of
-    (1 - X^d)^(+-1) over divisors d <= k of n."""
+    """a_n(k) for squarefree n >= 2 from the truncated series of Phi_n and
+    1/Phi_n: one :func:`_lift` per prime p <= k of n, starting from Phi_1.
+
+    A prime q > k of n enters only through Phi_(mq) = Phi_m(0)/Phi_m mod
+    X^(k+1), so their count c picks Phi_s or 1/Phi_s (s the part of n at
+    the primes <= k), times Phi_s(0) = -1 when s = 1 (then c >= 1).  The
+    row holds Python ints, so no k is too large for exact arithmetic."""
     if k < 0:
         raise ValueError("coefficient index k must be >= 0")
     fn = as_factored(n)
     if fn.value < 2 or not fn.is_squarefree():
         raise ValueError("series path requires squarefree n >= 2 (reduce first)")
-    mu_n = -1 if len(fn.factors) % 2 else 1
-    poly = [0] * (k + 1)
-    poly[0] = 1
-    for d in fn.iter_divisors_factored():
-        dv = d.value
-        if dv > k:
-            continue
-        sign = mu_n * d.mobius()  # mu(n/d) for squarefree n
-        if sign == 1:
-            for t in range(k, dv - 1, -1):
-                poly[t] -= poly[t - dv]
+    F, G = _phi_1_rows(1, k, object)
+    above = 0
+    for p, _ in fn.factors:
+        if p <= k:
+            F, G = _lift(F, G, p, k)
         else:
-            for t in range(dv, k + 1):
-                poly[t] += poly[t - dv]
-    return poly[k]
+            above += 1
+    sign = -1 if above == len(fn.factors) else 1
+    return sign * int((G if above % 2 else F)[0, k])
 
 
 def cyclo_coeff_partition(n: FactoredLike, k: int) -> int:
@@ -326,29 +375,68 @@ def support_modulus(k: int) -> FactoredNat:
     return FactoredNat(val, fac)
 
 
+_LIFT_BLOCK = 4096  # rows per int64 block of a lattice lift
+
+
+def _profile_lattice(primes: List[int], k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Phi_r and 1/Phi_r mod X^(k+1) for every squarefree r over `primes`,
+    as int8 rows indexed by bitmask (bit i set iff primes[i] divides r).
+
+    The rows with largest prime primes[i] are one :func:`_lift` of the 2^i
+    rows before them, in int64 blocks; storing a value outside int8 raises
+    InternalConsistencyError instead of wrapping."""
+    F, G = _phi_1_rows(1 << len(primes), k, np.int8)
+    for i, p in enumerate(primes):
+        half = 1 << i
+        for lo in range(0, half, _LIFT_BLOCK):
+            hi = min(lo + _LIFT_BLOCK, half)
+            F_p, G_p = _lift(F[lo:hi].astype(np.int64), G[lo:hi].astype(np.int64), p, k)
+            if _height(F_p, G_p) > np.iinfo(np.int8).max:
+                raise InternalConsistencyError(f"lattice coefficient at k={k} overflows int8")
+            F[half + lo : half + hi] = F_p
+            G[half + lo : half + hi] = G_p
+    return F, G
+
+
 @lru_cache(maxsize=1)
 def coeff_profile(k: int) -> CoeffProfile:
     """Divisor-indexed coefficient pairs behind the exact distribution of
     a_n(k), for 2 <= k <= PROFILE_MAX_K.  The last profile is kept, since
     the mean, the densities and the value set of one k all fold over it.
 
-    Only the divisors d with nu_2(d) != 1 are evaluated: for odd d the
-    entry at 2d follows from Phi_(2d)(X) = Phi_d(-X), which for k >= 2
-    gives a_(2d)(k) = (-1)^k a_d(k) (and likewise for dq)."""
+    Every divisor of M_k is d = r * t with r = rad(d) squarefree over the
+    primes <= k and t = d / r dividing k (an exponent of M_k is at most
+    nu_p(k) + 1).  So a_d(k) = a_r(k/t), read from the lattice of
+    :func:`_profile_lattice`, and a_(dq)(k) = Phi_r(0) * [X^(k/t)] 1/Phi_r,
+    since Phi_(rq) = Phi_r(0)/Phi_r mod X^(k+1) for the prime q > k.  Only
+    the columns k/t are read out.  At k = 61 the lattice holds 2^18 rows
+    of each series (32 MB of int8); the 393,216 entries then peak the
+    process at about 140 MB."""
     if not 2 <= k <= PROFILE_MAX_K:
         if k == 1:
             raise ValueError("k = 1 is special-cased by callers")
         raise ResourceBudgetError(f"coefficient profile limited to k <= {PROFILE_MAX_K}")
     m_k = support_modulus(k)
     q = least_prime_above(k)
+    primes = small_primes(k)
+    quots = as_factored(k).divisors()
+    cols = [k // t for t in quots]
+    F, G = (rows[:, cols] for rows in _profile_lattice(primes, k))  # frees the lattice
+    rads = [1]  # r by bitmask, in lattice row order
+    for p in primes:
+        rads += [r * p for r in rads]
+    masks = np.arange(len(rads))
     entries: Dict[int, Tuple[int, int]] = {}
-    for d in m_k.iter_divisors_factored():
-        if d.nu(2) != 1:
-            entries[d.value] = (cyclo_coeff(d, k), cyclo_coeff(d.times_prime(q), k))
-    sign = -1 if k % 2 else 1
-    for d, (a, aq) in list(entries.items()):
-        if d % 2:
-            entries[2 * d] = (sign * a, sign * aq)
+    for col, t in enumerate(quots):
+        need = sum(1 << i for i, p in enumerate(primes) if t % p == 0)
+        rows = np.flatnonzero(masks & need == need)
+        a = F[rows, col].tolist()
+        aq = G[rows, col].tolist()
+        if t == 1:
+            aq[0] = -aq[0]  # Phi_1(0) = -1
+        entries.update(
+            (rads[row] * t, pair) for row, pair in zip(rows.tolist(), zip(a, aq))
+        )
     return CoeffProfile(k, q, m_k, entries)
 
 

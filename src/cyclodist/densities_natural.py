@@ -85,9 +85,9 @@ def _exponents_small(n: int) -> Tuple[Tuple[int, int], ...]:
     return factorize(n).factors
 
 
-@lru_cache(maxsize=None)
 def _support_data(parts: Tuple[int, ...]):
-    """Per distinct-part-set data: None when L/j is not squarefree for some
+    """Per distinct-part-set data (computed once per set, since a walk
+    visits each set once): None when L/j is not squarefree for some
     part j, L the lcm of the parts (no contribution), else
     (mu values of lcm/part aligned with parts, denominator G * prod_(p | L/G) (p+1))."""
     part_exps = [dict(_exponents_small(j)) for j in parts]

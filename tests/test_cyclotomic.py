@@ -1,10 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from cyclodist.arith import euler_phi, factorize, small_primes
+from cyclodist.arith import euler_phi, factorize, least_prime_above, small_primes
 from cyclodist.cyclotomic import (
+    _lift,
+    _profile_lattice,
     bertrand_triple,
     coeff_profile,
     construct_coeff_value,
@@ -16,7 +19,7 @@ from cyclodist.cyclotomic import (
     partition_count,
     value_set,
 )
-from cyclodist.errors import ResourceBudgetError
+from cyclodist.errors import InternalConsistencyError, ResourceBudgetError
 from cyclodist.ramanujan import ramanujan_sum
 
 
@@ -132,7 +135,7 @@ def test_value_set_examples():
     assert value_set(1).full_set == frozenset({-1, 0, 1})
     assert value_set(1).bound == 1
     with pytest.raises(ResourceBudgetError):
-        value_set(41)
+        value_set(62)
 
 
 def test_value_set_parity_structure():
@@ -171,13 +174,45 @@ def test_coeff_profile_counts():
 
 
 def test_coeff_profile_entries_match_direct():
-    # the entries at 2d come from the sign flip, the others are evaluated
-    for k in range(2, 21):
+    # the profile is read off the lattice lift; cyclo_coeff is the recurrence
+    for k in range(2, 31):
         profile = coeff_profile(k)
         assert len(profile.entries) == len(profile.m_k.divisors()), k
         for d in profile.m_k.iter_divisors_factored():
             want = (cyclo_coeff(d, k), cyclo_coeff(d.times_prime(profile.q), k))
             assert profile.entries[d.value] == want, (k, d.value)
+
+
+def test_random_lattice_rows_above_40():
+    # rows of the k = 41..61 lattices against the recurrence and the
+    # partition sum: F[r] = Phi_r and G[r] = 1/Phi_r = Phi_(rq)/Phi_r(0)
+    rng = random.Random(61)
+    for k in rng.sample(range(41, 62), 2):
+        primes = small_primes(k)
+        q = least_prime_above(k)
+        F, G = _profile_lattice(primes, k)
+        for row in [0] + rng.sample(range(1, len(F)), 8):
+            r = math.prod(p for i, p in enumerate(primes) if row >> i & 1)
+            sign = -1 if r == 1 else 1
+            for j in [0, 1, k] + rng.sample(range(2, k), 5):
+                if r > 1:
+                    assert F[row, j] == cyclo_coeff(r, j) == cyclo_coeff_partition(r, j), (k, r, j)
+                want = sign * cyclo_coeff(r * q, j)
+                assert G[row, j] == want == sign * cyclo_coeff_partition(r * q, j), (k, r, j)
+
+
+def test_lift_refuses_overflowing_rows():
+    # (k//p + 1) * max^2 must fit the accumulator: 2 * (2^32)^2 does not fit int64
+    F = np.array([[-1, 2**32, 0, 0]], dtype=np.int64)
+    G = np.zeros_like(F)
+    with pytest.raises(InternalConsistencyError):
+        _lift(F, G, 2, 3)
+    # 2 * (2^30)^2 does, and agrees with Python-int rows
+    F[0, 1] = 2**30
+    G[0] = [1, -(2**30), 5, 0]
+    got = _lift(F, G, 2, 3)
+    want = _lift(F.astype(object), G.astype(object), 2, 3)
+    assert all((a == b).all() for a, b in zip(got, want))
 
 
 def test_random_squarefree_cross_routes():

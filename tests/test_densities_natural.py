@@ -47,6 +47,13 @@ def test_methods_agree_31_to_40():
         assert mean_coeff(ek.k).e_k == ek.e_k, ek.k
 
 
+@pytest.mark.slow
+def test_methods_agree_41_to_61():
+    # every k the divisor route reaches past 40; B(k) there is not pinned
+    for ek in partition_means(61)[40:]:
+        assert mean_coeff(ek.k).e_k == ek.e_k, ek.k
+
+
 def _partitions(k, max_part):
     """Every partition of k into parts <= max_part, as {part: multiplicity}."""
     if k == 0:
@@ -236,6 +243,6 @@ def test_squarefree_coprime_density():
 
 def test_budgets():
     with pytest.raises(ResourceBudgetError):
-        mean_coeff(41)
+        mean_coeff(62)
     with pytest.raises(ResourceBudgetError):
         mean_coeff_partition(100)

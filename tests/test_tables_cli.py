@@ -261,7 +261,7 @@ def test_cli_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-subcommand"])
     assert exc.value.code == 2
-    code, _, err = run_cli(capsys, "valueset", "--k", "55")
+    code, _, err = run_cli(capsys, "valueset", "--k", "62")
     assert code == 3 and "resource" in err.lower()
     code, _, err = run_cli(capsys, "mean", "--k", "81", "--method", "partition")
     assert code == 3 and "resource" in err.lower()
