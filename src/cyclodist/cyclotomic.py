@@ -10,8 +10,12 @@ coefficient a_n(k) is computed by
   (Arnold & Monagan, *Calculating cyclotomic polynomials*, Math. Comp. 80,
   2011): Phi_dp = Phi_d(X^p) / Phi_d(X) mod X^(k+1) is carried with its
   inverse, one prime at a time, so no step divides (:func:`_lift`);
-* :func:`cyclo_coeff_partition` — the partition sum
-  sum over (sum j*n_j = k) of prod_j (-1)^(n_j) * binom(mu(n/j), n_j).
+* :func:`cyclo_coeff_partition` — the divisor product
+  Phi_n = prod_(d|n) (1 - X^d)^mu(n/d) for n >= 2, expanded as a truncated
+  power series (Arnold & Monagan's sparse power series): truncated at X^k
+  it is the partition sum over (sum j*n_j = k) of
+  prod_j (-1)^(n_j) * binom(mu(n/j), n_j), and at full degree it is
+  :func:`cyclo_poly` (:func:`_divisor_product` serves both).
 
 The three paths share no code, which is what makes their agreement a real
 test.  The coefficient profile behind the value sets and the divisor-route
@@ -58,17 +62,19 @@ def _mu_phi_small(r: int) -> Tuple[int, int]:
     return fr.mobius(), fr.phi()
 
 
-def _squarefree_kernel(fn: FactoredNat) -> FactoredNat:
-    fac = tuple((p, 1) for p, _ in fn.factors)
-    return FactoredNat(fn.radical(), fac)
+def _kernel_reduction(n: FactoredLike) -> Tuple[FactoredNat, int]:
+    """(n, t) with t = n / rad n: a_n(k) = a_(rad n)(k/t) if t | k, else 0.
+    :func:`_recurrence` reads only the primes of n, so rad n is never built."""
+    fn = as_factored(n)
+    return fn, fn.value // fn.radical()
 
 
 def _recurrence(fn: FactoredNat, kmax: int) -> List[int]:
-    """[a_n(0), ..., a_n(kmax)] for squarefree n >= 2 by the log-derivative
-    recurrence b_j = -(1/j) sum_(m<j) b_m T_(j-m).  Every division must be
-    exact; a remainder raises InternalConsistencyError (it would mean a
-    bug, not bad input)."""
-    top = min(kmax, fn.phi())
+    """[a_r(0), ..., a_r(kmax)] for the squarefree kernel r = rad n of
+    n >= 2 by the log-derivative recurrence b_j = -(1/j) sum_(m<j) b_m T_(j-m).
+    Every division must be exact; a remainder raises
+    InternalConsistencyError (it would mean a bug, not bad input)."""
+    top = min(kmax, math.prod(p - 1 for p, _ in fn.factors))
     mu_n = -1 if len(fn.factors) % 2 else 1
     d = 1
     for p, _ in fn.factors:
@@ -97,18 +103,12 @@ def cyclo_coeff(n: FactoredLike, k: int) -> int:
     explicit table."""
     if k < 0:
         raise ValueError("coefficient index k must be >= 0")
-    fn = as_factored(n)
+    fn, t = _kernel_reduction(n)
     if fn.value == 1:
         return (-1, 1)[k] if k <= 1 else 0
-    gamma = fn.radical()
-    if gamma != fn.value:
-        quot = fn.value // gamma
-        if k % quot:
-            return 0
-        fn, k = _squarefree_kernel(fn), k // quot
-    if k > fn.phi():
+    if k % t or k > fn.phi():
         return 0
-    return _recurrence(fn, k)[k]
+    return _recurrence(fn, k // t)[k // t]
 
 
 def cyclo_coeff_prefix(n: FactoredLike, kmax: int) -> List[int]:
@@ -117,17 +117,11 @@ def cyclo_coeff_prefix(n: FactoredLike, kmax: int) -> List[int]:
     checks)."""
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    fn = as_factored(n)
+    fn, t = _kernel_reduction(n)
     if fn.value == 1:
         return [-1, 1][: kmax + 1] + [0] * max(0, kmax - 1)
-    gamma = fn.radical()
-    quot = fn.value // gamma
-    kernel = _squarefree_kernel(fn) if quot > 1 else fn
-    inner = _recurrence(kernel, min(kmax // quot, kernel.phi()))
     out = [0] * (kmax + 1)
-    for j, c in enumerate(inner):
-        if j * quot <= kmax:
-            out[j * quot] = c
+    out[::t] = _recurrence(fn, kmax // t)
     return out
 
 
@@ -198,52 +192,20 @@ def cyclo_coeff_series(n: FactoredLike, k: int) -> int:
 
 
 def cyclo_coeff_partition(n: FactoredLike, k: int) -> int:
-    """a_n(k) for n >= 2 as a sum over partitions of k.
+    """a_n(k) for n >= 2 from the divisor product truncated at X^k.
 
-    Only parts j | n with mu(n/j) != 0 can contribute; a part with
-    mu(n/j) = +1 contributes factor -1 and may appear at most once, while a
-    part with mu(n/j) = -1 contributes factor +1 at any multiplicity."""
+    Expanded term by term, this coefficient is the partition sum over k
+    with parts j | n, mu(n/j) != 0: a part with mu(n/j) = +1 contributes
+    factor -1 and appears at most once, one with mu(n/j) = -1 contributes
+    +1 at any multiplicity."""
     if k < 0:
         raise ValueError("coefficient index k must be >= 0")
     fn = as_factored(n)
     if fn.value < 2:
         raise ValueError("partition path requires n >= 2")
-    if k == 0:
-        return 1
-    parts: List[Tuple[int, int]] = []
-    for d in fn.iter_divisors_factored():
-        if d.value > k:
-            continue
-        mu_cof = _mu_quotient(fn, d)
-        if mu_cof:
-            parts.append((d.value, mu_cof))
-    parts.sort(reverse=True)
-
-    memo: Dict[Tuple[int, int], int] = {}
-
-    def rec(i: int, remaining: int) -> int:
-        if remaining == 0:
-            return 1
-        if i == len(parts):
-            return 0
-        key = (i, remaining)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        j, mu_j = parts[i]
-        total = rec(i + 1, remaining)
-        if mu_j == 1:
-            if remaining >= j:
-                total -= rec(i + 1, remaining - j)
-        else:
-            t = remaining - j
-            while t >= 0:
-                total += rec(i + 1, t)
-                t -= j
-        memo[key] = total
-        return total
-
-    return rec(0, k)
+    if k > fn.phi():
+        return 0
+    return _divisor_product(fn, k)[k]
 
 
 def _mu_quotient(fn: FactoredNat, d: FactoredNat) -> int:
@@ -258,55 +220,49 @@ def _mu_quotient(fn: FactoredNat, d: FactoredNat) -> int:
     return -1 if count % 2 else 1
 
 
-def cyclo_poly(n: FactoredLike) -> List[int]:
-    """All phi(n)+1 coefficients of Phi_n, low degree first, by exact
-    polynomial multiplication and division over the divisor product."""
-    fn = as_factored(n)
-    if fn.value == 1:
-        return [-1, 1]
-    if fn.phi() > CYCLO_POLY_MAX_DEGREE:
+def _divisor_product(fn: FactoredNat, top: int) -> np.ndarray:
+    """Coefficients X^0..X^top of prod_(d | n, d <= top) (1 - X^d)^mu(n/d),
+    which is Phi_n mod X^(top+1) for n >= 2 (the signs of the factors
+    X^d - 1 cancel, as sum_(d|n) mu(n/d) = 0), as an object array of Python
+    ints, exact at any height.
+
+    Times 1 - X^d is one shifted subtract; times 1/(1 - X^d) = sum_j X^(jd)
+    is a prefix sum along each residue class mod d.  The divisors come in
+    the order iter_divisors_factored yields them, which mixes the two kinds
+    of factor: at n = 255255 no intermediate coefficient exceeds 1,200, while
+    all subtractions first reach 61,341 and all prefix sums first 10^40."""
+    if top > CYCLO_POLY_MAX_DEGREE:
         raise ResourceBudgetError(
-            f"phi({fn.value}) = {fn.phi()} exceeds the {CYCLO_POLY_MAX_DEGREE} "
+            f"Phi_{fn.value} to degree {top} exceeds the {CYCLO_POLY_MAX_DEGREE} "
             "degree budget"
         )
-    numer: List[int] = []
-    denom: List[int] = []
-    for d in fn.iter_divisors_factored():
-        sign = _mu_quotient(fn, d)
-        if sign == 1:
-            numer.append(d.value)
-        elif sign == -1:
-            denom.append(d.value)
-    poly = [1]
-    for d in numer:
-        poly = _mul_xd_minus_1(poly, d)
-    for d in denom:
-        poly = _div_xd_minus_1(poly, d)
-    if len(poly) != fn.phi() + 1 or poly[-1] != 1:
-        raise InternalConsistencyError(f"bad expansion degree for n={fn.value}")
-    return poly
-
-
-def _mul_xd_minus_1(poly: List[int], d: int) -> List[int]:
-    out = [0] * (len(poly) + d)
-    for i, c in enumerate(poly):
-        out[i + d] += c
-        out[i] -= c
+    out = np.zeros(top + 1, dtype=object)
+    out[0] = 1
+    for fd in fn.iter_divisors_factored():
+        d = fd.value
+        if d > top:
+            continue
+        mu = _mu_quotient(fn, fd)
+        if mu == 1:
+            out[d:] = out[d:] - out[:-d]
+        elif mu == -1:
+            classes = np.concatenate([out, np.zeros(-(top + 1) % d, dtype=object)])
+            out = classes.reshape(-1, d).cumsum(axis=0).ravel()[: top + 1]
     return out
 
 
-def _div_xd_minus_1(poly: List[int], d: int) -> List[int]:
-    # q * (X^d - 1) = poly  =>  q[i] = q[i-d] - poly[i]
-    out_len = len(poly) - d
-    q = [0] * out_len
-    for i in range(out_len):
-        prev = q[i - d] if i >= d else 0
-        q[i] = prev - poly[i]
-    for i in range(out_len, len(poly)):
-        prev = q[i - d] if i - d < out_len else 0
-        if poly[i] != prev:
-            raise InternalConsistencyError("nonzero remainder in cyclotomic division")
-    return q
+def cyclo_poly(n: FactoredLike) -> List[int]:
+    """All phi(n)+1 coefficients of Phi_n, low degree first: the divisor
+    product to full degree, which must come out monic and palindromic."""
+    fn = as_factored(n)
+    if fn.value == 1:
+        return [-1, 1]
+    poly = _divisor_product(fn, fn.phi()).tolist()
+    if poly[-1] != 1 or poly != poly[::-1]:
+        raise InternalConsistencyError(
+            f"expansion of Phi_{fn.value} is not monic and palindromic"
+        )
+    return poly
 
 
 # -- partitions ---------------------------------------------------------------

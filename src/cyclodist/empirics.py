@@ -244,8 +244,9 @@ def scan_primes(
     needs k); s_k_mod_p and S_k_mod_p (symmetric residues, needs k);
     kfree_shift (1 iff p - shift is kfree_order-free); conjecture1 (the
     relaxed Möbius value of p - 1 on primes matching the valuation
-    constraint).  An optional constraint restricts any statistic; skipped
-    primes still count toward `total`.
+    constraint).  An optional constraint restricts any statistic to the
+    primes whose p - 1 it matches, squarefree outside its primes unless
+    `squarefree_outside` is off; skipped primes still count toward `total`.
     """
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
@@ -283,6 +284,8 @@ def scan_primes(
             exps, rest = _peel(ns, constraint.primes())
             for (_, spec), e in zip(constraint.entries, exps):
                 keep &= e >= spec[1] if isinstance(spec, tuple) else e == spec
+            if constraint.squarefree_outside:
+                keep &= pack.mobius[rest] != 0
         if statistic == "mu_pminus1":
             vals = pack.mobius[ns]
         elif statistic in ("c_pminus1", "a_pminus1"):

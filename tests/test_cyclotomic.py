@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from cyclodist import cyclotomic
 from cyclodist.arith import euler_phi, factorize, least_prime_above, small_primes
 from cyclodist.cyclotomic import (
     _lift,
@@ -43,6 +44,14 @@ def test_partition_examples():
     assert cyclo_coeff_partition(105, 7) == -2
     assert cyclo_coeff_partition(3, 2) == 1  # mu(n)(mu(n)-1)/2 - mu(n/2)
     assert cyclo_coeff_partition(6, 1) == -1
+    with pytest.raises(ResourceBudgetError):
+        cyclo_coeff_partition(2 * 9_999_991, 200_000)  # k <= phi, but over budget
+
+
+def test_partition_zero_above_degree():
+    for n in range(2, 300):
+        phi = euler_phi(n)
+        assert [cyclo_coeff_partition(n, k) for k in range(phi + 1, phi + 6)] == [0] * 5, n
 
 
 def test_index2_closed_form():
@@ -64,12 +73,35 @@ def test_poly_examples():
         cyclo_poly(9_999_991 * 2)  # phi too large
 
 
+def test_poly_refuses_broken_expansion(monkeypatch):
+    real = cyclotomic._divisor_product
+    for bumps in ([1], [0, -1]):  # monic but not palindromic; the reverse
+
+        def broken(fn, top):
+            out = real(fn, top)
+            out[bumps] += 1
+            return out
+
+        monkeypatch.setattr(cyclotomic, "_divisor_product", broken)
+        with pytest.raises(InternalConsistencyError):
+            cyclo_poly(105)
+
+
 def test_poly_monic_palindromic():
     for n in range(2, 1001):
         coeffs = cyclo_poly(n)
         assert coeffs[-1] == 1
         assert coeffs == coeffs[::-1]  # a_n(k) = a_n(phi(n) - k)
         assert len(coeffs) == euler_phi(n) + 1
+
+
+def test_poly_255255():
+    # phi = 92,160, height 532; the object rows must hand back Python ints
+    coeffs = cyclo_poly(255255)
+    assert len(coeffs) == 92_161 and coeffs == coeffs[::-1]
+    assert all(type(c) is int for c in coeffs)
+    assert max(map(abs, coeffs)) == 532
+    assert coeffs[:300] == cyclo_coeff_prefix(255255, 299)
 
 
 def test_prefix_matches_poly(pack):
@@ -231,6 +263,23 @@ def test_random_squarefree_cross_routes():
             assert cyclo_coeff(fn, k) == want, (fn.value, k)
             assert cyclo_coeff_series(fn, k) == want, (fn.value, k)
             assert cyclo_coeff_partition(fn, k) == want, (fn.value, k)
+
+
+def test_random_cross_routes_with_square_factors(pack):
+    # the partition route is the divisor product that cyclo_poly also
+    # expands, so it is checked here against the recurrence (and, on
+    # squarefree n, the lift) on random n < 10^6, square factors included
+    rng = random.Random(2026)
+    squareful = 0
+    for _ in range(300):
+        fn = factorize(rng.randrange(2, 10**6), pack)
+        squareful += not fn.is_squarefree()
+        for k in rng.sample(range(81), 6):
+            want = cyclo_coeff(fn, k)
+            assert cyclo_coeff_partition(fn, k) == want, (fn.value, k)
+            if fn.is_squarefree():
+                assert cyclo_coeff_series(fn, k) == want, (fn.value, k)
+    assert squareful > 100
 
 
 def test_construct_examples():

@@ -256,19 +256,25 @@ def test_conjecture1_scan(pack):
 
 
 def test_conjecture1_and_kfree_match_scalar(pack):
-    # per prime from pack.factor, against the array scans over 2*10^4 primes
+    # per prime from pack.factor, against the array scans over 2*10^4 primes;
+    # squarefree_outside keeps only the p whose p - 1 is squarefree off the
+    # constraint primes, so conjecture1 then never reads 0
     primes = pack.primes[:20_000].tolist()
     for entries in ((), ((2, 1),), ((2, ("ge", 2)), (3, 0))):
-        c = ValuationConstraint(entries)
-        want = {}
-        for p in primes:
-            factors = pack.factor(p - 1)
-            if c.matches(factors):
+        for outside_sf in (True, False):
+            c = ValuationConstraint(entries, squarefree_outside=outside_sf)
+            want = {"conjecture1": {}, "mu_pminus1": {}}
+            for p in primes:
+                factors = pack.factor(p - 1)
                 outside = [e for q, e in factors if q not in c.primes()]
                 v = 0 if any(e >= 2 for e in outside) else (-1) ** len(outside)
-                want[v] = want.get(v, 0) + 1
-        rep = scan_primes("conjecture1", nprimes=20_000, constraint=c, pack=pack)
-        assert rep.counts == want and rep.total == 20_000, entries
+                if c.matches(factors) and (v or not outside_sf):
+                    mu = 0 if any(e >= 2 for _, e in factors) else (-1) ** len(factors)
+                    for stat, val in (("conjecture1", v), ("mu_pminus1", mu)):
+                        want[stat][val] = want[stat].get(val, 0) + 1
+            for stat, counts in want.items():
+                rep = scan_primes(stat, nprimes=20_000, constraint=c, pack=pack)
+                assert rep.counts == counts and rep.total == 20_000, (stat, entries, outside_sf)
     for shift, order in ((1, 2), (-1, 3), (3, 2), (100, 2)):
         want = {}
         for p in primes:
