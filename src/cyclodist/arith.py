@@ -4,8 +4,9 @@ Everything downstream runs on exact integers and `fractions.Fraction`
 (re-exported here as :data:`ExactRational`).  The two workhorses are
 
 * :class:`SievePack` — smallest-prime-factor and Möbius tables plus the
-  prime list up to a limit, built once by a sieve of Eratosthenes and shared
-  read-only across the package;
+  prime list up to a limit, built once by a segmented sieve of Eratosthenes
+  (μ read off the smallest-prime-factor table) and shared read-only across
+  the package;
 * :class:`FactoredNat` — a natural number carried together with its full
   prime factorization, the input of every multiplicative-function
   evaluation (φ, μ, divisor enumeration, ...).
@@ -16,6 +17,7 @@ pure, so concurrent use needs no locking.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import struct
@@ -72,61 +74,51 @@ def is_prime_int(n: int) -> bool:
     return True
 
 
-def _sieve_arrays_numpy(limit: int, primes: Optional[np.ndarray] = None):
-    """Vectorized Eratosthenes: (spf, mu, primes) over [0..limit].
+#: entries per block of the sieve build (1 MB of int32, so a block stays in cache)
+_SEGMENT = 1 << 18
 
-    Given a cached prime list, only its members <= sqrt(limit) mark
-    composites, and None is returned unless the positions left unmarked are
-    exactly that list.  Marking only ever hits composites, so every true
-    prime stays unmarked, and a composite c stays unmarked only if its
-    least prime factor (<= sqrt(c)) is missing from the list: equality
-    holds for the true prime list and for nothing else."""
-    spf = np.zeros(limit + 1, dtype=np.int32)
+
+def _sieve_arrays_numpy(limit: int, primes: Optional[np.ndarray] = None):
+    """Segmented Eratosthenes: (spf, mu, primes) over [0..limit].
+
+    Block by block, the sievers p <= sqrt(limit) write p at their multiples
+    from p^2 on, largest p first and unmasked, so each composite keeps its
+    least prime factor.  μ is read off the finished table: with p = spf[n]
+    and m = n // p, μ(n) = 0 if spf[m] == p, else -μ(m); as m <= n/2, blocks
+    [lo, lo + min(lo, _SEGMENT)) in increasing order read only filled entries.
+
+    A cached prime list supplies the sievers, and None is returned unless
+    the unmarked positions are exactly the list.  No write hits a prime, so
+    a missing prime stays unmarked; a listed composite c is overwritten by
+    its least prime q <= sqrt(c), which writes after c as q < c, so c is
+    marked (or q is missing).  Only the true list, ascending, passes."""
     root = math.isqrt(limit)
     if primes is None:
-        sievers = range(2, root + 1)
+        sievers = small_primes(root)
     else:
-        sievers = primes[(primes >= 2) & (primes <= root)].tolist()
-    for p in sievers:
-        if spf[p] == 0:
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
+        sievers = np.unique(primes[(primes >= 2) & (primes <= root)]).tolist()
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    for lo in range(0, limit + 1, _SEGMENT):
+        seg = spf[lo : lo + _SEGMENT]
+        top = bisect.bisect_right(sievers, math.isqrt(lo + len(seg) - 1))
+        for p in reversed(sievers[:top]):
+            seg[max(p * p, -(-lo // p) * p) - lo :: p] = p
     prime_idx = np.flatnonzero(spf[2:] == 0).astype(np.int64) + 2
     if primes is not None and not np.array_equal(prime_idx, primes):
         return None
     spf[prime_idx] = prime_idx
-    mu = _mobius_segmented(limit, prime_idx[prime_idx <= root].tolist())
+    mu = np.empty(limit + 1, dtype=np.int8)
+    mu[:2] = (0, 1)
+    lo = 2
+    while lo <= limit:
+        hi = min(lo + min(lo, _SEGMENT), limit + 1)
+        p = spf[lo:hi]
+        m = np.arange(lo, hi) // p
+        out = mu[lo:hi]
+        np.negative(mu.take(m), out=out)
+        out *= spf.take(m) != p
+        lo = hi
     return spf, mu, prime_idx
-
-
-#: segment length of the Möbius pass (int32 work buffer of 1 MB)
-_MU_SEGMENT = 1 << 18
-
-
-def _mobius_segmented(limit: int, small: Sequence[int]) -> np.ndarray:
-    """μ over [0..limit] from the primes <= sqrt(limit) alone.
-
-    Segment by segment, each small prime p flips the sign at its multiples,
-    divides them once out of `rem` (n itself to start with), and zeroes the
-    multiples of p^2.  A squarefree n then keeps in `rem` the product of its
-    prime factors above sqrt(limit), and there is at most one since two
-    would exceed the limit: exactly where rem > 1, one more sign flip."""
-    mu = np.ones(limit + 1, dtype=np.int8)
-    offsets = np.arange(_MU_SEGMENT, dtype=np.int32)
-    rem = np.empty(_MU_SEGMENT, dtype=np.int32)
-    for lo in range(0, limit + 1, _MU_SEGMENT):
-        size = min(_MU_SEGMENT, limit + 1 - lo)
-        seg = mu[lo : lo + size]
-        r = rem[:size]
-        np.add(offsets[:size], lo, out=r)
-        for p in small:
-            start = -lo % p
-            seg[start::p] *= -1
-            r[start::p] //= p
-            seg[-lo % (p * p) :: p * p] = 0
-        seg[r > 1] *= -1
-    mu[0] = 0
-    return mu
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,6 +168,8 @@ class SievePack:
 
     def nth_prime(self, i: int) -> int:
         """1-based: nth_prime(1) == 2."""
+        if not 1 <= i <= len(self.primes):
+            raise ValueError(f"{i} outside prime index range [1, {len(self.primes)}]")
         return int(self.primes[i - 1])
 
 
@@ -398,12 +392,18 @@ class FactoredNat:
         divs.sort()
         return divs
 
-    def iter_divisors_factored(self) -> Iterator["FactoredNat"]:
-        """Divisors as FactoredNats (unsorted); no re-factorization cost."""
+    def iter_divisors_factored(self, upto: Optional[int] = None) -> Iterator["FactoredNat"]:
+        """Divisors as FactoredNats (unsorted); no re-factorization cost.
+
+        With `upto`, only the divisors d <= upto, in the same order: a
+        branch stops as soon as its running value exceeds the bound."""
         base = self.factors
         k = len(base)
+        bound = self.value if upto is None else upto
 
         def rec(i: int, value: int, acc: list):
+            if value > bound:
+                return
             if i == k:
                 yield FactoredNat(value, tuple(acc))
                 return

@@ -227,10 +227,11 @@ def _divisor_product(fn: FactoredNat, top: int) -> np.ndarray:
     ints, exact at any height.
 
     Times 1 - X^d is one shifted subtract; times 1/(1 - X^d) = sum_j X^(jd)
-    is a prefix sum along each residue class mod d.  The divisors come in
-    the order iter_divisors_factored yields them, which mixes the two kinds
-    of factor: at n = 255255 no intermediate coefficient exceeds 1,200, while
-    all subtractions first reach 61,341 and all prefix sums first 10^40."""
+    is a prefix sum along each residue class mod d.  The divisors d <= top
+    come in the order iter_divisors_factored yields them, which mixes the
+    two kinds of factor: at n = 255255 no intermediate coefficient exceeds
+    1,200, while all subtractions first reach 61,341 and all prefix sums
+    first 10^40."""
     if top > CYCLO_POLY_MAX_DEGREE:
         raise ResourceBudgetError(
             f"Phi_{fn.value} to degree {top} exceeds the {CYCLO_POLY_MAX_DEGREE} "
@@ -238,10 +239,8 @@ def _divisor_product(fn: FactoredNat, top: int) -> np.ndarray:
         )
     out = np.zeros(top + 1, dtype=object)
     out[0] = 1
-    for fd in fn.iter_divisors_factored():
+    for fd in fn.iter_divisors_factored(upto=top):
         d = fd.value
-        if d > top:
-            continue
         mu = _mu_quotient(fn, fd)
         if mu == 1:
             out[d:] = out[d:] - out[:-d]

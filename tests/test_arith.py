@@ -153,6 +153,18 @@ def test_iter_divisors_factored():
     assert vals == divisors(360)
 
 
+def test_iter_divisors_factored_pruned_at_a_bound():
+    # the pruned walk is the full walk filtered to d <= upto, order included
+    rng = random.Random(19)
+    for _ in range(60):
+        fn = factorize(math.prod(rng.choice((2, 3, 5, 7, 11, 13, 101))
+                                 for _ in range(rng.randrange(0, 9))))
+        full = list(fn.iter_divisors_factored())
+        for upto in (0, 1, 2, rng.randrange(1, fn.value + 2), fn.value, fn.value + 1):
+            pruned = list(fn.iter_divisors_factored(upto=upto))
+            assert pruned == [d for d in full if d.value <= upto], (fn.value, upto)
+
+
 def test_exact_rational_invariants():
     rng = random.Random(42)
     vals = [Fraction(rng.randrange(-50, 51), rng.randrange(1, 50)) for _ in range(40)]
@@ -223,6 +235,8 @@ def test_sieve_cache_rejects_corrupt_prime_list(tmp_path):
         "truncated": good[:-100],
         "missing small prime": [p for p in good if p != 3],
         "extra composite": sorted(good + [91]),
+        "composites below sqrt(limit)": sorted(good + [4, 221]),
+        "descending order": good[::-1],
     }
     for label, primes in corruptions.items():
         write_sieve_cache(path, 100_000, primes)
@@ -235,16 +249,87 @@ def test_sieve_cache_rejects_corrupt_prime_list(tmp_path):
         assert [f.name for f in tmp_path.iterdir()] == [path.name], label
 
 
-def test_segmented_mobius_across_a_partial_segment():
-    # the last segment of the Möbius pass holds only 5000 entries; check
-    # both ends of the range and the segment boundary by trial division
-    from cyclodist.arith import _MU_SEGMENT, _sieve_arrays_numpy
+def test_sieve_across_a_partial_segment():
+    # the last marking segment holds only 5000 entries, and the μ pass
+    # changes block size at every power of two up to _SEGMENT; check both
+    # ends of the range, the segment boundary and every n within 50 of a
+    # power of two by trial division
+    from cyclodist.arith import _SEGMENT, _sieve_arrays_numpy
 
-    limit = _MU_SEGMENT + 4_999
-    _, mu, _ = _sieve_arrays_numpy(limit)
-    assert len(mu) == limit + 1 and mu[0] == 0
-    for n in [*range(1, 5_001), *range(_MU_SEGMENT - 5_000, limit + 1)]:
-        assert mu[n] == FactoredNat(n, trial_factor(n)).mobius(), n
+    def check(limit, ns):
+        spf, mu, _ = _sieve_arrays_numpy(limit)
+        assert len(mu) == limit + 1 and mu[0] == 0
+        for n in ns:
+            fn = FactoredNat(n, trial_factor(n))
+            assert mu[n] == fn.mobius(), n
+            assert n == 1 or spf[n] == fn.factors[0][0], n
+
+    limit = _SEGMENT + 4_999
+    check(limit, [*range(1, 5_001), *range(_SEGMENT - 5_000, limit + 1)])
+    limit = 1 << 21
+    check(limit, [n for j in range(1, 22)
+                  for n in range(max(1, (1 << j) - 50), min(limit, (1 << j) + 50) + 1)])
+
+
+def _replaced_sieve(limit):
+    """The build the segmented one replaced: ascending marking of unmarked
+    positions only, then μ by dividing each small prime out of n segment
+    by segment (a squarefree n left with a cofactor > 1 has one more prime
+    factor, above sqrt(limit))."""
+    spf = np.zeros(limit + 1, dtype=np.int32)
+    root = math.isqrt(limit)
+    for p in range(2, root + 1):
+        if spf[p] == 0:
+            sl = spf[p * p :: p]
+            sl[sl == 0] = p
+    primes = np.flatnonzero(spf[2:] == 0).astype(np.int64) + 2
+    spf[primes] = primes
+    segment = 1 << 18
+    mu = np.ones(limit + 1, dtype=np.int8)
+    small = primes[primes <= root].tolist()
+    for lo in range(0, limit + 1, segment):
+        seg = mu[lo : lo + segment]
+        rem = np.arange(lo, lo + len(seg), dtype=np.int32)
+        for p in small:
+            start = -lo % p
+            seg[start::p] *= -1
+            rem[start::p] //= p
+            seg[-lo % (p * p) :: p * p] = 0
+        seg[rem > 1] *= -1
+    mu[0] = 0
+    return spf, mu, primes
+
+
+def test_sieve_matches_the_replaced_build(pack):
+    from cyclodist.arith import _sieve_arrays_numpy
+
+    rng = random.Random(2003)
+    limits = [2, 3, 4, 5, 10, 100, 1000, 65536, 2**18 - 1, 2**18, 2**18 + 1,
+              2**19 + 1, 1_100_000, 16_400_000]
+    limits += [rng.randrange(2, 3_000_001) for _ in range(20)]
+    for limit in [*limits, pack.limit]:
+        if limit == pack.limit:  # the session's 2*10^7 build
+            got = (pack.smallest_prime_factor, pack.mobius, pack.primes)
+        else:
+            got = _sieve_arrays_numpy(limit)
+        for arr, want in zip(got, _replaced_sieve(limit)):
+            assert arr.dtype == want.dtype and np.array_equal(arr, want), limit
+
+
+def test_sieve_spot_checks_against_trial_division(pack):
+    rng = np.random.default_rng(1985)
+    for n in rng.integers(2, pack.limit + 1, size=20_000).tolist():
+        fn = FactoredNat(n, trial_factor(n))
+        assert pack.smallest_prime_factor[n] == fn.factors[0][0], n
+        assert pack.mobius[n] == fn.mobius(), n
+
+
+def test_nth_prime_rejects_indices_out_of_range():
+    pk = sieve_pack(100)
+    assert pk.nth_prime(1) == 2 and pk.nth_prime(25) == 97
+    for bad in (0, -1, 26):
+        with pytest.raises(ValueError, match=r"outside prime index range \[1, 25\]"):
+            pk.nth_prime(bad)
 
 
 def test_sieve_limit_for_covers_the_nth_prime(pack):

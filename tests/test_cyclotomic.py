@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from cyclodist import cyclotomic
-from cyclodist.arith import euler_phi, factorize, least_prime_above, small_primes
+from cyclodist.arith import (
+    FactoredNat,
+    euler_phi,
+    factorize,
+    least_prime_above,
+    small_primes,
+)
 from cyclodist.cyclotomic import (
     _lift,
     _profile_lattice,
@@ -46,6 +52,13 @@ def test_partition_examples():
     assert cyclo_coeff_partition(6, 1) == -1
     with pytest.raises(ResourceBudgetError):
         cyclo_coeff_partition(2 * 9_999_991, 200_000)  # k <= phi, but over budget
+
+
+def test_partition_route_at_a_large_primorial():
+    # 2^19 divisors, of which the walk pruned at k visits only those <= k
+    fn = FactoredNat.from_factors([(p, 1) for p in small_primes(67)])
+    for k in range(13):
+        assert cyclo_coeff_partition(fn, k) == cyclo_coeff(fn, k), k
 
 
 def test_partition_zero_above_degree():
