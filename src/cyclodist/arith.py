@@ -288,6 +288,8 @@ def sieve_limit_for(
         if nprimes >= 6:
             limit = int(nprimes * (math.log(nprimes) + math.log(math.log(nprimes)))) + 1
     else:
+        if x < 0:
+            raise ValueError("x must be >= 0")
         limit = max(x, 2)
     return limit + abs(shift or 0)
 

@@ -216,6 +216,8 @@ def _run(args) -> int:
             "partition": cyclo_coeff_partition,
         }
         if args.method == "poly":
+            if args.k < 0:
+                raise ValueError("coefficient index k must be >= 0")
             coeffs = cyclo_poly(args.n)
             print(coeffs[args.k] if args.k < len(coeffs) else 0)
         else:

@@ -412,6 +412,8 @@ def build_table(table_id: str, full: bool = False, kmax: Optional[int] = None,
         return _BUILDERS[table_id](full=full, pack=pack)
     if full:
         raise ValueError(f"table {table_id} has no full mode")
+    if kmax is not None and kmax < 1:
+        raise ValueError("kmax must be >= 1")
     return _BUILDERS[table_id](**({} if kmax is None else {"kmax": kmax}))
 
 

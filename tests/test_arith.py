@@ -340,8 +340,9 @@ def test_sieve_limit_for_covers_the_nth_prime(pack):
     assert sieve_limit_for(nprimes=0) >= 2
     assert sieve_limit_for(nprimes=10_000) < 2 * pack.nth_prime(10_000)
     assert sieve_limit_for(x=1000) == 1000
+    assert sieve_limit_for(x=0) == sieve_limit_for(x=1) == 2  # legal, no primes
     assert sieve_limit_for(nprimes=10, shift=-7) == sieve_limit_for(nprimes=10) + 7
-    for bad in ({}, {"nprimes": 10, "x": 100}, {"nprimes": -1}):
+    for bad in ({}, {"nprimes": 10, "x": 100}, {"nprimes": -1}, {"x": -5}):
         with pytest.raises(ValueError):
             sieve_limit_for(**bad)
 

@@ -50,6 +50,7 @@ def test_partition_examples():
     assert cyclo_coeff_partition(105, 7) == -2
     assert cyclo_coeff_partition(3, 2) == 1  # mu(n)(mu(n)-1)/2 - mu(n/2)
     assert cyclo_coeff_partition(6, 1) == -1
+    assert type(cyclo_coeff_partition(105, 7)) is int  # not np.int64
     with pytest.raises(ResourceBudgetError):
         cyclo_coeff_partition(2 * 9_999_991, 200_000)  # k <= phi, but over budget
 
@@ -82,6 +83,7 @@ def test_poly_examples():
     assert cyclo_poly(6) == [1, -1, 1]
     assert cyclo_poly(12) == [1, 0, -1, 0, 1]
     assert cyclo_poly(15) == [1, -1, 0, 1, -1, 1, 0, -1, 1]
+    assert all(type(c) is int for c in cyclo_poly(105))  # not np.int64
     with pytest.raises(ResourceBudgetError):
         cyclo_poly(9_999_991 * 2)  # phi too large
 
@@ -109,7 +111,8 @@ def test_poly_monic_palindromic():
 
 
 def test_poly_255255():
-    # phi = 92,160, height 532; the object rows must hand back Python ints
+    # phi = 92,160, height 532: expanded in int64 rows (about 0.025 s),
+    # which must still hand back Python ints
     coeffs = cyclo_poly(255255)
     assert len(coeffs) == 92_161 and coeffs == coeffs[::-1]
     assert all(type(c) is int for c in coeffs)
@@ -293,6 +296,43 @@ def test_random_cross_routes_with_square_factors(pack):
             if fn.is_squarefree():
                 assert cyclo_coeff_series(fn, k) == want, (fn.value, k)
     assert squareful > 100
+
+
+def test_divisor_product_matches_recurrence(pack):
+    # the divisor product, in int64 rows at these heights, against the
+    # recurrence on random n < 10^6 truncated at random top <= phi(n), 400
+    rng = random.Random(2027)
+    squareful = 0
+    for _ in range(200):
+        fn = factorize(rng.randrange(2, 10**6), pack)
+        squareful += not fn.is_squarefree()
+        top = rng.randint(0, min(fn.phi(), 400))
+        out = cyclotomic._divisor_product(fn, top)
+        assert out.tolist() == cyclo_coeff_prefix(fn, top), (fn.value, top)
+    assert squareful > 50
+
+
+def _primorial_200() -> FactoredNat:
+    return FactoredNat.from_factors([(p, 1) for p in small_primes(200)])
+
+
+def test_divisor_product_leaves_int64_when_the_bound_does():
+    # at k = 3000 the height bound of a prefix sum passes 2^63, so the row
+    # must finish in Python ints, and still equal the recurrence
+    fn = _primorial_200()
+    out = cyclotomic._divisor_product(fn, 3000)
+    assert out.dtype == object
+    assert out.tolist() == cyclo_coeff_prefix(fn, 3000)
+
+
+@pytest.mark.slow
+def test_divisor_product_past_int64():
+    # k = 8937 is the first index at which a coefficient of prod_(p<=200) p
+    # leaves int64, where int64 rows would wrap
+    fn = _primorial_200()
+    out = cyclotomic._divisor_product(fn, 8937).tolist()
+    assert max(map(abs, out[:-1])) < 2**63 <= abs(out[-1])
+    assert out == cyclo_coeff_prefix(fn, 8937)
 
 
 def test_construct_examples():

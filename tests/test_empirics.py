@@ -120,6 +120,10 @@ def test_scan_bounds_validation(pack):
         scan_primes("c_pminus1", nprimes=10, pack=pack)  # missing k
     with pytest.raises(ValueError):
         scan_primes("nonsense", nprimes=10, pack=pack)
+    with pytest.raises(ValueError, match="x must be >= 0"):
+        scan_primes("mu_pminus1", x=-5, pack=pack)
+    for x in (0, 1):  # legal bounds below the first prime
+        assert scan_primes("mu_pminus1", x=x, pack=pack).total == 0
     with pytest.raises(ResourceBudgetError):
         scan_primes("mu_pminus1", nprimes=10**8, pack=pack)
 

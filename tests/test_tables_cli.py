@@ -12,6 +12,7 @@ from cyclodist.cyclotomic import cyclo_coeff
 from cyclodist.densities_prime import ValuationConstraint
 from cyclodist.empirics import symmetric_residue
 from cyclodist.tables import (
+    KMAX_TABLES,
     TABLE_IDS,
     build_table,
     compare_to_golden,
@@ -284,6 +285,16 @@ def test_cli_exit_codes(capsys):
                  ["coeff", "--n", "6", "--k", "1"]):
         code, _, err = run_cli(capsys, "--sieve-limit", "0", *argv)
         assert code == 2 and "sieve limit" in err, argv
+    # a negative k is refused by every method, not read from the end by poly
+    for method in ("recurrence", "series", "partition", "poly"):
+        code, out, err = run_cli(capsys, "coeff", "--n", "7", "--k", "-1", "--method", method)
+        assert code == 2 and out == "" and "k must be >= 0" in err, method
+    for table_id in KMAX_TABLES:  # no header-only table for kmax < 1
+        for kmax in ("0", "-2"):
+            code, out, err = run_cli(capsys, "table", "--id", table_id, "--kmax", kmax)
+            assert code == 2 and out == "" and "kmax must be >= 1" in err, (table_id, kmax)
+    code, out, err = run_cli(capsys, "empirical", "--stat", "mu", "--x", "-5")
+    assert code == 2 and out == "" and "x must be >= 0" in err
     # --full exists only for the tables that scan primes
     code, _, err = run_cli(capsys, "table", "--id", "3", "--kmax", "3", "--full")
     assert code == 2 and "full" in err
