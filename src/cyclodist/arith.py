@@ -369,12 +369,6 @@ class FactoredNat:
             out *= p
         return out
 
-    def nu(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
 
@@ -383,16 +377,7 @@ class FactoredNat:
 
     def divisors(self) -> list:
         """All divisors in increasing order (count = prod(e_i + 1))."""
-        divs = [1]
-        for p, e in self.factors:
-            pk = 1
-            step = []
-            for _ in range(e):
-                pk *= p
-                step.append(pk)
-            divs += [d * q for q in step for d in divs]
-        divs.sort()
-        return divs
+        return sorted(d.value for d in self.iter_divisors_factored())
 
     def iter_divisors_factored(self, upto: Optional[int] = None) -> Iterator["FactoredNat"]:
         """Divisors as FactoredNats (unsorted); no re-factorization cost.

@@ -9,8 +9,6 @@ error, 3 resource budget exceeded, 4 internal consistency failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import re
 import sys
@@ -42,22 +40,18 @@ from .errors import InternalConsistencyError, ResourceBudgetError
 from .ramanujan import natural_density_of_ramanujan, natural_moment_of_ramanujan, ramanujan_sum, ramanujan_sum_direct
 
 
-def _emit_rows(columns: List[str], rows: List[List[str]], fmt: str, payload=None) -> None:
+def _emit_rows(columns: List[str], rows: List[List[str]], fmt: str, payload) -> None:
     if fmt == "json":
-        print(json.dumps(payload if payload is not None else
-                         [dict(zip(columns, r)) for r in rows],
-                         indent=1, sort_keys=True))
-    elif fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(columns)
-        w.writerows(rows)
-        print(buf.getvalue(), end="")
+        print(json.dumps(payload, indent=1, sort_keys=True))
     else:
-        print("| " + " | ".join(columns) + " |")
-        print("|" + "|".join(" --- " for _ in columns) + "|")
-        for r in rows:
-            print("| " + " | ".join(str(c) for c in r) + " |")
+        print(tables.render_rows(columns, rows, fmt), end="")
+
+
+_COEFF_METHODS = {
+    "recurrence": cyclo_coeff,
+    "series": cyclo_coeff_series,
+    "partition": cyclo_coeff_partition,
+}
 
 
 def _density_rows(table: DensityTable):
@@ -109,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeff", help="one cyclotomic coefficient a_n(k)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--method", choices=("recurrence", "series", "partition", "poly"), default="recurrence")
+    p.add_argument("--method", choices=tuple(_COEFF_METHODS), default="recurrence")
 
     p = fmt(sub.add_parser("poly", help="all coefficients of Phi_n"))
     p.add_argument("--n", type=int, required=True)
@@ -210,18 +204,7 @@ def _run(args) -> int:
     cmd = args.command
 
     if cmd == "coeff":
-        fn = {
-            "recurrence": cyclo_coeff,
-            "series": cyclo_coeff_series,
-            "partition": cyclo_coeff_partition,
-        }
-        if args.method == "poly":
-            if args.k < 0:
-                raise ValueError("coefficient index k must be >= 0")
-            coeffs = cyclo_poly(args.n)
-            print(coeffs[args.k] if args.k < len(coeffs) else 0)
-        else:
-            print(fn[args.method](args.n, args.k))
+        print(_COEFF_METHODS[args.method](args.n, args.k))
     elif cmd == "poly":
         coeffs = cyclo_poly(args.n)
         _emit_rows(["k", "a_n(k)"],

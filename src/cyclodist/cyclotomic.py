@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Dict, FrozenSet, List, Tuple
 
 import numpy as np
@@ -327,15 +327,7 @@ class CoeffProfile:
 
 def support_modulus(k: int) -> FactoredNat:
     """M_k = k * prod_(p<=k) p with its factorization."""
-    fk = as_factored(k)
-    exps = dict(fk.factors)
-    for p in small_primes(k):
-        exps[p] = exps.get(p, 0) + 1
-    fac = tuple(sorted(exps.items()))
-    val = 1
-    for p, e in fac:
-        val *= p**e
-    return FactoredNat(val, fac)
+    return reduce(FactoredNat.times_prime, small_primes(k), as_factored(k))
 
 
 _LIFT_BLOCK = 4096  # rows per int64 block of a lattice lift

@@ -60,7 +60,10 @@ def artin_constant(
 
     The documented tail estimate 2.52/(P log P) must not exceed the goal,
     otherwise the configured sieve cannot reach the precision and the
-    request is refused."""
+    request is refused.  A goal that is not positive and finite is refused
+    before any sieve is built."""
+    if not 0 < precision_goal < math.inf:
+        raise ValueError(f"precision goal must be positive and finite, got {precision_goal}")
     pack = pack or default_pack()
     bound = _tail_bound(pack.limit)
     if bound > precision_goal:
@@ -241,21 +244,14 @@ def ramanujan_prime_moment(
         raise ValueError("z = 1 is the mean; use ramanujan_prime_mean_abs")
     if not z > 0:
         raise ValueError("moment order z must be positive")
-    fk = as_factored(k)
-    if isinstance(z, int):
-        coeff = Fraction(1)
-        for q, nu in fk.factors:
-            qz = Fraction(q) ** (z - 1)
-            num = (qz**nu - 1) * (q - 1) * (Fraction(q - 1) ** z + qz - 1)
-            coeff *= 1 + num / ((q * q - q - 1) * (qz - 1))
-        return coeff, Basis.ARTIN
-    zf = float(z)
-    out = 1.0
-    for q, nu in fk.factors:
-        qz = q ** (zf - 1.0)
-        num = (qz**nu - 1.0) * (q - 1.0) * ((q - 1.0) ** zf + qz - 1.0)
-        out *= 1.0 + num / ((q * q - q - 1.0) * (qz - 1.0))
-    return out, Basis.ARTIN
+    kind = Fraction if isinstance(z, int) else float
+    z = kind(z)
+    coeff = kind(1)
+    for q, nu in as_factored(k).factors:
+        qz = kind(q) ** (z - 1)
+        num = (qz**nu - 1) * (q - 1) * (kind(q - 1) ** z + qz - 1)
+        coeff *= 1 + num / ((q * q - q - 1) * (qz - 1))
+    return coeff, Basis.ARTIN
 
 
 # -- a_(p-1)(k) and the elementary symmetric functions of primitive roots ----------

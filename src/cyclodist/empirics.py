@@ -2,7 +2,7 @@
 
 Every counting routine here is exact, reproducible bit-for-bit, and
 ignorant of the theory it is used to validate (it shares only the value
-maps `cyclo_coeff` and `ramanujan_sum`, never density weights).  A scan is
+maps `cyclo_coeff` and `ramanujan_split`, never density weights).  A scan is
 a numpy pass over blocks of `_BLOCK` primes p (or integers n); values of
 a_n(k) and c_n(m), n = p - 1 for primes, depend only on the part n_S of n
 at a finite prime set S and on μ of the cofactor n / n_S, and one engine
@@ -22,7 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .arith import (
 from .cyclotomic import PROFILE_MAX_K, cyclo_coeff
 from .densities_prime import ValuationConstraint
 from .errors import ResourceBudgetError
-from .ramanujan import ramanujan_sum
+from .ramanujan import ramanujan_split
 
 PRIMITIVE_ROOT_LIMIT = 1_000_000
 SYMMETRIC_ORACLE_LIMIT = 100_000
@@ -158,15 +158,10 @@ def _coeff_values(k: int, pack: SievePack) -> Callable[[np.ndarray], np.ndarray]
 
 
 def _ramanujan_values(m: int, pack: SievePack) -> Callable[[np.ndarray], np.ndarray]:
-    """n -> c_n(m) on arrays.  S = primes dividing m; nu_p(n) >= nu_p(m) + 2
-    gives 0, and a cofactor c coprime to m contributes c_c(m) = mu(c)."""
-
-    def pair(f: FactoredNat) -> Tuple[int, int]:
-        c = ramanujan_sum(f, m)
-        return c, -c
-
-    caps = {q: nu + 1 for q, nu in as_factored(m).factors}
-    return _split_values(caps, pair, pack)
+    """n -> c_n(m) on arrays, with the caps and pair of
+    :func:`cyclodist.ramanujan.ramanujan_split`."""
+    caps, pair = ramanujan_split(m)
+    return _split_values(dict(caps), lambda f: pair(f.value), pack)
 
 
 def _s_k_values(ps: np.ndarray, k: int, coeff: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -282,8 +277,8 @@ def scan_primes(
         keep = np.ones(len(ps), dtype=bool)
         if constraint is not None:
             exps, rest = _peel(ns, constraint.primes())
-            for (_, spec), e in zip(constraint.entries, exps):
-                keep &= e >= spec[1] if isinstance(spec, tuple) else e == spec
+            for q, e in zip(constraint.primes(), exps):
+                keep &= constraint.allows(q, e)
             if constraint.squarefree_outside:
                 keep &= pack.mobius[rest] != 0
         if statistic == "mu_pminus1":
@@ -377,38 +372,30 @@ def symmetric_functions_mod_p(
 # -- Möbius sums over integers -----------------------------------------------------
 
 
-def _coprime_mask(x: int, r_primes: Iterable[int]) -> np.ndarray:
+def _coprime_mobius(x: int, r, pack: Optional[SievePack]) -> np.ndarray:
+    """mu(m) for the m <= x coprime to r; x = 0 builds no sieve."""
+    if x < 0:
+        raise ValueError("x must be >= 0")
+    if x == 0:
+        return np.zeros(0, dtype=np.int8)
+    pack = pack or default_pack(x)
+    if x > pack.limit:
+        raise ResourceBudgetError(f"x = {x} exceeds sieve limit")
     mask = np.ones(x + 1, dtype=bool)
     mask[0] = False
-    for q in r_primes:
+    for q in as_factored(r).primes():
         mask[q::q] = False
-    return mask
+    return pack.mobius[: x + 1][mask]
 
 
 def count_squarefree_coprime(x: int, r, pack: Optional[SievePack] = None) -> int:
     """#{m <= x : m squarefree, gcd(m, r) = 1}, exact."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if x == 0:
-        return 0
-    pack = pack or default_pack(x)
-    if x > pack.limit:
-        raise ResourceBudgetError(f"x = {x} exceeds sieve limit")
-    mask = _coprime_mask(x, as_factored(r).primes())
-    return int(np.count_nonzero(mask & (pack.mobius[: x + 1] != 0)))
+    return int(np.count_nonzero(_coprime_mobius(x, r, pack)))
 
 
 def mertens_coprime(x: int, r, pack: Optional[SievePack] = None) -> int:
     """sum_(m <= x, gcd(m, r) = 1) mu(m), exact signed sum."""
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    if x == 0:
-        return 0
-    pack = pack or default_pack(x)
-    if x > pack.limit:
-        raise ResourceBudgetError(f"x = {x} exceeds sieve limit")
-    mask = _coprime_mask(x, as_factored(r).primes())
-    return int(pack.mobius[: x + 1][mask].sum(dtype=np.int64))
+    return int(_coprime_mobius(x, r, pack).sum(dtype=np.int64))
 
 
 # -- bulk integer scans (value counts over n <= limit) ------------------------------

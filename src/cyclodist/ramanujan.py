@@ -137,9 +137,9 @@ def natural_moment_of_ramanujan(m: FactoredLike, order: int) -> Tuple[Fraction, 
     against the density table before returning."""
     if order < 1:
         raise ValueError("moment order must be >= 1")
+    fm = as_factored(m)
     if order % 2 == 1:
         return Fraction(0), Basis.ONE
-    fm = as_factored(m)
     coeff = Fraction(1)
     for q, nu in fm.factors:
         coeff *= _local_moment_factor(q, nu, order)

@@ -85,19 +85,24 @@ class TableArtifact:
         return json.dumps(payload, **kwargs)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
-        writer.writerows(self.rows)
-        return buf.getvalue()
+        return render_rows(self.columns, self.rows, "csv")
 
     def to_markdown(self) -> str:
-        head = "| " + " | ".join(self.columns) + " |"
-        sep = "|" + "|".join(" --- " for _ in self.columns) + "|"
-        body = ["| " + " | ".join(r) + " |" for r in self.rows]
         note = "conditional on Möbius sign equidistribution over shifted primes" \
             if self.conditional else "unconditional"
-        return "\n".join([f"**{self.title}** ({note})", "", head, sep, *body, ""])
+        return f"**{self.title}** ({note})\n\n" + render_rows(self.columns, self.rows, "markdown")
+
+
+def render_rows(columns: List[str], rows: List[list], fmt: str) -> str:
+    """The rows under their column names as csv, or (any other `fmt`) as a
+    markdown table; every line ends in a newline."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([columns, *rows])
+        return buf.getvalue()
+    lines = ["| " + " | ".join(columns) + " |", "|" + "|".join(" --- " for _ in columns) + "|"]
+    lines += ["| " + " | ".join(map(str, r)) + " |" for r in rows]
+    return "\n".join(lines) + "\n"
 
 
 def load_golden(table_id: str) -> dict:

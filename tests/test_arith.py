@@ -147,6 +147,13 @@ def test_divisors():
     assert d == sorted(d) and len(d) == len(set(d))
 
 
+def test_divisors_against_trial_division():
+    # divisors() is the walk of iter_divisors_factored, sorted: checked
+    # here against trial division, independently of the walk
+    for n in range(1, 3001):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+
+
 def test_iter_divisors_factored():
     fn = factorize(360)
     vals = sorted(d.value for d in fn.iter_divisors_factored())

@@ -46,6 +46,17 @@ def test_artin_unreachable_precision(pack):
         artin_constant(1e-10, pack=pack)
 
 
+def test_artin_invalid_precision_builds_no_sieve(monkeypatch):
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("sieve built for an invalid precision goal")
+
+    monkeypatch.setattr(arith, "sieve_pack", no_sieve)
+    monkeypatch.setattr(arith, "_default_pack", None)
+    for goal in (0, -1, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="precision goal"):
+            artin_constant(goal)
+
+
 def test_artin_accelerated_within_proven_bound(pack):
     a = artin_constant_accelerated()
     assert abs(a.value - A_DIGITS) <= a.tail_bound <= 1e-10

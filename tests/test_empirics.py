@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from cyclodist import empirics
-from cyclodist.arith import factorize, small_primes
+from cyclodist.arith import factorize, mobius, small_primes
 from cyclodist.cyclotomic import cyclo_coeff
 from cyclodist.densities_prime import ValuationConstraint, artin_constant
 from cyclodist.empirics import (
@@ -299,6 +300,23 @@ def test_mobius_sums(pack):
     assert abs(m) / 10**6 < 0.001
     for r in (2, 6, 30):
         assert abs(mertens_coprime(10**6, r, pack)) / 10**6 < 0.03
+
+
+def test_coprime_window_against_brute_force(pack, monkeypatch):
+    mu = [0] + [mobius(m) for m in range(1, 3001)]
+    rng = random.Random(5)
+    xs = [0, 1, 2, 3000] + [rng.randrange(3, 3000) for _ in range(16)]
+    for r in (1, 2, 4, 12, 18, 30, 49, 360, 1001, 2**10):
+        for x in xs:
+            window = [mu[m] for m in range(1, x + 1) if math.gcd(m, r) == 1]
+            assert count_squarefree_coprime(x, r, pack) == sum(map(abs, window)), (x, r)
+            assert mertens_coprime(x, r, pack) == sum(window), (x, r)
+
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("sieve built for x = 0")
+
+    monkeypatch.setattr(empirics, "default_pack", no_sieve)
+    assert count_squarefree_coprime(0, 12) == 0 and mertens_coprime(0, 12) == 0
 
 
 def test_count_ramanujan_values_small(pack):

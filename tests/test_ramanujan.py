@@ -1,15 +1,18 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from cyclodist.arith import factorize
+from cyclodist.arith import factorize, is_prime_int
 from cyclodist.density import Basis
 from cyclodist.errors import ResourceBudgetError
 from cyclodist.ramanujan import (
+    _DIRECT_LIMIT,
     natural_density_of_ramanujan,
     natural_moment_of_ramanujan,
+    ramanujan_split,
     ramanujan_sum,
     ramanujan_sum_direct,
 )
@@ -114,6 +117,21 @@ def test_density_total_mass_m_to_50():
         natural_density_of_ramanujan(m).validate()
 
 
+def test_split_pair_matches_direct_oracle():
+    # the pair behind the exact densities and the scans, at every n_S of the
+    # fold: sign +1 is c_(n_S)(m), sign -1 is c_(n_S b)(m) for a prime b
+    # not dividing m (checked wherever n_S b is in the oracle's range)
+    for m in range(1, 201):
+        caps, pair = ramanujan_split(m)
+        b = next(p for p in itertools.count(2) if is_prime_int(p) and m % p)
+        for exps in itertools.product(*(range(cap + 1) for _, cap in caps)):
+            n_s = math.prod(q**e for (q, _), e in zip(caps, exps))
+            plus, minus = pair(n_s)
+            assert plus == ramanujan_sum_direct(n_s, m), (m, n_s)
+            if n_s * b <= _DIRECT_LIMIT:
+                assert minus == ramanujan_sum_direct(n_s * b, m), (m, n_s)
+
+
 def test_density_symmetry():
     for m in range(1, 51):
         table = natural_density_of_ramanujan(m).as_dict()
@@ -137,3 +155,8 @@ def test_moment_density_consistency():
             assert coeff > 0
         for order in (1, 3, 5):
             assert natural_moment_of_ramanujan(m, order)[0] == 0
+    # an odd order has moment 0, but only for an m that exists
+    for m in (-3, 0):
+        for order in (1, 2):
+            with pytest.raises(ValueError):
+                natural_moment_of_ramanujan(m, order)

@@ -155,9 +155,13 @@ def test_reproduce_all(tmp_path, pack):
 def test_cli_coeff(capsys):
     code, out, _ = run_cli(capsys, "coeff", "--n", "105", "--k", "7")
     assert code == 0 and out.strip() == "-2"
-    for method in ("series", "partition", "poly"):
+    for method in ("series", "partition"):
         code, out, _ = run_cli(capsys, "coeff", "--n", "105", "--k", "7", "--method", method)
         assert code == 0 and out.strip() == "-2"
+    # poly is a subcommand of its own, not a coefficient method
+    with pytest.raises(SystemExit) as exc:
+        main(["coeff", "--n", "105", "--k", "7", "--method", "poly"])
+    assert exc.value.code == 2
 
 
 def test_cli_rama(capsys):
@@ -171,6 +175,16 @@ def test_cli_poly(capsys):
     code, out, _ = run_cli(capsys, "poly", "--n", "12", "--format", "json")
     assert code == 0
     assert json.loads(out)["coefficients"] == [1, 0, -1, 0, 1]
+    # the bytes the rendering of tables and of every other query prints
+    code, out, _ = run_cli(capsys, "poly", "--n", "6")
+    assert out == "| k | a_n(k) |\n| --- | --- |\n| 0 | 1 |\n| 1 | -1 |\n| 2 | 1 |\n"
+    code, out, _ = run_cli(capsys, "poly", "--n", "6", "--format", "csv")
+    assert out == "k,a_n(k)\n0,1\n1,-1\n2,1\n"
+    code, out, _ = run_cli(capsys, "table", "--id", "3", "--kmax", "1")
+    assert out == ("**Scaled average e_k of the k-th cyclotomic coefficient** (unconditional)"
+                   "\n\n| k | e_k |\n| --- | --- |\n| 1 | 0 |\n\n")
+    code, out, _ = run_cli(capsys, "table", "--id", "3", "--kmax", "1", "--format", "csv")
+    assert out == "k,e_k\n1,0\n"
 
 
 def test_cli_mean_and_density(capsys):
@@ -268,6 +282,16 @@ def test_cli_exit_codes(capsys):
     assert code == 3 and "resource" in err.lower()
     code, _, err = run_cli(capsys, "moment", "prime", "--k", "2", "--z", "1")
     assert code == 2
+    # an odd order is no excuse for an m that does not exist
+    for m in ("-3", "0"):
+        for order in ("1", "2"):
+            code, out, err = run_cli(capsys, "moment", "natural", "--m", m, "--order", order)
+            assert code == 2 and out == "", (m, order)
+    # an invalid precision goal is a usage error, not a budget overrun
+    for goal in ("0", "-1", "nan"):
+        code, out, err = run_cli(capsys, "--sieve-limit", "1000", "constants",
+                                 "--precision", goal)
+        assert code == 2 and out == "" and "precision goal" in err, goal
     code, _, err = run_cli(capsys, "empirical", "--stat", "c", "--nprimes", "10")
     assert code == 2  # missing k
     code, _, err = run_cli(capsys, "empirical", "--stat", "mu", "--nprimes", "10",
@@ -285,8 +309,8 @@ def test_cli_exit_codes(capsys):
                  ["coeff", "--n", "6", "--k", "1"]):
         code, _, err = run_cli(capsys, "--sieve-limit", "0", *argv)
         assert code == 2 and "sieve limit" in err, argv
-    # a negative k is refused by every method, not read from the end by poly
-    for method in ("recurrence", "series", "partition", "poly"):
+    # a negative k is refused by every method
+    for method in ("recurrence", "series", "partition"):
         code, out, err = run_cli(capsys, "coeff", "--n", "7", "--k", "-1", "--method", method)
         assert code == 2 and out == "" and "k must be >= 0" in err, method
     for table_id in KMAX_TABLES:  # no header-only table for kmax < 1
