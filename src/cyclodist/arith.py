@@ -78,25 +78,15 @@ def is_prime_int(n: int) -> bool:
 _SEGMENT = 1 << 18
 
 
-def _sieve_arrays_numpy(limit: int, primes: Optional[np.ndarray] = None):
+def _sieve_arrays_numpy(limit: int):
     """Segmented Eratosthenes: (spf, mu, primes) over [0..limit].
 
     Block by block, the sievers p <= sqrt(limit) write p at their multiples
     from p^2 on, largest p first and unmasked, so each composite keeps its
     least prime factor.  μ is read off the finished table: with p = spf[n]
     and m = n // p, μ(n) = 0 if spf[m] == p, else -μ(m); as m <= n/2, blocks
-    [lo, lo + min(lo, _SEGMENT)) in increasing order read only filled entries.
-
-    A cached prime list supplies the sievers, and None is returned unless
-    the unmarked positions are exactly the list.  No write hits a prime, so
-    a missing prime stays unmarked; a listed composite c is overwritten by
-    its least prime q <= sqrt(c), which writes after c as q < c, so c is
-    marked (or q is missing).  Only the true list, ascending, passes."""
-    root = math.isqrt(limit)
-    if primes is None:
-        sievers = small_primes(root)
-    else:
-        sievers = np.unique(primes[(primes >= 2) & (primes <= root)]).tolist()
+    [lo, lo + min(lo, _SEGMENT)) in increasing order read only filled entries."""
+    sievers = small_primes(math.isqrt(limit))
     spf = np.zeros(limit + 1, dtype=np.int32)
     for lo in range(0, limit + 1, _SEGMENT):
         seg = spf[lo : lo + _SEGMENT]
@@ -104,8 +94,6 @@ def _sieve_arrays_numpy(limit: int, primes: Optional[np.ndarray] = None):
         for p in reversed(sievers[:top]):
             seg[max(p * p, -(-lo // p) * p) - lo :: p] = p
     prime_idx = np.flatnonzero(spf[2:] == 0).astype(np.int64) + 2
-    if primes is not None and not np.array_equal(prime_idx, primes):
-        return None
     spf[prime_idx] = prime_idx
     mu = np.empty(limit + 1, dtype=np.int8)
     mu[:2] = (0, 1)
@@ -217,18 +205,15 @@ def read_sieve_cache(path, limit: int) -> Optional[np.ndarray]:
     return np.frombuffer(data, dtype="<u8").astype(np.int64)
 
 
-def _cache_path(cache_dir: Path, limit: int) -> Path:
-    return cache_dir / f"sieve_{limit}.cpd1"
-
-
 def sieve_pack(limit: int = DEFAULT_SIEVE_LIMIT, cache_dir=None) -> SievePack:
-    """Build (or load from cache) the shared sieve tables up to `limit`.
+    """Build the shared sieve tables up to `limit`.
 
-    The cache directory is taken from the argument or the CYCLODIST_CACHE
-    environment variable.  A cache file is used only when its stored limit
-    matches the request and its prime list survives the check in
-    `_sieve_arrays_numpy`; otherwise the tables are built afresh and the
-    file is (re)written when possible.
+    With a cache directory (the argument or the CYCLODIST_CACHE environment
+    variable), the fresh prime list is then compared with the file
+    sieve_<limit>.cpd1 there, which is (re)written, when possible, unless
+    it holds exactly that list.  No sieve is ever built from the file, so
+    it saves no time; it stays only while the benchmark's `cli_cold`
+    workload passes --cache-dir (ROADMAP item 1).
     """
     if limit < 2:
         raise ValueError("sieve limit must be >= 2")
@@ -236,20 +221,17 @@ def sieve_pack(limit: int = DEFAULT_SIEVE_LIMIT, cache_dir=None) -> SievePack:
         raise ResourceBudgetError(
             f"sieve limit {limit} exceeds memory budget {MAX_SIEVE_LIMIT}"
         )
+    spf, mu, primes = _sieve_arrays_numpy(limit)
     cdir = _resolve_cache_dir(cache_dir)
     if cdir is not None:
-        cached = read_sieve_cache(_cache_path(cdir, limit), limit)
-        if cached is not None:
-            arrays = _sieve_arrays_numpy(limit, primes=cached)
-            if arrays is not None:
-                return SievePack(limit, *arrays)
-    spf, mu, primes = _sieve_arrays_numpy(limit)
-    if cdir is not None:
-        try:
-            cdir.mkdir(parents=True, exist_ok=True)
-            write_sieve_cache(_cache_path(cdir, limit), limit, primes)
-        except OSError:
-            pass
+        path = cdir / f"sieve_{limit}.cpd1"
+        cached = read_sieve_cache(path, limit)
+        if cached is None or not np.array_equal(cached, primes):
+            try:
+                cdir.mkdir(parents=True, exist_ok=True)
+                write_sieve_cache(path, limit, primes)
+            except OSError:
+                pass
     return SievePack(limit, spf, mu, primes)
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import tables
-from .arith import DEFAULT_SIEVE_LIMIT, default_pack, sieve_limit_for, sieve_pack
+from .arith import DEFAULT_SIEVE_LIMIT, sieve_limit_for, sieve_pack
 from .cyclotomic import (
     cyclo_coeff,
     cyclo_coeff_partition,
@@ -28,6 +28,7 @@ from .densities_natural import coeff_density, mean_coeff, mean_coeff_partition
 from .densities_prime import (
     ValuationConstraint,
     artin_constant,
+    check_precision_goal,
     coeff_prime_density,
     ramanujan_prime_density,
     ramanujan_prime_moment,
@@ -91,7 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cyclodist",
         description="Exact Ramanujan-sum / cyclotomic-coefficient distributions",
     )
-    ap.add_argument("--cache-dir", default=None, help="sieve cache directory (or $CYCLODIST_CACHE)")
+    ap.add_argument("--cache-dir", default=None,
+                    help="compare each sieve built with its file here (or in $CYCLODIST_CACHE), rewrite it if it "
+                         "differs; never loaded, saves no time, kept while the cli_cold benchmark passes it")
     ap.add_argument("--sieve-limit", type=int, default=None,
                     help=f"sieve limit (default: what the query needs; {DEFAULT_SIEVE_LIMIT} for constants)")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -193,13 +196,8 @@ def _resolve_stat(stat: str, k: Optional[int]):
 
 def _run(args) -> int:
     def get_pack(limit: int):
-        """The pack for a query that needs `limit`: --sieve-limit overrides
-        it, --cache-dir only says where the cache for it lives."""
-        if args.sieve_limit is not None:
-            return sieve_pack(args.sieve_limit, args.cache_dir)
-        if args.cache_dir:
-            return sieve_pack(limit, args.cache_dir)
-        return default_pack(limit)
+        """The pack for a query that needs `limit`, or --sieve-limit."""
+        return sieve_pack(limit if args.sieve_limit is None else args.sieve_limit, args.cache_dir)
 
     cmd = args.command
 
@@ -273,6 +271,7 @@ def _run(args) -> int:
                      f"{float(mean) * basis_numeric(table.basis):.6f}"])
         _emit_rows(cols, rows, args.format, payload=payload)
     elif cmd == "constants":
+        check_precision_goal(args.precision)
         pack = get_pack(DEFAULT_SIEVE_LIMIT)
         a = artin_constant(args.precision, pack=pack)
         rows = [["artin", f"{a.value:.10f}", f"{a.tail_bound:.3g}", str(a.truncation_prime)]]

@@ -66,14 +66,9 @@ def _make_ek(k: int, e_k: Fraction) -> EkValue:
 
 
 def mean_coeff(k: int) -> EkValue:
-    """e_k as the first moment of the divisor-profile density table.
-
-    k = 1 is special: the degree-1 polynomial at n = 1 breaks the generic
-    d = 1 term, and the true mean of a_n(1) = -mu(n) (n > 1) is 0."""
+    """e_k as the first moment of the divisor-profile density table."""
     if k < 1:
         raise ValueError("mean_coeff requires k >= 1")
-    if k == 1:
-        return EkValue(1, Fraction(0), 0)
     return _make_ek(k, coeff_density(k).moment(1))
 
 

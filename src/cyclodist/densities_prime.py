@@ -51,6 +51,12 @@ def _tail_bound(limit: int) -> float:
     return _TAIL_CONSTANT / (limit * math.log(limit)) + _FLOAT_SLACK
 
 
+def check_precision_goal(precision_goal: float) -> None:
+    """Refuse a precision goal that is not positive and finite."""
+    if not 0 < precision_goal < math.inf:
+        raise ValueError(f"precision goal must be positive and finite, got {precision_goal}")
+
+
 def artin_constant(
     precision_goal: float = 1e-8, pack: Optional[SievePack] = None
 ) -> EulerProductConstant:
@@ -62,8 +68,7 @@ def artin_constant(
     otherwise the configured sieve cannot reach the precision and the
     request is refused.  A goal that is not positive and finite is refused
     before any sieve is built."""
-    if not 0 < precision_goal < math.inf:
-        raise ValueError(f"precision goal must be positive and finite, got {precision_goal}")
+    check_precision_goal(precision_goal)
     pack = pack or default_pack()
     bound = _tail_bound(pack.limit)
     if bound > precision_goal:

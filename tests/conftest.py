@@ -12,16 +12,16 @@ def pack():
 
 @pytest.fixture
 def sieve_builds(monkeypatch):
-    """Limits of every sieve built (or loaded from a cache) during the test.
+    """Limits of every sieve built during the test.
 
     The process-wide pack and the cached Artin value are cleared first, so
     that neither can hide a sieve the code under test would need."""
     limits = []
     build = arith._sieve_arrays_numpy
 
-    def recording(limit, primes=None):
+    def recording(limit):
         limits.append(limit)
-        return build(limit, primes)
+        return build(limit)
 
     monkeypatch.setattr(arith, "_sieve_arrays_numpy", recording)
     monkeypatch.setattr(arith, "_default_pack", None)

@@ -214,6 +214,18 @@ def test_sieve_pack_uses_cache_dir(tmp_path):
     assert pk2.mobius.tolist() == pk1.mobius.tolist()
 
 
+def test_sieve_pack_leaves_a_correct_cache_file_alone(tmp_path):
+    sieve_pack(10_000, cache_dir=tmp_path)
+    path = tmp_path / "sieve_10000.cpd1"
+    before = path.stat()
+    cached = sieve_pack(10_000, cache_dir=tmp_path)
+    after = path.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    fresh = sieve_pack(10_000)
+    for name in ("smallest_prime_factor", "mobius", "primes"):
+        assert np.array_equal(getattr(cached, name), getattr(fresh, name)), name
+
+
 def test_sieve_pack_cache_env(tmp_path, monkeypatch):
     monkeypatch.setenv("CYCLODIST_CACHE", str(tmp_path))
     sieve_pack(5000)

@@ -404,10 +404,24 @@ def test_cli_cache_dir_sized_to_the_query(capsys, tmp_path, sieve_builds):
     assert code == 0
     limit = sieve_limit_for(nprimes=1000)
     assert [f.name for f in tmp_path.glob("*.cpd1")] == [f"sieve_{limit}.cpd1"]
+    written = (tmp_path / f"sieve_{limit}.cpd1").stat()
     code, again, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "empirical", "--stat", "s2",
                              "--nprimes", "1000", "--format", "csv")
     assert code == 0 and again == out
-    assert sieve_builds == [limit, limit]  # a build, then a verified load
+    assert sieve_builds == [limit, limit]  # two builds; the second leaves its file alone
+    kept = (tmp_path / f"sieve_{limit}.cpd1").stat()
+    assert (kept.st_ino, kept.st_mtime_ns) == (written.st_ino, written.st_mtime_ns)
+
+
+def test_cli_bad_precision_goal_builds_no_sieve(capsys, tmp_path, sieve_builds):
+    # the goal is refused before the 2*10^7 sieve (or any cache file) exists
+    for flags in ([], ["--sieve-limit", "1000"], ["--cache-dir", str(tmp_path)],
+                  ["--sieve-limit", "1000", "--cache-dir", str(tmp_path)]):
+        for goal in ("0", "-1", "nan"):
+            code, out, err = run_cli(capsys, *flags, "constants", "--precision", goal)
+            assert code == 2 and out == "" and "precision goal" in err, (flags, goal)
+    assert sieve_builds == []
+    assert list(tmp_path.glob("*.cpd1")) == []
 
 
 def test_cli_empirical_needs_a_range(capsys, sieve_builds):
