@@ -28,6 +28,7 @@ from .densities_natural import coeff_density, mean_coeff, mean_coeff_partition
 from .densities_prime import (
     ValuationConstraint,
     artin_constant,
+    check_kfree_order,
     check_precision_goal,
     coeff_prime_density,
     ramanujan_prime_density,
@@ -272,12 +273,14 @@ def _run(args) -> int:
         _emit_rows(cols, rows, args.format, payload=payload)
     elif cmd == "constants":
         check_precision_goal(args.precision)
+        if args.kfree is not None:
+            check_kfree_order(args.kfree)
         pack = get_pack(DEFAULT_SIEVE_LIMIT)
         a = artin_constant(args.precision, pack=pack)
         rows = [["artin", f"{a.value:.10f}", f"{a.tail_bound:.3g}", str(a.truncation_prime)]]
         payload = {"artin": {"value": a.value, "tail_bound": a.tail_bound,
                              "truncation_prime": a.truncation_prime}}
-        if args.kfree:
+        if args.kfree is not None:
             m = shifted_prime_kfree_density(1, args.kfree, pack=pack)
             rows.append([f"kfree(r=1,k={args.kfree})", f"{m.value:.10f}",
                          f"{m.tail_bound:.3g}", str(m.truncation_prime)])

@@ -34,7 +34,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Dict, FrozenSet, List, Tuple
+from typing import FrozenSet, List, Tuple
 
 import numpy as np
 
@@ -49,9 +49,9 @@ from .arith import (
 from .errors import InternalConsistencyError, ResourceBudgetError
 
 #: Largest k for which the divisor profile of M_k is built (its lattice has
-#: 2^pi(k) rows, 2^18 at k = 61, where a profile build peaks at about 140 MB);
-#: caps value sets, divisor-route densities and means, and the coefficient
-#: scans.
+#: 2^pi(k) rows, 2^18 at k = 61, where a profile build takes about 0.5 s and
+#: peaks the process at about 74 MB on 2 cores); caps value sets,
+#: divisor-route densities and means, and the coefficient scans.
 PROFILE_MAX_K = 61
 CYCLO_POLY_MAX_DEGREE = 100_000
 
@@ -317,12 +317,15 @@ class ValueSetReport:
 class CoeffProfile:
     """For fixed k: the pair (a_d(k), a_(d*q)(k)) over every divisor d of
     M_k = k * prod_(p<=k) p, with q the least prime above k.  These pairs
-    determine the mean and value distribution of a_n(k) over n."""
+    determine the mean and value distribution of a_n(k) over n.  Row i of
+    `entries` is the divisor at position i of the caps grid `m_k.factors`
+    (the first prime most significant, as in FactoredNat.iter_divisors_factored
+    and :func:`cyclodist.density.split_density`); row 0 is d = 1."""
 
     k: int
     q: int
     m_k: FactoredNat
-    entries: Dict[int, Tuple[int, int]]  # d -> (a_d(k), a_dq(k))
+    entries: np.ndarray  # int8, shape (tau(M_k), 2): row i -> (a_d(k), a_dq(k))
 
 
 def support_modulus(k: int) -> FactoredNat:
@@ -364,35 +367,27 @@ def coeff_profile(k: int) -> CoeffProfile:
     nu_p(k) + 1).  So a_d(k) = a_r(k/t), read from the lattice of
     :func:`_profile_lattice`, and a_(dq)(k) = Phi_r(0) * [X^(k/t)] 1/Phi_r,
     since Phi_(rq) = Phi_r(0)/Phi_r mod X^(k+1) for the prime q > k.  Only
-    the columns k/t are read out.  At k = 61 the lattice holds 2^18 rows
-    of each series (32 MB of int8); the 393,216 entries then peak the
-    process at about 140 MB."""
-    if not 2 <= k <= PROFILE_MAX_K:
-        if k == 1:
-            raise ValueError("k = 1 is special-cased by callers")
+    the columns k/t are read out; the bitmask of r and the column of t are
+    tabulated by position as outer products over the caps.  At k = 61 the
+    lattice holds 2^18 rows of each series (32 MB of int8), and a profile
+    build takes about 0.5 s and peaks the process at about 74 MB (2 cores)."""
+    if k < 2:
+        raise ValueError("coefficient profile requires k >= 2 (k = 1 is special-cased by callers)")
+    if k > PROFILE_MAX_K:
         raise ResourceBudgetError(f"coefficient profile limited to k <= {PROFILE_MAX_K}")
     m_k = support_modulus(k)
-    q = least_prime_above(k)
-    primes = small_primes(k)
     quots = as_factored(k).divisors()
-    cols = [k // t for t in quots]
-    F, G = (rows[:, cols] for rows in _profile_lattice(primes, k))  # frees the lattice
-    rads = [1]  # r by bitmask, in lattice row order
-    for p in primes:
-        rads += [r * p for r in rads]
-    masks = np.arange(len(rads))
-    entries: Dict[int, Tuple[int, int]] = {}
-    for col, t in enumerate(quots):
-        need = sum(1 << i for i, p in enumerate(primes) if t % p == 0)
-        rows = np.flatnonzero(masks & need == need)
-        a = F[rows, col].tolist()
-        aq = G[rows, col].tolist()
-        if t == 1:
-            aq[0] = -aq[0]  # Phi_1(0) = -1
-        entries.update(
-            (rads[row] * t, pair) for row, pair in zip(rows.tolist(), zip(a, aq))
-        )
-    return CoeffProfile(k, q, m_k, entries)
+    F, G = (rows[:, [k // t for t in quots]] for rows in _profile_lattice(small_primes(k), k))
+    mask, t = np.zeros(1, np.int64), np.ones(1, np.int64)
+    for i, (p, cap) in enumerate(m_k.factors):
+        e = np.arange(cap + 1)
+        mask = np.add.outer(mask, np.minimum(e, 1) << i).ravel()
+        t = np.multiply.outer(t, p ** np.maximum(e - 1, 0)).ravel()
+    col = np.searchsorted(quots, t)
+    entries = np.stack((F[mask, col], G[mask, col]), axis=1)
+    entries[0, 1] = -entries[0, 1]  # Phi_1(0) = -1
+    entries.flags.writeable = False  # every caller of the cache shares it
+    return CoeffProfile(k, least_prime_above(k), m_k, entries)
 
 
 def value_set(k: int) -> ValueSetReport:
@@ -406,14 +401,10 @@ def value_set(k: int) -> ValueSetReport:
         s = frozenset({-1, 0, 1})
         return ValueSetReport(1, s, s, s, 1)
     profile = coeff_profile(k)
-    full = {0}
-    odd = {0}
-    even = {0}
-    for d, (a, aq) in profile.entries.items():
-        full.update((a, aq))
-        (even if d % 2 == 0 else odd).update((a, aq))
-    bound = max(abs(v) for v in full)
-    return ValueSetReport(k, frozenset(full), frozenset(odd), frozenset(even), bound)
+    odd_rows = len(profile.entries) // (profile.m_k.factors[0][1] + 1)  # nu_2(d) = 0: 2 leads
+    full, odd, even = (frozenset({0} | set(rows.ravel().tolist())) for rows in
+                       (profile.entries, profile.entries[:odd_rows], profile.entries[odd_rows:]))
+    return ValueSetReport(k, full, odd, even, max(abs(v) for v in full))
 
 
 # -- constructive witnesses -----------------------------------------------------

@@ -201,12 +201,14 @@ def coeff_split(k: int) -> Tuple[Tuple[Tuple[int, int], ...], Callable]:
     S is the primes p <= k, capped at the exponents of M_k.  For
     n = n_S * b with b squarefree and coprime to M_k, a_n(k) is a_(n_S)(k)
     when mu(b) = +1 and a_(n_S*q)(k) when mu(b) = -1 (the pair of the
-    coefficient profile), and every other n has a_n(k) = 0.  For k = 1, S
-    is empty and a_n(1) = -mu(n) (n > 1)."""
+    coefficient profile, whose rows are in the position order of the fold),
+    and every other n has a_n(k) = 0.  For k = 1, S is empty and
+    a_n(1) = -mu(n) (n > 1)."""
     if k == 1:
-        return (), lambda n_s: (-1, 1)
+        return (), lambda i: (-1, 1)
     profile = coeff_profile(k)
-    return profile.m_k.factors, profile.entries.__getitem__
+    a, aq = profile.entries.T.tolist()
+    return profile.m_k.factors, lambda i: (a[i], aq[i])
 
 
 def coeff_density(k: int) -> DensityTable:

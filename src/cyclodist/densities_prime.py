@@ -57,6 +57,12 @@ def check_precision_goal(precision_goal: float) -> None:
         raise ValueError(f"precision goal must be positive and finite, got {precision_goal}")
 
 
+def check_kfree_order(k: int) -> None:
+    """Refuse a powerfree order below 2."""
+    if k < 2:
+        raise ValueError("powerfree order k must be >= 2")
+
+
 def artin_constant(
     precision_goal: float = 1e-8, pack: Optional[SievePack] = None
 ) -> EulerProductConstant:
@@ -114,8 +120,7 @@ def shifted_prime_kfree_density(
     prod_(p not dividing r) (1 - 1/(p^(k-1) (p-1)))."""
     if r == 0:
         raise ValueError("shift r must be nonzero")
-    if k < 2:
-        raise ValueError("powerfree order k must be >= 2")
+    check_kfree_order(k)
     pack = pack or default_pack()
     p = pack.primes.astype(np.float64)
     with np.errstate(over="ignore"):
@@ -213,7 +218,7 @@ def ramanujan_prime_density(k: FactoredLike, signed: bool = False) -> DensityTab
         return split_density(f"c_(p-1)({fk.value})", Basis.ARTIN, caps, pair,
                              conditional=True)
     return split_density(f"|c_(p-1)({fk.value})|", Basis.ARTIN, caps,
-                         lambda n_s: tuple(abs(c) for c in pair(n_s)))
+                         lambda i: tuple(abs(c) for c in pair(i)))
 
 
 def ramanujan_prime_mean_abs(k: FactoredLike) -> Tuple[Fraction, Basis]:

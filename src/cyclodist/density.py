@@ -186,12 +186,16 @@ def split_density(
     Every exponent vector with e_q <= cap_q (and `keep(q, e_q)`, if given)
     carries the density prod_q w(q, e_q) of its class with a squarefree
     cofactor (:func:`_local_weight`), split evenly between the two signs;
-    `pair(n_S)` gives the value for sign +1 and for sign -1.  Exponents past
-    a cap, and cofactors that are not squarefree, must give the value 0,
-    whose mass stays implicit.  Weights are integer numerators over one
-    common denominator, so each value costs one Fraction at the end."""
+    `pair(i)` gives the value for sign +1 and for sign -1, where i is the
+    vector's position in the caps grid: its exponents are the mixed-radix
+    digits of i, the first prime of `caps` most significant (the order of
+    itertools.product over the ranges 0..cap_q).  Vectors dropped by `keep`
+    or by a zero weight shift no position.  Exponents past a cap, and
+    cofactors that are not squarefree, must give the value 0, whose mass
+    stays implicit.  Weights are integer numerators over one common
+    denominator, so each value costs one Fraction at the end."""
     denom = 2
-    rows = [(1, 1)]  # (n_S, numerator) over the primes folded in so far
+    rows = [(0, 1)]  # (position, numerator) over the primes folded in so far
     for q, cap in caps:
         weights = [
             (e, _local_weight(basis, q, e))
@@ -199,12 +203,12 @@ def split_density(
             if keep is None or keep(q, e)
         ]
         den = math.lcm(*(w.denominator for _, w in weights))
-        local = [(q**e, w.numerator * (den // w.denominator)) for e, w in weights if w]
-        rows = [(n * qe, num * wnum) for n, num in rows for qe, wnum in local]
+        local = [(e, w.numerator * (den // w.denominator)) for e, w in weights if w]
+        rows = [(i * (cap + 1) + e, num * wnum) for i, num in rows for e, wnum in local]
         denom *= den
     acc: Dict[int, int] = {}
-    for n_s, num in rows:
-        for v in pair(n_s):
+    for i, num in rows:
+        for v in pair(i):
             if v:
                 acc[v] = acc.get(v, 0) + num
     return DensityTable.from_dict(

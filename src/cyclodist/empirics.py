@@ -2,7 +2,7 @@
 
 Every counting routine here is exact, reproducible bit-for-bit, and
 ignorant of the theory it is used to validate (it shares only the value
-maps `cyclo_coeff` and `ramanujan_split`, never density weights).  A scan is
+maps `cyclo_coeff` and `ramanujan_sum`, never density weights).  A scan is
 a numpy pass over blocks of `_BLOCK` primes p (or integers n); values of
 a_n(k) and c_n(m), n = p - 1 for primes, depend only on the part n_S of n
 at a finite prime set S and on μ of the cofactor n / n_S, and one engine
@@ -40,7 +40,7 @@ from .arith import (
 from .cyclotomic import PROFILE_MAX_K, cyclo_coeff
 from .densities_prime import ValuationConstraint
 from .errors import ResourceBudgetError
-from .ramanujan import ramanujan_split
+from .ramanujan import ramanujan_split, ramanujan_sum
 
 PRIMITIVE_ROOT_LIMIT = 1_000_000
 SYMMETRIC_ORACLE_LIMIT = 100_000
@@ -158,10 +158,10 @@ def _coeff_values(k: int, pack: SievePack) -> Callable[[np.ndarray], np.ndarray]
 
 
 def _ramanujan_values(m: int, pack: SievePack) -> Callable[[np.ndarray], np.ndarray]:
-    """n -> c_n(m) on arrays, with the caps and pair of
-    :func:`cyclodist.ramanujan.ramanujan_split`."""
-    caps, pair = ramanujan_split(m)
-    return _split_values(dict(caps), lambda f: pair(f.value), pack)
+    """n -> c_n(m) on arrays: the caps of :func:`cyclodist.ramanujan.ramanujan_split`,
+    c_(n_S)(m) by :func:`cyclodist.ramanujan.ramanujan_sum`."""
+    caps, _ = ramanujan_split(m)
+    return _split_values(dict(caps), lambda f: (ramanujan_sum(f, m), -ramanujan_sum(f, m)), pack)
 
 
 def _s_k_values(ps: np.ndarray, k: int, coeff: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -348,6 +348,8 @@ def symmetric_functions_mod_p(
     from modular power sums; Newton's identity
     k s_k = sum_(i=1..k) (-1)^(i-1) s_(k-i) S_i ties the two together and
     is asserted internally."""
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
     if p > SYMMETRIC_ORACLE_LIMIT:
         raise ResourceBudgetError(f"symmetric oracle capped at p <= {SYMMETRIC_ORACLE_LIMIT}")
     roots = primitive_roots(p, pack)

@@ -96,20 +96,13 @@ def ramanujan_split(m: FactoredLike) -> Tuple[List[Tuple[int, int]], Callable]:
     With n = n_S * b, S the primes of m and b coprime to m,
     c_n(m) = mu(b) * c_(n_S)(m) by Hölder's local factors, and it vanishes
     once nu_q(n) >= nu_q(m) + 2, so S is capped at nu_q(m) + 1.  The pair
-    reads the exponents of n_S by division, with no factoring."""
+    reads c_(n_S)(m) by position in the caps grid (the first prime of m most
+    significant) off a table of the local factors multiplied out."""
     fm = as_factored(m)
-
-    def pair(n_s: int) -> Tuple[int, int]:
-        c = 1
-        for q, nu in fm.factors:
-            e = 0
-            while n_s % q == 0:
-                n_s //= q
-                e += 1
-            c *= _local_value(q, e, nu)
-        return c, -c
-
-    return [(q, nu + 1) for q, nu in fm.factors], pair
+    table = [1]
+    for q, nu in fm.factors:
+        table = [c * _local_value(q, e, nu) for c in table for e in range(nu + 2)]
+    return [(q, nu + 1) for q, nu in fm.factors], lambda i: (table[i], -table[i])
 
 
 def natural_density_of_ramanujan(m: FactoredLike) -> DensityTable:

@@ -71,7 +71,7 @@ class TableArtifact:
     rows: List[List[str]]
     data: dict
 
-    def to_json(self, **kwargs) -> str:
+    def to_json(self) -> str:
         payload = {
             "table_id": self.table_id,
             "title": self.title,
@@ -80,9 +80,7 @@ class TableArtifact:
             "rows": self.rows,
             "data": self.data,
         }
-        kwargs.setdefault("sort_keys", True)
-        kwargs.setdefault("indent", 1)
-        return json.dumps(payload, **kwargs)
+        return json.dumps(payload, sort_keys=True, indent=1)
 
     def to_csv(self) -> str:
         return render_rows(self.columns, self.rows, "csv")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -24,6 +25,7 @@ from cyclodist.cyclotomic import (
     cyclo_coeff_series,
     cyclo_poly,
     partition_count,
+    support_modulus,
     value_set,
 )
 from cyclodist.errors import InternalConsistencyError, ResourceBudgetError
@@ -206,29 +208,53 @@ def test_minus_two_attained_for_k_ge_13():
 
 
 def test_coeff_profile_k2():
-    profile = coeff_profile(2)
-    assert profile.entries[1] == (0, 1)
-    assert profile.entries[2] == (0, 1)
-    assert profile.entries[4] == (1, -1)
+    profile = coeff_profile(2)  # M_2 = 4: rows d = 1, 2, 4
+    assert profile.entries.tolist() == [[0, 1], [0, 1], [1, -1]]
     assert profile.q == 3
 
 
 def test_coeff_profile_counts():
     profile = coeff_profile(7)
-    assert len(profile.entries) == 24  # tau(1470) = 24
-    assert all(isinstance(v, tuple) for v in profile.entries.values())
-    with pytest.raises(ValueError):
-        coeff_profile(1)
+    assert profile.entries.shape == (24, 2)  # tau(1470) = 24
+    assert profile.entries.dtype == np.int8
+    assert not profile.entries.flags.writeable  # shared by every caller of the cache
+    for k in (1, 0, -3):  # an invalid k is a usage error, not a budget overrun
+        with pytest.raises(ValueError):
+            coeff_profile(k)
+    with pytest.raises(ResourceBudgetError):
+        coeff_profile(62)
 
 
 def test_coeff_profile_entries_match_direct():
-    # the profile is read off the lattice lift; cyclo_coeff is the recurrence
+    # the profile is read off the lattice lift; cyclo_coeff is the recurrence.
+    # Row i is the divisor at position i of the caps grid, the first prime
+    # most significant: the order of iter_divisors_factored and of
+    # itertools.product over the exponent ranges
     for k in range(2, 31):
         profile = coeff_profile(k)
-        assert len(profile.entries) == len(profile.m_k.divisors()), k
-        for d in profile.m_k.iter_divisors_factored():
-            want = (cyclo_coeff(d, k), cyclo_coeff(d.times_prime(profile.q), k))
-            assert profile.entries[d.value] == want, (k, d.value)
+        caps = profile.m_k.factors
+        divisors = list(profile.m_k.iter_divisors_factored())
+        grid = [math.prod(p**e for (p, _), e in zip(caps, exps))
+                for exps in itertools.product(*(range(cap + 1) for _, cap in caps))]
+        assert [d.value for d in divisors] == grid, k
+        assert len(profile.entries) == len(divisors), k
+        for d, row in zip(divisors, profile.entries.tolist()):
+            want = [cyclo_coeff(d, k), cyclo_coeff(d.times_prime(profile.q), k)]
+            assert row == want, (k, d.value)
+
+
+def test_value_set_matches_direct():
+    # B(k) with its parity split is {0} plus a_d(k) and a_dq(k) over the
+    # d | M_k, grouped by the parity of d
+    for k in range(2, 31):
+        q = least_prime_above(k)
+        full, odd, even = {0}, {0}, {0}
+        for d in support_modulus(k).iter_divisors_factored():
+            values = {cyclo_coeff(d, k), cyclo_coeff(d.times_prime(q), k)}
+            full |= values
+            (odd if d.value % 2 else even).update(values)
+        report = value_set(k)
+        assert (report.full_set, report.odd_set, report.even_set) == (full, odd, even), k
 
 
 def test_random_lattice_rows_above_40():

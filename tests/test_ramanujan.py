@@ -118,15 +118,16 @@ def test_density_total_mass_m_to_50():
 
 
 def test_split_pair_matches_direct_oracle():
-    # the pair behind the exact densities and the scans, at every n_S of the
-    # fold: sign +1 is c_(n_S)(m), sign -1 is c_(n_S b)(m) for a prime b
-    # not dividing m (checked wherever n_S b is in the oracle's range)
+    # the pair behind the exact densities, at every n_S of the fold, by its
+    # position i in the caps grid (the order of itertools.product): sign +1
+    # is c_(n_S)(m), sign -1 is c_(n_S b)(m) for a prime b not dividing m
+    # (checked wherever n_S b is in the oracle's range)
     for m in range(1, 201):
         caps, pair = ramanujan_split(m)
         b = next(p for p in itertools.count(2) if is_prime_int(p) and m % p)
-        for exps in itertools.product(*(range(cap + 1) for _, cap in caps)):
+        for i, exps in enumerate(itertools.product(*(range(cap + 1) for _, cap in caps))):
             n_s = math.prod(q**e for (q, _), e in zip(caps, exps))
-            plus, minus = pair(n_s)
+            plus, minus = pair(i)
             assert plus == ramanujan_sum_direct(n_s, m), (m, n_s)
             if n_s * b <= _DIRECT_LIMIT:
                 assert minus == ramanujan_sum_direct(n_s * b, m), (m, n_s)

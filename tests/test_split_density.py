@@ -70,8 +70,8 @@ def _coeff_natural(k):
     for p in small_primes(k):
         scale /= 1 + Fraction(1, p)
     pairs = []
-    for d, (a, aq) in profile.entries.items():
-        pairs += [(a, scale / d), (aq, scale / d)]
+    for fd, (a, aq) in zip(profile.m_k.iter_divisors_factored(), profile.entries.tolist()):
+        pairs += [(a, scale / fd.value), (aq, scale / fd.value)]
     return _merge(pairs)
 
 
@@ -81,11 +81,11 @@ def _coeff_prime(k):
     for q in small_primes(k)[1:]:
         prefactor *= Fraction(q * (q - 2), q * q - q - 1)
     pairs, mean = [], Fraction(0)
-    for d, (a, aq) in profile.entries.items():
-        if d % 2:
+    for fd, (a, aq) in zip(profile.m_k.iter_divisors_factored(), profile.entries.tolist()):
+        if fd.value % 2:
             continue
-        w = prefactor / d
-        for q, _ in factorize(d).factors:
+        w = prefactor / fd.value
+        for q, _ in fd.factors:
             if q > 2:
                 w *= Fraction(q - 1, q - 2)
         pairs += [(a, w), (aq, w)]

@@ -319,11 +319,21 @@ def test_cli_exit_codes(capsys):
             assert code == 2 and out == "" and "kmax must be >= 1" in err, (table_id, kmax)
     code, out, err = run_cli(capsys, "empirical", "--stat", "mu", "--x", "-5")
     assert code == 2 and out == "" and "x must be >= 0" in err
+    code, out, err = run_cli(capsys, "oracle", "sym", "--p", "7", "--kmax", "-1")
+    assert code == 2 and out == "" and "kmax must be >= 1" in err
     # --full exists only for the tables that scan primes
     code, _, err = run_cli(capsys, "table", "--id", "3", "--kmax", "3", "--full")
     assert code == 2 and "full" in err
     with pytest.raises(ValueError):
         build_table("11", full=True)
+
+
+def test_cli_constants_refuses_kfree_before_the_sieve(capsys, sieve_builds):
+    # 0 is an order too, not "unset"; each is refused before any sieve is built
+    for order in ("0", "1", "-3"):
+        code, out, err = run_cli(capsys, "constants", "--kfree", order)
+        assert code == 2 and out == "" and "powerfree order" in err, order
+    assert sieve_builds == []
 
 
 def test_cli_cache_dir(capsys, tmp_path):
