@@ -1,0 +1,55 @@
+"""Print one SHA-256 over a fixed set of exact density tables.
+
+Run it once against each of two source trees, for example
+
+    PYTHONPATH=base/src python .github/scripts/density_digest.py
+    PYTHONPATH=head/src python .github/scripts/density_digest.py
+
+and compare the two lines: any change to a value, a coefficient, a basis,
+a statistic label or a conditional flag changes the digest.  It uses only
+public names that every tree since the split-profile fold has.
+"""
+
+import hashlib
+import json
+
+from cyclodist.densities_natural import coeff_density
+from cyclodist.densities_prime import (ValuationConstraint, coeff_prime_density,
+                                       ramanujan_prime_density, s_small_density)
+from cyclodist.ramanujan import natural_density_of_ramanujan
+
+COEFF_KS = list(range(1, 46)) + [50, 53, 61]
+RAMANUJAN_MS = list(range(1, 301)) + [720720, 9699690, 2**80, 3**50 * 5**3, 10**25]
+CONSTRAINTS = [
+    ((2, 1),), ((2, ("ge", 2)),), ((2, 2), (3, 1)), ((3, 0),), ((3, 1),),
+    ((3, ("ge", 2)),), ((2, ("ge", 1)), (5, 0)), ((2, 3), (3, ("ge", 1)), (7, 1)),
+]
+
+
+def _record(table):
+    return [table.statistic, table.basis.value, table.conditional,
+            [[v, str(c)] for v, c in table.entries]]
+
+
+def main():
+    records = []
+    for k in COEFF_KS:
+        table, mean = coeff_prime_density(k)
+        records += [_record(coeff_density(k)), _record(table), str(mean)]
+    for entries in CONSTRAINTS:
+        for outside in (False, True):
+            constraint = ValuationConstraint(entries, squarefree_outside=outside)
+            for k in range(max(q for q, _ in entries), 13):
+                table, mean = coeff_prime_density(k, constraint)
+                records += [_record(table), str(mean)]
+                if k <= 4:
+                    records.append(_record(s_small_density(k, constraint)))
+    for m in RAMANUJAN_MS:
+        records += [_record(natural_density_of_ramanujan(m)),
+                    _record(ramanujan_prime_density(m, signed=True)),
+                    _record(ramanujan_prime_density(m))]
+    print(hashlib.sha256(json.dumps(records).encode()).hexdigest(), len(records))
+
+
+if __name__ == "__main__":
+    main()

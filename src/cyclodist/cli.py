@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import tables
-from .arith import DEFAULT_SIEVE_LIMIT, sieve_limit_for, sieve_pack
+from .arith import sieve_limit_for, sieve_pack
 from .cyclotomic import (
     cyclo_coeff,
     cyclo_coeff_partition,
@@ -29,12 +29,12 @@ from .densities_prime import (
     ValuationConstraint,
     artin_constant,
     check_kfree_order,
-    check_precision_goal,
     coeff_prime_density,
     ramanujan_prime_density,
     ramanujan_prime_moment,
     s_small_density,
     shifted_prime_kfree_density,
+    sieve_limit_for_precision,
 )
 from .density import DensityTable, basis_numeric
 from .empirics import primitive_roots, scan_primes, symmetric_functions_mod_p
@@ -96,8 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--cache-dir", default=None,
                     help="compare each sieve built with its file here (or in $CYCLODIST_CACHE), rewrite it if it "
                          "differs; never loaded, saves no time, kept while the cli_cold benchmark passes it")
-    ap.add_argument("--sieve-limit", type=int, default=None,
-                    help=f"sieve limit (default: what the query needs; {DEFAULT_SIEVE_LIMIT} for constants)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def fmt(p):
@@ -196,10 +194,6 @@ def _resolve_stat(stat: str, k: Optional[int]):
 
 
 def _run(args) -> int:
-    def get_pack(limit: int):
-        """The pack for a query that needs `limit`, or --sieve-limit."""
-        return sieve_pack(limit if args.sieve_limit is None else args.sieve_limit, args.cache_dir)
-
     cmd = args.command
 
     if cmd == "coeff":
@@ -272,10 +266,9 @@ def _run(args) -> int:
                      f"{float(mean) * basis_numeric(table.basis):.6f}"])
         _emit_rows(cols, rows, args.format, payload=payload)
     elif cmd == "constants":
-        check_precision_goal(args.precision)
         if args.kfree is not None:
             check_kfree_order(args.kfree)
-        pack = get_pack(DEFAULT_SIEVE_LIMIT)
+        pack = sieve_pack(sieve_limit_for_precision(args.precision), args.cache_dir)
         a = artin_constant(args.precision, pack=pack)
         rows = [["artin", f"{a.value:.10f}", f"{a.tail_bound:.3g}", str(a.truncation_prime)]]
         payload = {"artin": {"value": a.value, "tail_bound": a.tail_bound,
@@ -292,8 +285,8 @@ def _run(args) -> int:
         constraint = _parse_constraint(args.cond) if args.cond else None
         limit = sieve_limit_for(nprimes=args.nprimes, x=args.x, shift=args.r)
         report = scan_primes(
-            stat, k=k, shift=args.r, kfree_order=args.kfree_order,
-            nprimes=args.nprimes, x=args.x, constraint=constraint, pack=get_pack(limit))
+            stat, k=k, shift=args.r, kfree_order=args.kfree_order, nprimes=args.nprimes,
+            x=args.x, constraint=constraint, pack=sieve_pack(limit, args.cache_dir))
         rows = [[str(r["value"]), str(r["count"]), f"{r['frequency']:.6f}"] for r in report.rows()]
         payload = {
             "statistic": report.statistic, "bound": report.bound,
@@ -315,7 +308,7 @@ def _run(args) -> int:
     elif cmd == "table":
         limit = tables.sieve_limit([args.id], args.full)
         artifact = tables.build_table(args.id, full=args.full, kmax=args.kmax,
-                                      pack=get_pack(limit) if limit else None)
+                                      pack=sieve_pack(limit, args.cache_dir) if limit else None)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(artifact.to_json())
@@ -326,8 +319,8 @@ def _run(args) -> int:
         else:
             print(artifact.to_markdown())
     elif cmd == "reproduce-all":
-        manifest = tables.reproduce_all(args.out_dir, full=args.full,
-                                        pack=get_pack(tables.sieve_limit(tables.TABLE_IDS, args.full)))
+        limit = tables.sieve_limit(tables.TABLE_IDS, args.full)
+        manifest = tables.reproduce_all(args.out_dir, args.full, sieve_pack(limit, args.cache_dir))
         for tid, entry in sorted(manifest["tables"].items(), key=lambda kv: int(kv[0])):
             print(f"table {tid}: {entry['status']}")
             for d in entry["diffs"]:
@@ -342,8 +335,6 @@ def _run(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.sieve_limit is not None and args.sieve_limit < 2:
-            raise ValueError("sieve limit must be >= 2")
         return _run(args)
     except (ResourceBudgetError, OSError) as exc:
         # filesystem failures (unwritable out-dir etc.) count as resource errors

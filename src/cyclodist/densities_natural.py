@@ -28,7 +28,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
+
+import numpy as np
 
 from .arith import FactoredLike, as_factored, factorize, small_primes
 from .cyclotomic import coeff_profile
@@ -195,20 +197,19 @@ def mean_coeff_partition(k: int) -> EkValue:
 # -- per-value densities --------------------------------------------------------
 
 
-def coeff_split(k: int) -> Tuple[Tuple[Tuple[int, int], ...], Callable]:
-    """(caps, pair) of a_n(k) for :func:`cyclodist.density.split_density`.
+def coeff_split(k: int) -> Tuple[Tuple[Tuple[int, int], ...], np.ndarray]:
+    """(caps, pairs) of a_n(k) for :func:`cyclodist.density.split_density`.
 
     S is the primes p <= k, capped at the exponents of M_k.  For
     n = n_S * b with b squarefree and coprime to M_k, a_n(k) is a_(n_S)(k)
-    when mu(b) = +1 and a_(n_S*q)(k) when mu(b) = -1 (the pair of the
-    coefficient profile, whose rows are in the position order of the fold),
-    and every other n has a_n(k) = 0.  For k = 1, S is empty and
-    a_n(1) = -mu(n) (n > 1)."""
+    when mu(b) = +1 and a_(n_S*q)(k) when mu(b) = -1, and every other n has
+    a_n(k) = 0.  The pairs are the coefficient profile's own read-only int8
+    rows, already in the position order of the fold.  For k = 1, S is empty
+    and a_n(1) = -mu(n) (n > 1)."""
     if k == 1:
-        return (), lambda i: (-1, 1)
+        return (), np.array([[-1, 1]])
     profile = coeff_profile(k)
-    a, aq = profile.entries.T.tolist()
-    return profile.m_k.factors, lambda i: (a[i], aq[i])
+    return profile.m_k.factors, profile.entries
 
 
 def coeff_density(k: int) -> DensityTable:
@@ -217,8 +218,8 @@ def coeff_density(k: int) -> DensityTable:
     reference tables string-for-string)."""
     if k < 1:
         raise ValueError("coeff_density requires k >= 1")
-    caps, pair = coeff_split(k)
-    return split_density(f"a_n({k})", Basis.SIX_OVER_PI2, caps, pair)
+    caps, pairs = coeff_split(k)
+    return split_density(f"a_n({k})", Basis.SIX_OVER_PI2, caps, pairs)
 
 
 def squarefree_coprime_density(r: FactoredLike) -> Tuple[Fraction, Basis]:

@@ -15,6 +15,7 @@ such shifted-prime classes equidistribute; those outputs carry an explicit
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,8 +24,8 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .arith import (FactoredLike, SievePack, as_factored, default_pack, is_prime_int,
-                    small_primes)
+from .arith import (DEFAULT_SIEVE_LIMIT, MAX_SIEVE_LIMIT, FactoredLike, SievePack, as_factored,
+                    default_pack, is_prime_int, small_primes)
 from .densities_natural import coeff_split
 from .density import (Basis, DensityTable, ExponentSpec, artin_local_factor,
                       local_valuation_density, split_density)
@@ -51,10 +52,17 @@ def _tail_bound(limit: int) -> float:
     return _TAIL_CONSTANT / (limit * math.log(limit)) + _FLOAT_SLACK
 
 
-def check_precision_goal(precision_goal: float) -> None:
-    """Refuse a precision goal that is not positive and finite."""
+def sieve_limit_for_precision(precision_goal: float) -> int:
+    """max(DEFAULT_SIEVE_LIMIT, the least L with _tail_bound(L) <= goal); a
+    goal that is not positive and finite, or past MAX_SIEVE_LIMIT, is
+    refused before any sieve is built."""
     if not 0 < precision_goal < math.inf:
         raise ValueError(f"precision goal must be positive and finite, got {precision_goal}")
+    limits = range(DEFAULT_SIEVE_LIMIT, MAX_SIEVE_LIMIT + 1)  # the bound falls as L grows
+    i = bisect.bisect_left(limits, True, key=lambda limit: _tail_bound(limit) <= precision_goal)
+    if i == len(limits):
+        raise ResourceBudgetError(f"precision goal {precision_goal:.3g} is past the sieve budget")
+    return limits[i]
 
 
 def check_kfree_order(k: int) -> None:
@@ -71,11 +79,12 @@ def artin_constant(
     `artin_constant_accelerated`, which every density table uses.
 
     The documented tail estimate 2.52/(P log P) must not exceed the goal,
-    otherwise the configured sieve cannot reach the precision and the
-    request is refused.  A goal that is not positive and finite is refused
-    before any sieve is built."""
-    check_precision_goal(precision_goal)
-    pack = pack or default_pack()
+    otherwise the given sieve cannot reach the precision and the request
+    is refused; without a pack, the shared one covers the limit of
+    :func:`sieve_limit_for_precision`, which refuses a bad goal before any
+    sieve is built."""
+    limit = sieve_limit_for_precision(precision_goal)
+    pack = pack or default_pack(limit)
     bound = _tail_bound(pack.limit)
     if bound > precision_goal:
         raise ResourceBudgetError(
@@ -213,12 +222,10 @@ def ramanujan_prime_density(k: FactoredLike, signed: bool = False) -> DensityTab
     between the two Möbius signs of the cofactor and is flagged
     conditional."""
     fk = as_factored(k)
-    caps, pair = ramanujan_split(fk)
+    caps, pairs = ramanujan_split(fk)
     if signed:
-        return split_density(f"c_(p-1)({fk.value})", Basis.ARTIN, caps, pair,
-                             conditional=True)
-    return split_density(f"|c_(p-1)({fk.value})|", Basis.ARTIN, caps,
-                         lambda i: tuple(abs(c) for c in pair(i)))
+        return split_density(f"c_(p-1)({fk.value})", Basis.ARTIN, caps, pairs, conditional=True)
+    return split_density(f"|c_(p-1)({fk.value})|", Basis.ARTIN, caps, np.abs(pairs))
 
 
 def ramanujan_prime_mean_abs(k: FactoredLike) -> Tuple[Fraction, Basis]:
@@ -281,7 +288,7 @@ def coeff_prime_density(
     divisors."""
     if k < 1:
         raise ValueError("coeff_prime_density requires k >= 1")
-    caps, pair = coeff_split(k)
+    caps, pairs = coeff_split(k)
     keep = None
     if constraint is not None:
         outside = set(constraint.primes()) - {q for q, _ in caps}
@@ -291,7 +298,7 @@ def coeff_prime_density(
             )
         keep = constraint.allows
     table = split_density(
-        f"a_(p-1)({k})", Basis.ARTIN, caps, pair, keep=keep, conditional=True
+        f"a_(p-1)({k})", Basis.ARTIN, caps, pairs, keep=keep, conditional=True
     )
     return table, table.moment(1)
 

@@ -22,6 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 
 class Basis(enum.Enum):
     ONE = "ONE"
@@ -175,7 +177,7 @@ def split_density(
     statistic: str,
     basis: Basis,
     caps: Sequence[Tuple[int, int]],
-    pair: Callable[[int], Tuple[int, int]],
+    pairs: np.ndarray,
     keep: Optional[Callable[[int, int], bool]] = None,
     conditional: bool = False,
 ) -> DensityTable:
@@ -183,37 +185,33 @@ def split_density(
     (basis A) that depends only on n_S, the part of n at the primes q of
     `caps`, and on the Möbius sign of the cofactor n / n_S.
 
-    Every exponent vector with e_q <= cap_q (and `keep(q, e_q)`, if given)
-    carries the density prod_q w(q, e_q) of its class with a squarefree
-    cofactor (:func:`_local_weight`), split evenly between the two signs;
-    `pair(i)` gives the value for sign +1 and for sign -1, where i is the
-    vector's position in the caps grid: its exponents are the mixed-radix
-    digits of i, the first prime of `caps` most significant (the order of
-    itertools.product over the ranges 0..cap_q).  Vectors dropped by `keep`
-    or by a zero weight shift no position.  Exponents past a cap, and
-    cofactors that are not squarefree, must give the value 0, whose mass
-    stays implicit.  Weights are integer numerators over one common
-    denominator, so each value costs one Fraction at the end."""
+    Every exponent vector with e_q <= cap_q carries the density
+    prod_q w(q, e_q) of its class with a squarefree cofactor
+    (:func:`_local_weight`; 0 where `keep(q, e_q)` is false), split evenly
+    between the two signs.  `pairs`, an integer array of shape
+    (prod_q (cap_q + 1), 2), holds in row i the values for sign +1 and -1 at
+    the vector whose exponents are the mixed-radix digits of i, the first
+    prime of `caps` most significant (the order of itertools.product over
+    the ranges 0..cap_q).  Exponents past a cap, and cofactors that are not
+    squarefree, must give the value 0, whose mass stays implicit.  Weights
+    are an outer product of integer numerators over one common denominator,
+    summed per value, so each value costs one Fraction at the end."""
     denom = 2
-    rows = [(0, 1)]  # (position, numerator) over the primes folded in so far
+    weights = np.ones(1, dtype=object)
     for q, cap in caps:
-        weights = [
-            (e, _local_weight(basis, q, e))
-            for e in range(cap + 1)
-            if keep is None or keep(q, e)
-        ]
-        den = math.lcm(*(w.denominator for _, w in weights))
-        local = [(e, w.numerator * (den // w.denominator)) for e, w in weights if w]
-        rows = [(i * (cap + 1) + e, num * wnum) for i, num in rows for e, wnum in local]
+        local = [_local_weight(basis, q, e) if keep is None or keep(q, e) else Fraction(0)
+                 for e in range(cap + 1)]
+        den = math.lcm(*(w.denominator for w in local))
+        nums = np.array([w.numerator * (den // w.denominator) for w in local], dtype=object)
+        weights = np.multiply.outer(weights, nums).ravel()
         denom *= den
-    acc: Dict[int, int] = {}
-    for i, num in rows:
-        for v in pair(i):
-            if v:
-                acc[v] = acc.get(v, 0) + num
+    values = sorted(set(pairs.ravel().tolist()))  # no arithmetic on the entries: int8 wraps
+    sums = np.zeros(len(values), dtype=object)
+    at = np.searchsorted(np.array(values, dtype=pairs.dtype), pairs.ravel())
+    np.add.at(sums, at, np.repeat(weights, 2))
     return DensityTable.from_dict(
         statistic,
         basis,
-        {v: Fraction(num, denom) for v, num in acc.items()},
+        {v: Fraction(num, denom) for v, num in zip(values, sums.tolist()) if v},
         conditional,
     )

@@ -252,10 +252,8 @@ def scan_primes(
     if needs_k:
         if k is None or k < 1:
             raise ValueError(f"statistic {statistic} requires k >= 1")
-        if k > PROFILE_MAX_K:
-            raise ResourceBudgetError(
-                f"coefficient statistics capped at k <= {PROFILE_MAX_K}"
-            )
+        if k > PROFILE_MAX_K and statistic in ("a_pminus1", "s_k_mod_p"):
+            raise ResourceBudgetError(f"coefficient statistics capped at k <= {PROFILE_MAX_K}")
     if statistic == "kfree_shift":
         if shift is None or shift == 0 or kfree_order is None or kfree_order < 2:
             raise ValueError("kfree_shift requires shift != 0 and kfree_order >= 2")
@@ -407,6 +405,8 @@ def _count_integers(
     values_of: Callable[[int, SievePack], Callable[[np.ndarray], np.ndarray]],
     args: Sequence[int], limit: int, pack: Optional[SievePack],
 ) -> Dict[int, Counter]:
+    if limit < 0 or min(args, default=1) < 1:
+        raise ValueError("bulk counts need limit >= 0 and every k or m >= 1")
     pack = pack or default_pack(limit)
     if limit > pack.limit:
         raise ResourceBudgetError(f"limit {limit} exceeds sieve capacity")

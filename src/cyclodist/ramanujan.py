@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -90,19 +90,21 @@ def ramanujan_sum_direct(n: int, m: int) -> int:
 # -- value distribution over the integers -----------------------------------
 
 
-def ramanujan_split(m: FactoredLike) -> Tuple[List[Tuple[int, int]], Callable]:
-    """(caps, pair) of c_n(m) for :func:`cyclodist.density.split_density`.
+def ramanujan_split(m: FactoredLike) -> Tuple[List[Tuple[int, int]], np.ndarray]:
+    """(caps, pairs) of c_n(m) for :func:`cyclodist.density.split_density`.
 
     With n = n_S * b, S the primes of m and b coprime to m,
     c_n(m) = mu(b) * c_(n_S)(m) by Hölder's local factors, and it vanishes
-    once nu_q(n) >= nu_q(m) + 2, so S is capped at nu_q(m) + 1.  The pair
-    reads c_(n_S)(m) by position in the caps grid (the first prime of m most
-    significant) off a table of the local factors multiplied out."""
+    once nu_q(n) >= nu_q(m) + 2, so S is capped at nu_q(m) + 1.  Row i is
+    (c, -c) for c = c_(n_S)(m) at position i of the caps grid (the first
+    prime of m most significant): the local factors multiplied out, as
+    Python ints (dtype object), since c_n(m) is unbounded."""
     fm = as_factored(m)
-    table = [1]
+    table = np.ones(1, dtype=object)
     for q, nu in fm.factors:
-        table = [c * _local_value(q, e, nu) for c in table for e in range(nu + 2)]
-    return [(q, nu + 1) for q, nu in fm.factors], lambda i: (table[i], -table[i])
+        local = np.array([_local_value(q, e, nu) for e in range(nu + 2)], dtype=object)
+        table = np.multiply.outer(table, local).ravel()
+    return [(q, nu + 1) for q, nu in fm.factors], np.stack((table, -table), axis=1)
 
 
 def natural_density_of_ramanujan(m: FactoredLike) -> DensityTable:
@@ -110,8 +112,8 @@ def natural_density_of_ramanujan(m: FactoredLike) -> DensityTable:
     as coefficients on the basis 6/pi^2; coinciding values merge by
     summation, and v = 0 carries the complementary mass."""
     fm = as_factored(m)
-    caps, pair = ramanujan_split(fm)
-    return split_density(f"c_n({fm.value})", Basis.SIX_OVER_PI2, caps, pair)
+    caps, pairs = ramanujan_split(fm)
+    return split_density(f"c_n({fm.value})", Basis.SIX_OVER_PI2, caps, pairs)
 
 
 def _local_moment_factor(q: int, nu: int, order: int) -> Fraction:

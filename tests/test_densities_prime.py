@@ -15,6 +15,7 @@ from cyclodist.densities_prime import (
     ramanujan_prime_moment,
     s_small_density,
     shifted_prime_kfree_density,
+    sieve_limit_for_precision,
     valuation_profile_density,
 )
 from cyclodist.density import Basis, basis_numeric
@@ -55,6 +56,25 @@ def test_artin_invalid_precision_builds_no_sieve(monkeypatch):
     for goal in (0, -1, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="precision goal"):
             artin_constant(goal)
+    # a goal past the budget's reach is refused before the sieve, too
+    with pytest.raises(ResourceBudgetError, match="precision goal"):
+        artin_constant(1e-11)
+
+
+def test_sieve_limit_for_precision_is_minimal():
+    # the default goal keeps the default sieve, so `constants` output is unchanged
+    for goal in (1e-8, 0.5):
+        assert sieve_limit_for_precision(goal) == arith.DEFAULT_SIEVE_LIMIT
+    for goal in (7e-9, 5e-9, 1e-9, 4.4e-10):
+        limit = sieve_limit_for_precision(goal)
+        assert densities_prime._tail_bound(limit) <= goal < densities_prime._tail_bound(limit - 1)
+    assert densities_prime._tail_bound(arith.MAX_SIEVE_LIMIT) > 4.3e-10
+    for goal in (4.3e-10, 1e-11):
+        with pytest.raises(ResourceBudgetError):
+            sieve_limit_for_precision(goal)
+    for goal in (0, -1, float("nan")):
+        with pytest.raises(ValueError, match="precision goal"):
+            sieve_limit_for_precision(goal)
 
 
 def test_artin_accelerated_within_proven_bound(pack):

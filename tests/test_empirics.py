@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -172,6 +173,19 @@ def test_scan_S_residues(pack):
     assert rep.counts == direct
 
 
+def test_ramanujan_scans_past_the_profile_cap(pack):
+    # c_(p-1)(k) and S_k need no coefficient profile, so no profile cap
+    k = 100
+    primes = pack.primes[:1000].tolist()
+    values = [ramanujan_sum(factorize(p - 1, pack), k) for p in primes]
+    for stat, want in (("c_pminus1", values),
+                       ("S_k_mod_p", [symmetric_residue(v, p) for v, p in zip(values, primes)])):
+        assert scan_primes(stat, k=k, nprimes=1000, pack=pack).counts == Counter(want), stat
+    for stat in ("a_pminus1", "s_k_mod_p"):
+        with pytest.raises(ResourceBudgetError):
+            scan_primes(stat, k=62, nprimes=10, pack=pack)
+
+
 def test_coeff_evaluator_matches_cyclo_coeff(pack):
     ns = np.arange(1, 3001)
     for k in (1, 2, 3, 7, 15):
@@ -341,6 +355,19 @@ def test_count_cyclo_values_small(pack):
             direct[k][v] = direct[k].get(v, 0) + 1
     assert dict(counts[2]) == direct[2]
     assert dict(counts[7]) == direct[7]
+
+
+def test_bulk_counts_refuse_bad_arguments(sieve_builds):
+    # a_n(0) = 1 for n >= 2 and c_n(m) needs m >= 1: no count for either,
+    # and a negative limit is no empty range; limit 0 is legal
+    for bad in (lambda: count_cyclo_values([0], 30), lambda: count_cyclo_values([3, -1], 30),
+                lambda: count_cyclo_values([5], -7), lambda: count_ramanujan_values([0], 30),
+                lambda: count_ramanujan_values([3], -1)):
+        with pytest.raises(ValueError):
+            bad()
+    assert sieve_builds == []
+    assert count_cyclo_values([5], 0) == {5: {}}
+    assert count_ramanujan_values([3], 0) == {3: {}}
 
 
 def test_table8_table9_conditioning(pack):

@@ -123,11 +123,11 @@ def test_split_pair_matches_direct_oracle():
     # is c_(n_S)(m), sign -1 is c_(n_S b)(m) for a prime b not dividing m
     # (checked wherever n_S b is in the oracle's range)
     for m in range(1, 201):
-        caps, pair = ramanujan_split(m)
+        caps, pairs = ramanujan_split(m)
         b = next(p for p in itertools.count(2) if is_prime_int(p) and m % p)
         for i, exps in enumerate(itertools.product(*(range(cap + 1) for _, cap in caps))):
             n_s = math.prod(q**e for (q, _), e in zip(caps, exps))
-            plus, minus = pair(i)
+            plus, minus = pairs[i]
             assert plus == ramanujan_sum_direct(n_s, m), (m, n_s)
             if n_s * b <= _DIRECT_LIMIT:
                 assert minus == ramanujan_sum_direct(n_s * b, m), (m, n_s)

@@ -12,6 +12,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cyclodist.arith import euler_phi, factorize, mobius, small_primes
@@ -23,7 +24,8 @@ from cyclodist.densities_prime import (
     ramanujan_prime_density,
     s_small_density,
 )
-from cyclodist.ramanujan import natural_density_of_ramanujan
+from cyclodist.density import Basis, split_density
+from cyclodist.ramanujan import natural_density_of_ramanujan, natural_moment_of_ramanujan
 from cyclodist.tables import build_table
 
 HALF = Fraction(1, 2)
@@ -114,6 +116,63 @@ def test_ramanujan_tables_match_old_routes():
         assert ramanujan_prime_density(m, signed=True).as_dict() == _merge(pairs), m
         unsigned = _merge((abs(v), c) for v, c in pairs)
         assert ramanujan_prime_density(m).as_dict() == unsigned, m
+
+
+def test_ramanujan_tables_exact_past_int64():
+    # c_n(m) reaches m itself, far past int64 here
+    for m in (2**80, 10**25):
+        natural = natural_density_of_ramanujan(m)
+        assert natural.as_dict() == _merge(_ramanujan_profiles(m, over_primes=False)), m
+        assert max(natural.values()) == m and min(natural.values()) == -m
+        natural_moment_of_ramanujan(m, 2)  # checks the closed form against the table
+        pairs = list(_ramanujan_profiles(m, over_primes=True))
+        assert ramanujan_prime_density(m, signed=True).as_dict() == _merge(pairs), m
+        assert ramanujan_prime_density(m).as_dict() == _merge((abs(v), c) for v, c in pairs), m
+
+
+def _oracle_weight(basis, q, e):
+    """Density, relative to the basis, of nu_q = e with a cofactor
+    squarefree at q."""
+    if basis is Basis.SIX_OVER_PI2:
+        return Fraction(1, q**e) / (1 + Fraction(1, q))
+    return _delta(q, e) / (1 - Fraction(1, q * (q - 1)))
+
+
+def _random_pairs(rng, rows):
+    """A (rows, 2) table as int8 at its edges, wide int64 or Python ints."""
+    kind = rng.choice(("int8", "int64", "object"))
+    if kind == "int8":
+        pool = [-128, -127, -1, 0, 0, 1, 2, 127]
+    elif kind == "int64":
+        pool = [0, 0, -1, 5, 2**40, -(2**40) + 3, 2**62, -(2**63)]
+    else:
+        pool = [0, -1, 3, 2**80, -(2**80), 10**25 + 1, -(2**63) - 1]
+    dtype = object if kind == "object" else np.dtype(kind)
+    return np.array([[rng.choice(pool) for _ in range(2)] for _ in range(rows)], dtype=dtype)
+
+
+def test_split_density_matches_brute_force():
+    # every value, position and weight against a Fraction sum over
+    # itertools.product (first prime of caps most significant)
+    rng = random.Random(15)
+    for trial in range(300):
+        primes = rng.sample([2, 3, 5, 7, 11, 13], rng.randint(0, 4))
+        caps = [(q, rng.randint(0, 3)) for q in primes]
+        grid = list(itertools.product(*(range(cap + 1) for _, cap in caps)))
+        pairs = _random_pairs(rng, len(grid))
+        basis = rng.choice((Basis.SIX_OVER_PI2, Basis.ARTIN))
+        allowed = {(q, e) for q, cap in caps for e in range(cap + 1) if rng.random() < 0.75}
+        keep = rng.choice((None, lambda q, e: (q, e) in allowed))
+        want = {}
+        for exps, row in zip(grid, pairs.tolist()):
+            if keep is not None and not all(keep(q, e) for (q, _), e in zip(caps, exps)):
+                continue
+            weight = HALF * math.prod(_oracle_weight(basis, q, e) for (q, _), e in zip(caps, exps))
+            for v in row:
+                want[v] = want.get(v, 0) + weight
+        want = {v: c for v, c in want.items() if v and c}
+        got = split_density("f", basis, caps, pairs, keep=keep)
+        assert got.as_dict() == want, (trial, caps, pairs.dtype, basis)
 
 
 def _constraint(*entries):

@@ -287,28 +287,19 @@ def test_cli_exit_codes(capsys):
         for order in ("1", "2"):
             code, out, err = run_cli(capsys, "moment", "natural", "--m", m, "--order", order)
             assert code == 2 and out == "", (m, order)
-    # an invalid precision goal is a usage error, not a budget overrun
-    for goal in ("0", "-1", "nan"):
-        code, out, err = run_cli(capsys, "--sieve-limit", "1000", "constants",
-                                 "--precision", goal)
-        assert code == 2 and out == "" and "precision goal" in err, goal
     code, _, err = run_cli(capsys, "empirical", "--stat", "c", "--nprimes", "10")
     assert code == 2  # missing k
+    code, _, err = run_cli(capsys, "empirical", "--stat", "a", "--k", "62", "--nprimes", "10")
+    assert code == 3 and "k <= 61" in err
+    # c_(p-1)(k) reads no coefficient profile: no cap on k
+    code, out, _ = run_cli(capsys, "empirical", "--stat", "c", "--k", "100", "--nprimes", "10")
+    assert code == 0 and out
     code, _, err = run_cli(capsys, "empirical", "--stat", "mu", "--nprimes", "10",
                            "--cond", "garbage")
     assert code == 2
     code, _, err = run_cli(capsys, "empirical", "--stat", "mu", "--nprimes", "10",
                            "--cond", "nu4=0")  # a valuation at 4 is no valuation
     assert code == 2 and "primes" in err
-    for limit in ("0", "1", "-5"):  # 0 is a limit too, not "unset"
-        code, _, err = run_cli(capsys, "--sieve-limit", limit, "empirical", "--stat", "mu",
-                               "--nprimes", "10")
-        assert code == 2 and "sieve limit" in err
-    # ... whether or not the query builds a sieve
-    for argv in (["table", "--id", "3", "--kmax", "3"], ["density", "prime", "--k", "15"],
-                 ["coeff", "--n", "6", "--k", "1"]):
-        code, _, err = run_cli(capsys, "--sieve-limit", "0", *argv)
-        assert code == 2 and "sieve limit" in err, argv
     # a negative k is refused by every method
     for method in ("recurrence", "series", "partition"):
         code, out, err = run_cli(capsys, "coeff", "--n", "7", "--k", "-1", "--method", method)
@@ -334,17 +325,6 @@ def test_cli_constants_refuses_kfree_before_the_sieve(capsys, sieve_builds):
         code, out, err = run_cli(capsys, "constants", "--kfree", order)
         assert code == 2 and out == "" and "powerfree order" in err, order
     assert sieve_builds == []
-
-
-def test_cli_cache_dir(capsys, tmp_path):
-    code, _, _ = run_cli(capsys, "--sieve-limit", "20000", "--cache-dir", str(tmp_path),
-                         "constants", "--precision", "0.01")
-    assert code == 0
-    assert list(tmp_path.glob("sieve_20000.cpd1"))
-    # second run loads from the cache
-    code, out, _ = run_cli(capsys, "--sieve-limit", "20000", "--cache-dir", str(tmp_path),
-                           "constants", "--precision", "0.01", "--format", "json")
-    assert code == 0 and json.loads(out)["artin"]["truncation_prime"] == 19997
 
 
 def test_console_script_installed():
@@ -424,12 +404,14 @@ def test_cli_cache_dir_sized_to_the_query(capsys, tmp_path, sieve_builds):
 
 
 def test_cli_bad_precision_goal_builds_no_sieve(capsys, tmp_path, sieve_builds):
-    # the goal is refused before the 2*10^7 sieve (or any cache file) exists
-    for flags in ([], ["--sieve-limit", "1000"], ["--cache-dir", str(tmp_path)],
-                  ["--sieve-limit", "1000", "--cache-dir", str(tmp_path)]):
+    # the goal is refused before the 2*10^7 sieve (or any cache file) exists:
+    # an invalid goal is a usage error, an unreachable one a budget overrun
+    for flags in ([], ["--cache-dir", str(tmp_path)]):
         for goal in ("0", "-1", "nan"):
             code, out, err = run_cli(capsys, *flags, "constants", "--precision", goal)
             assert code == 2 and out == "" and "precision goal" in err, (flags, goal)
+        code, out, err = run_cli(capsys, *flags, "constants", "--precision", "1e-11")
+        assert code == 3 and out == "" and "precision goal" in err, flags
     assert sieve_builds == []
     assert list(tmp_path.glob("*.cpd1")) == []
 
