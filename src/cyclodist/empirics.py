@@ -12,6 +12,17 @@ of primitive roots come from an explicit expansion over the roots
 themselves (the one genuinely independent oracle for the congruence
 suite).
 
+The engine works in int32.  Every entry is at most the sieve limit, and
+every sieve limit (`MAX_SIEVE_LIMIT` = 3·10^8) is below 2^31; a pack past
+that is refused once per scan or value map, never checked per block.
+It divides with `//` and never with `%`: numpy divides an array by a
+scalar through a precomputed multiply-and-shift, which on int32 is about
+ten times as fast as the true division behind `%`, so a divisibility test
+is q = r // p, q * p == r, and q is kept as the quotient.  Each entry of a
+block gets the key n_S, or 0 where the value must vanish; n_S >= 1, so 0
+is free, and its table row (0, 0) spares the boolean compressions that
+would otherwise drop the dead entries of every block.
+
 Counts are reported as :class:`EmpiricalReport`: per-value counts, the
 number of primes scanned, and exact rational frequencies.
 """
@@ -39,7 +50,7 @@ from .arith import (
 )
 from .cyclotomic import PROFILE_MAX_K, cyclo_coeff
 from .densities_prime import ValuationConstraint
-from .errors import ResourceBudgetError
+from .errors import InternalConsistencyError, ResourceBudgetError
 from .ramanujan import ramanujan_split, ramanujan_sum
 
 PRIMITIVE_ROOT_LIMIT = 1_000_000
@@ -99,19 +110,43 @@ class EmpiricalReport:
 
 
 def _peel(ns: np.ndarray, primes: Sequence[int]) -> Tuple[List[np.ndarray], np.ndarray]:
-    """The valuations of the entries of `ns` at each of `primes`, and what
-    is left of the entries once those primes are divided out."""
-    rest = ns.copy()
+    """The valuations (int8) of the entries of `ns` (1 <= n < 2^31) at each
+    of `primes`, and what is left of the entries (int32) once those primes
+    are divided out.
+
+    nu_2 comes from the lowest set bit r & -r: a power of two, which
+    float32 holds exactly, with nu_2 + 127 in its exponent field; one right
+    shift removes it.  An odd p is peeled by floor quotients over the
+    shrinking set of entries it still divides, never by `%` (see the
+    module docstring)."""
+    rest = ns.astype(np.int32)
     exps = []
     for p in primes:
+        if p == 2:
+            e = ((rest & -rest).astype(np.float32).view(np.int32) >> 23) - 127
+            rest >>= e
+            exps.append(e.astype(np.int8))
+            continue
         e = np.zeros(len(rest), dtype=np.int8)
-        idx = np.flatnonzero(rest % p == 0)
+        q = rest // p
+        idx = np.flatnonzero(q * p == rest)
+        q = q[idx]
         while idx.size:
-            rest[idx] //= p
+            rest[idx] = q
             e[idx] += 1
-            idx = idx[rest[idx] % p == 0]
+            r, q = q, q // p
+            hit = q * p == r
+            idx, q = idx[hit], q[hit]
         exps.append(e)
     return exps, rest
+
+
+def _require_int32(pack: SievePack) -> None:
+    """The scan engine runs in int32; every sieve limit up to
+    `MAX_SIEVE_LIMIT` fits, a hand-built larger pack does not."""
+    if pack.limit >= 2**31:
+        raise InternalConsistencyError(
+            f"sieve limit {pack.limit} does not fit the int32 scan engine")
 
 
 def _split_values(caps: Dict[int, int], pair: Callable[[FactoredNat], Tuple[int, int]],
@@ -121,9 +156,14 @@ def _split_values(caps: Dict[int, int], pair: Callable[[FactoredNat], Tuple[int,
     mu(c) for the cofactor c = n / n_S: f(n) = pair(n_S)[0] if mu(c) = 1,
     pair(n_S)[1] if mu(c) = -1, and 0 if mu(c) = 0 or nu_p(n) exceeds
     caps[p] for some p in S (where f must vanish).  The pair is memoised
-    per n_S across the calls of the returned map."""
+    per n_S across the calls of the returned map.
+
+    Every entry of a block is keyed, the dead ones (f must vanish) by 0:
+    n_S >= 1, so key 0 is free and its memo row is (0, 0).  The output is
+    one gather from the flattened table of rows."""
+    _require_int32(pack)
     primes = sorted(caps)
-    memo: Dict[int, Tuple[int, int]] = {}
+    memo: Dict[int, Tuple[int, int]] = {0: (0, 0)}
 
     def values(ns: np.ndarray) -> np.ndarray:
         exps, rest = _peel(ns, primes)
@@ -131,15 +171,15 @@ def _split_values(caps: Dict[int, int], pair: Callable[[FactoredNat], Tuple[int,
         live = mu != 0
         for p, e in zip(primes, exps):
             live &= e <= caps[p]
-        keys, inv = np.unique(ns[live] // rest[live], return_inverse=True)
+        key = ns.astype(np.int32) // rest
+        key *= live
+        keys, inv = np.unique(key, return_inverse=True)
         keys = keys.tolist()
-        for key in keys:
-            if key not in memo:
-                memo[key] = pair(factorize(key, pack))
-        table = np.array([memo[key] for key in keys], dtype=np.int64).reshape(-1, 2)
-        out = np.zeros(len(ns), dtype=np.int64)
-        out[live] = table[inv, (mu[live] < 0).astype(np.intp)]
-        return out
+        for k in keys:
+            if k not in memo:
+                memo[k] = pair(factorize(k, pack))
+        table = np.array([memo[k] for k in keys], dtype=np.int64)
+        return table.ravel()[2 * inv + (mu < 0)]
 
     return values
 
@@ -247,6 +287,7 @@ def scan_primes(
         raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
     limit = sieve_limit_for(nprimes=nprimes, x=x, shift=shift)
     pack = pack or default_pack(limit)
+    _require_int32(pack)
     primes, bound = _select_primes(pack, nprimes, x)
     needs_k = statistic in ("c_pminus1", "a_pminus1", "s_k_mod_p", "S_k_mod_p")
     if needs_k:

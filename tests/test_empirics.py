@@ -2,12 +2,13 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cyclodist import empirics
-from cyclodist.arith import factorize, mobius, small_primes
+from cyclodist.arith import MAX_SIEVE_LIMIT, factorize, mobius, small_primes
 from cyclodist.cyclotomic import cyclo_coeff
 from cyclodist.densities_prime import ValuationConstraint, artin_constant
 from cyclodist.empirics import (
@@ -24,7 +25,7 @@ from cyclodist.empirics import (
     symmetric_functions_mod_p,
     symmetric_residue,
 )
-from cyclodist.errors import ResourceBudgetError
+from cyclodist.errors import InternalConsistencyError, ResourceBudgetError
 from cyclodist.ramanujan import ramanujan_sum
 
 
@@ -231,6 +232,62 @@ def test_engine_above_every_cap(pack):
         ns = draws({q: e + 1 for q, e in factorize(m).factors})
         got = _ramanujan_values(m, pack)(np.array(ns)).tolist()
         assert got == [ramanujan_sum(factorize(n, pack), m) for n in ns], m
+
+
+def _peel_loop(n, primes):
+    exps = []
+    for p in primes:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        exps.append(e)
+    return exps, n
+
+
+def test_peel_against_a_loop():
+    # the int32 peel (nu_2 from the lowest set bit, odd primes by floor
+    # quotient) against trial division, on prime lists with and without 2
+    rng = random.Random(16)
+    ns = [1] + [2**j for j in range(29)] + [3**18, 5**12]
+    ns += [MAX_SIEVE_LIMIT, MAX_SIEVE_LIMIT - 1]
+    ns += [MAX_SIEVE_LIMIT // m * m for m in (2**10, 3**8, 2**5 * 3**4 * 5**3, 7**6, 9699690)]
+    ns += [rng.randrange(1, MAX_SIEVE_LIMIT + 1) for _ in range(500)]
+    ns += [rng.randrange(1, 10**4) * rng.choice((1, 2**9, 3**6, 5**4, 7**3)) for _ in range(500)]
+    for primes in ((2,), (3,), (2, 3), (3, 5, 7), (5, 13), tuple(small_primes(61))):
+        for block in (ns, []):
+            exps, rest = empirics._peel(np.array(block, dtype=np.int64), primes)
+            want = [_peel_loop(n, primes) for n in block]
+            assert rest.tolist() == [r for _, r in want], primes
+            assert [e.tolist() for e in exps] == [[e[i] for e, _ in want]
+                                                  for i in range(len(primes))], primes
+
+
+def test_engine_on_all_dead_and_all_live_blocks(pack):
+    # a block where f vanishes everywhere (a valuation over its cap, or a
+    # square in the cofactor) maps every entry to key 0; a block of
+    # squarefree n has no dead entry at all
+    live = [n for n in range(1, 4000) if pack.mobius[n] != 0]
+    dead = [n * 2**7 for n in range(1, 300)] + [n * 3**5 for n in range(1, 300)]
+    dead += [n * q * q for n in range(1, 200) for q in (67, 101)]
+    maps = [(_coeff_values(k, pack), lambda f, k=k: cyclo_coeff(f, k)) for k in (2, 15, 40)]
+    maps += [(_ramanujan_values(m, pack), lambda f, m=m: ramanujan_sum(f, m)) for m in (2, 12, 720)]
+    for value, direct in maps:
+        for block in (live, dead):
+            got = value(np.array(block)).tolist()
+            assert got == [direct(factorize(n, pack)) for n in block]
+        assert not any(got)
+
+
+def test_engine_refuses_a_pack_past_int32():
+    # checked from the limit alone, once per value map and once per scan:
+    # the stubs have no tables, so no block is ever evaluated
+    fits, past = SimpleNamespace(limit=2**31 - 1), SimpleNamespace(limit=2**31)
+    assert callable(_coeff_values(15, fits)) and callable(_ramanujan_values(12, fits))
+    for make in (lambda: _coeff_values(15, past), lambda: _ramanujan_values(12, past),
+                 lambda: scan_primes("mu_pminus1", nprimes=10, pack=past)):
+        with pytest.raises(InternalConsistencyError):
+            make()
 
 
 def test_scan_a_statistic(pack):
