@@ -40,7 +40,8 @@ ExactRational = Fraction
 #: Default sieve limit: covers the 10^6-th prime (15 485 863) with headroom.
 DEFAULT_SIEVE_LIMIT = 20_000_000
 
-#: Hard memory budget; the int32 SPF table alone is ~4 bytes per entry.
+#: Hard memory budget: 3 bytes per entry (uint16 SPF, int8 μ), 8 per prime.
+#: The build refuses limit >= 2^31 (int32 μ pass), so isqrt(limit) < 2^16.
 MAX_SIEVE_LIMIT = 300_000_000
 
 CACHE_MAGIC = b"CPD1"
@@ -83,40 +84,42 @@ def _sieve_arrays_numpy(limit: int):
 
     Block by block, the sievers p <= sqrt(limit) write p at their multiples
     from p^2 on, largest p first and unmasked, so each composite keeps its
-    least prime factor.  μ is read off the finished table: with p = spf[n]
-    and m = n // p, μ(n) = 0 if spf[m] == p, else -μ(m); as m <= n/2, blocks
-    [lo, lo + min(lo, _SEGMENT)) in increasing order read only filled entries."""
+    least prime factor and each prime keeps 0.  μ is read off the table in
+    int32: with p = spf[n] or n, and m = n // p, μ(n) = 0 if p | m (spf[m]
+    == p or m == p), else -μ(m); as m <= n/2, blocks [lo, lo + min(lo,
+    _SEGMENT)) in increasing order read only filled entries."""
+    if limit >= 1 << 31:  # the int32 μ pass; it implies isqrt(limit) < 2^16
+        raise ResourceBudgetError(f"sieve limit {limit} does not fit the int32 μ pass")
     sievers = small_primes(math.isqrt(limit))
-    spf = np.zeros(limit + 1, dtype=np.int32)
+    spf = np.zeros(limit + 1, dtype=np.uint16)
     for lo in range(0, limit + 1, _SEGMENT):
         seg = spf[lo : lo + _SEGMENT]
         top = bisect.bisect_right(sievers, math.isqrt(lo + len(seg) - 1))
         for p in reversed(sievers[:top]):
             seg[max(p * p, -(-lo // p) * p) - lo :: p] = p
-    prime_idx = np.flatnonzero(spf[2:] == 0).astype(np.int64) + 2
-    spf[prime_idx] = prime_idx
+    primes = np.flatnonzero(spf[2:] == 0) + 2
     mu = np.empty(limit + 1, dtype=np.int8)
     mu[:2] = (0, 1)
     lo = 2
     while lo <= limit:
         hi = min(lo + min(lo, _SEGMENT), limit + 1)
-        p = spf[lo:hi]
-        m = np.arange(lo, hi) // p
-        out = mu[lo:hi]
-        np.negative(mu.take(m), out=out)
-        out *= spf.take(m) != p
+        n = np.arange(lo, hi, dtype=np.int32)
+        p = spf[lo:hi] + n * (spf[lo:hi] == 0)  # n itself at a prime n
+        m = n // p
+        np.negative(mu.take(m), out=mu[lo:hi])
+        mu[lo:hi] *= (spf.take(m) != p) & (m != p)
         lo = hi
-    return spf, mu, prime_idx
+    return spf, mu, primes
 
 
 @dataclass(frozen=True, eq=False)
 class SievePack:
     """Read-only sieve tables over [0..limit].
 
-    ``smallest_prime_factor[n]`` is the least prime divisor of n (0 for
-    n < 2), ``mobius[n]`` is μ(n), and ``primes`` lists all π(limit) primes
-    in increasing order.  Identity semantics (eq=False): packs are shared,
-    not compared element-wise.
+    ``smallest_prime_factor[n]`` (uint16) is the least prime divisor of a
+    composite n, 0 for a prime n and for n < 2; ``mobius[n]`` is μ(n), and
+    ``primes`` lists all π(limit) primes in increasing order.  Identity
+    semantics (eq=False): packs are shared, not compared element-wise.
     """
 
     limit: int
@@ -146,7 +149,7 @@ class SievePack:
         spf = self.smallest_prime_factor
         out = []
         while n > 1:
-            p = int(spf[n])
+            p = int(spf[n]) or n
             e = 0
             while n % p == 0:
                 n //= p

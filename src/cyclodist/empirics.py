@@ -220,20 +220,25 @@ def _s_k_values(ps: np.ndarray, k: int, coeff: Callable[[np.ndarray], np.ndarray
 
 def _kfree(ms: np.ndarray, order: int, spf: np.ndarray) -> np.ndarray:
     """1 where no q^order divides m (m >= 1), else 0: every m is peeled one
-    prime at a time along the smallest-prime-factor table."""
+    prime q at a time by floor quotients in int32, q = spf[rest] or, where
+    that is 0, the (prime) rest itself.  A division by 0 raises."""
     out = np.ones(len(ms), dtype=np.int64)
-    rest = ms.copy()
-    idx = np.flatnonzero(rest > 1)
-    while idx.size:
-        q = spf[rest[idx]]
-        e = np.zeros(len(idx), dtype=np.int64)
-        div = np.arange(len(idx))
-        while div.size:
-            rest[idx[div]] //= q[div]
-            e[div] += 1
-            div = div[rest[idx[div]] % q[div] == 0]
-        out[idx[e >= order]] = 0
-        idx = idx[rest[idx] > 1]
+    idx = np.flatnonzero(ms > 1)
+    r = ms[idx].astype(np.int32)
+    with np.errstate(divide="raise"):
+        while idx.size:
+            q = spf[r] + r * (spf[r] == 0)
+            r //= q  # q divides r
+            e = np.ones(len(idx), dtype=np.int32)
+            live = np.arange(len(idx))
+            while live.size:
+                quo = r[live] // q[live]
+                hit = quo * q[live] == r[live]
+                live = live[hit]
+                r[live] = quo[hit]
+                e[live] += 1
+            out[idx[e >= order]] = 0
+            idx, r = idx[r > 1], r[r > 1]
     return out
 
 

@@ -39,6 +39,12 @@ def trial_factor(n):
     return tuple(out)
 
 
+def spf_entry(n, factors):
+    """The SPF table's entry for n with prime factorization `factors`: the
+    least prime factor of a composite n, 0 at a prime and at n < 2."""
+    return 0 if factors in ((), ((n, 1),)) else factors[0][0]
+
+
 def test_sieve_small_primes():
     pk = sieve_pack(10)
     assert pk.primes.tolist() == [2, 3, 5, 7]
@@ -238,11 +244,12 @@ def test_numpy_sieve_fallback_matches_linear():
     from cyclodist.arith import _sieve_arrays_numpy, is_prime_int
 
     spf, mu, primes = _sieve_arrays_numpy(50_000)
+    assert spf.dtype == np.uint16
     assert primes.tolist() == [n for n in range(50_001) if is_prime_int(n)]
     assert spf[0] == spf[1] == 0 and mu[0] == 0 and mu[1] == 1
     for n in range(2, 50_001):
         fn = factorize(n)
-        assert spf[n] == fn.factors[0][0], n
+        assert spf[n] == spf_entry(n, fn.factors), n
         assert mu[n] == fn.mobius(), n
 
 
@@ -277,11 +284,11 @@ def test_sieve_across_a_partial_segment():
 
     def check(limit, ns):
         spf, mu, _ = _sieve_arrays_numpy(limit)
-        assert len(mu) == limit + 1 and mu[0] == 0
+        assert len(mu) == limit + 1 and mu[0] == 0 and spf.dtype == np.uint16
         for n in ns:
             fn = FactoredNat(n, trial_factor(n))
             assert mu[n] == fn.mobius(), n
-            assert n == 1 or spf[n] == fn.factors[0][0], n
+            assert spf[n] == spf_entry(n, fn.factors), n
 
     limit = _SEGMENT + 4_999
     check(limit, [*range(1, 5_001), *range(_SEGMENT - 5_000, limit + 1)])
@@ -331,16 +338,53 @@ def test_sieve_matches_the_replaced_build(pack):
             got = (pack.smallest_prime_factor, pack.mobius, pack.primes)
         else:
             got = _sieve_arrays_numpy(limit)
-        for arr, want in zip(got, _replaced_sieve(limit)):
-            assert arr.dtype == want.dtype and np.array_equal(arr, want), limit
+        want = _replaced_sieve(limit)
+        want[0][want[2]] = 0  # the replaced build kept p at a prime p
+        assert got[0].dtype == np.uint16 and np.array_equal(got[0], want[0]), limit
+        for arr, ref in zip(got[1:], want[1:]):
+            assert arr.dtype == ref.dtype and np.array_equal(arr, ref), limit
 
 
 def test_sieve_spot_checks_against_trial_division(pack):
     rng = np.random.default_rng(1985)
     for n in rng.integers(2, pack.limit + 1, size=20_000).tolist():
         fn = FactoredNat(n, trial_factor(n))
-        assert pack.smallest_prime_factor[n] == fn.factors[0][0], n
+        assert pack.smallest_prime_factor[n] == spf_entry(n, fn.factors), n
         assert pack.mobius[n] == fn.mobius(), n
+
+
+def test_spf_is_zero_exactly_at_the_primes(pack):
+    spf = pack.smallest_prime_factor
+    assert spf.dtype == np.uint16
+    assert np.array_equal(np.flatnonzero(spf == 0), np.concatenate(([0, 1], pack.primes)))
+
+
+def test_factoring_past_uint16(pack):
+    # primes past 2^16, whose SPF entry is 0 as uint16 cannot hold them
+    # (the 10^6-th prime among them), the square of the largest siever, and
+    # the limit itself
+    from cyclodist.arith import small_primes
+    from cyclodist.empirics import _kfree
+
+    top = small_primes(math.isqrt(pack.limit))[-1]
+    ns = [65_537, 15_485_863, 19_999_999, top * top, pack.limit]
+    assert [trial_factor(n) for n in ns[:3]] == [((n, 1),) for n in ns[:3]]
+    for n in ns:
+        assert pack.factor(n) == factorize(n, pack).factors == trial_factor(n), n
+    for order in (2, 3):
+        want = [int(all(e < order for _, e in trial_factor(n))) for n in ns]
+        assert _kfree(np.array(ns), order, pack.smallest_prime_factor).tolist() == want, order
+
+
+def test_sieve_refuses_a_limit_past_int32(monkeypatch):
+    # the build runs μ in int32 and stores least factors in uint16; a raised
+    # budget must fail before any table is allocated
+    from cyclodist import arith
+
+    monkeypatch.setattr(arith, "MAX_SIEVE_LIMIT", 2**40)
+    monkeypatch.setattr(arith, "small_primes", lambda n: pytest.fail("the sieve started"))
+    with pytest.raises(ResourceBudgetError, match="int32"):
+        sieve_pack(2**31)
 
 
 def test_nth_prime_rejects_indices_out_of_range():
