@@ -27,7 +27,9 @@ ARGS = {
     "a_pminus1": [{"k": k} for k in (1, 2, 15, 30, 61)],
     "s_k_mod_p": [{"k": k} for k in (1, 2, 3, 15, 30, 61)],
     "S_k_mod_p": [{"k": k} for k in (1, 2, 12, 30, 100)],
-    "kfree_shift": [{"shift": s, "kfree_order": r} for s, r in ((1, 2), (-1, 2), (2, 3), (-2, 2))],
+    # orders 2 (μ) and 3, 4, 7 (peeled); shift 1 makes p = 2 give m = 1
+    "kfree_shift": [{"shift": s, "kfree_order": r}
+                    for s, r in ((1, 2), (-1, 2), (2, 3), (-2, 2), (1, 4), (3, 4), (-3, 7), (1, 7))],
     "conjecture1": [{}],
 }
 # with 2 and without it, and every kind of exponent prescription

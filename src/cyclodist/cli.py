@@ -18,6 +18,7 @@ from typing import List, Optional
 from . import tables
 from .arith import sieve_limit_for, sieve_pack
 from .cyclotomic import (
+    PROFILE_MAX_K,
     cyclo_coeff,
     cyclo_coeff_partition,
     cyclo_coeff_series,
@@ -135,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, help="natural side: moment order")
     p.add_argument("--z", type=str, help="prime side: moment order z > 0, z != 1")
 
-    p = fmt(sub.add_parser("s-density", help="distribution of s_k(p) mod p, k <= 4"))
+    p = fmt(sub.add_parser("s-density", help=f"distribution of s_k(p) mod p, k <= {PROFILE_MAX_K}"))
     p.add_argument("--k", type=int, required=True)
 
     p = fmt(sub.add_parser("a-density", help="distribution of a_(p-1)(k) over primes"))
@@ -296,7 +297,7 @@ def _run(args) -> int:
         _emit_rows(["value", "count", "frequency"], rows, args.format, payload=payload)
     elif cmd == "oracle":
         if args.kind == "roots":
-            roots = primitive_roots(args.p, pack=None)
+            roots = primitive_roots(args.p)
             _emit_rows(["primitive roots mod " + str(args.p)],
                        [[str(g)] for g in roots], args.format,
                        payload={"p": args.p, "roots": roots})

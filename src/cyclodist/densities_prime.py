@@ -307,14 +307,13 @@ def s_small_density(
     k: int, constraint: Optional[ValuationConstraint] = None
 ) -> DensityTable:
     """Distribution of the k-th elementary symmetric function of the
-    primitive roots mod p, reduced to the symmetric residue range, for
-    k <= 4 (optionally under a valuation constraint, as in
+    primitive roots mod p, reduced to the symmetric residue range
+    (optionally under a valuation constraint, as in
     :func:`coeff_prime_density`).  The primitive roots are the roots of
-    Phi_(p-1) mod p, so s_k(p) = (-1)^k a_(p-1)(k) mod p, and for k <= 4 the
-    coefficients are -1, 0 or 1: the table of a_(p-1)(k), mirrored for odd
-    k.  Sign splits are conditional."""
-    if k not in (1, 2, 3, 4):
-        raise ValueError("s_small_density covers k in {1, 2, 3, 4}; use coeff_prime_density")
+    Phi_(p-1) mod p, so s_k(p) = (-1)^k a_(p-1)(k) mod p, whose symmetric
+    residue is (-1)^k a_(p-1)(k) itself once p > 2 B(k): the table of
+    a_(p-1)(k), mirrored for odd k, for every k the coefficient profile
+    covers.  Sign splits are conditional."""
     table, _ = coeff_prime_density(k, constraint)
     sign = -1 if k % 2 else 1
     return DensityTable.from_dict(

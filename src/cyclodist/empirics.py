@@ -7,10 +7,12 @@ a numpy pass over blocks of `_BLOCK` primes p (or integers n); values of
 a_n(k) and c_n(m), n = p - 1 for primes, depend only on the part n_S of n
 at a finite prime set S and on μ of the cofactor n / n_S, and one engine
 (:func:`_split_values`) evaluates them for a whole block at a time.
-Conditioning is a mask on peeled exponents.  The k-th symmetric functions
-of primitive roots come from an explicit expansion over the roots
-themselves (the one genuinely independent oracle for the congruence
-suite).
+Conditioning is a mask on peeled exponents.  A scan reads only two
+sieve tables, μ and the prime list; each distinct n_S is factored once,
+by trial division (:func:`cyclodist.arith.factorize`).  The k-th
+symmetric functions of primitive roots come from an explicit expansion
+over the roots themselves (the one genuinely independent oracle for the
+congruence suite).
 
 The engine works in int32.  Every entry is at most the sieve limit, and
 every sieve limit (`MAX_SIEVE_LIMIT` = 3·10^8) is below 2^31; a pack past
@@ -177,7 +179,7 @@ def _split_values(caps: Dict[int, int], pair: Callable[[FactoredNat], Tuple[int,
         keys = keys.tolist()
         for k in keys:
             if k not in memo:
-                memo[k] = pair(factorize(k, pack))
+                memo[k] = pair(factorize(k))
         table = np.array([memo[k] for k in keys], dtype=np.int64)
         return table.ravel()[2 * inv + (mu < 0)]
 
@@ -218,28 +220,19 @@ def _s_k_values(ps: np.ndarray, k: int, coeff: Callable[[np.ndarray], np.ndarray
     return out
 
 
-def _kfree(ms: np.ndarray, order: int, spf: np.ndarray) -> np.ndarray:
-    """1 where no q^order divides m (m >= 1), else 0: every m is peeled one
-    prime q at a time by floor quotients in int32, q = spf[rest] or, where
-    that is 0, the (prime) rest itself.  A division by 0 raises."""
-    out = np.ones(len(ms), dtype=np.int64)
-    idx = np.flatnonzero(ms > 1)
-    r = ms[idx].astype(np.int32)
-    with np.errstate(divide="raise"):
-        while idx.size:
-            q = spf[r] + r * (spf[r] == 0)
-            r //= q  # q divides r
-            e = np.ones(len(idx), dtype=np.int32)
-            live = np.arange(len(idx))
-            while live.size:
-                quo = r[live] // q[live]
-                hit = quo * q[live] == r[live]
-                live = live[hit]
-                r[live] = quo[hit]
-                e[live] += 1
-            out[idx[e >= order]] = 0
-            idx, r = idx[r > 1], r[r > 1]
-    return out
+def _kfree(ms: np.ndarray, order: int, pack: SievePack) -> np.ndarray:
+    """1 where no q^order divides m (1 <= m <= pack.limit), else 0.  Order 2
+    reads μ(m) != 0; a higher order peels the primes q with q^order <= max(ms)
+    and tests their valuations."""
+    if order == 2:
+        return (pack.mobius[ms] != 0).astype(np.int64)
+    top = int(ms.max(initial=1))
+    root = int(top ** (1 / order)) + 1
+    qs = [q for q in pack.primes[: pack.prime_count(root)].tolist() if q**order <= top]
+    free = np.ones(len(ms), dtype=bool)
+    for e in _peel(ms, qs)[0]:
+        free &= e < order
+    return free.astype(np.int64)
 
 
 def _count_blocks(size: int, block: Callable[[int, int], np.ndarray]) -> Dict[int, int]:
@@ -336,7 +329,7 @@ def scan_primes(
         elif statistic == "kfree_shift":
             ms = ps - shift
             keep &= ms >= 1
-            vals = _kfree(np.maximum(ms, 1), kfree_order, pack.smallest_prime_factor)
+            vals = _kfree(np.maximum(ms, 1), kfree_order, pack)
         else:  # conjecture1: mu of p - 1 without the constraint primes
             vals = pack.mobius[rest]
         return vals[keep]
@@ -356,7 +349,7 @@ def scan_primes(
 # -- primitive-root oracles -------------------------------------------------------
 
 
-def primitive_roots(p: int, pack: Optional[SievePack] = None) -> List[int]:
+def primitive_roots(p: int) -> List[int]:
     """All phi(p-1) primitive roots mod p in [1, p-1], by explicit order
     checks (p <= 10^6)."""
     if not is_prime_int(p):
@@ -366,7 +359,7 @@ def primitive_roots(p: int, pack: Optional[SievePack] = None) -> List[int]:
     if p == 2:
         return [1]
     n = p - 1
-    qs = [q for q, _ in as_factored(n, pack).factors]
+    qs = factorize(n).primes()
     g = None
     for cand in range(2, p):
         if all(pow(cand, n // q, p) != 1 for q in qs):
@@ -382,9 +375,7 @@ def primitive_roots(p: int, pack: Optional[SievePack] = None) -> List[int]:
     return roots
 
 
-def symmetric_functions_mod_p(
-    p: int, kmax: int, pack: Optional[SievePack] = None
-) -> Tuple[List[int], List[int]]:
+def symmetric_functions_mod_p(p: int, kmax: int) -> Tuple[List[int], List[int]]:
     """(s_1..s_kmax, S_1..S_kmax) mod p: the elementary symmetric functions
     and power sums of the primitive roots mod p, residues in [0, p).
 
@@ -396,7 +387,7 @@ def symmetric_functions_mod_p(
         raise ValueError("kmax must be >= 1")
     if p > SYMMETRIC_ORACLE_LIMIT:
         raise ResourceBudgetError(f"symmetric oracle capped at p <= {SYMMETRIC_ORACLE_LIMIT}")
-    roots = primitive_roots(p, pack)
+    roots = primitive_roots(p)
     t = len(roots)
     if kmax > t + 2:
         raise ValueError(f"kmax limited to phi(p-1) + 2 = {t + 2}")

@@ -149,10 +149,10 @@ def test_criterion_09_deterministic_scan_reproduction(pack):
 def test_criterion_10_congruence_suite(pack):
     checked = 0
     for p in pack.primes[: pack.prime_count(2000)].tolist():
-        fn = factorize(p - 1, pack)
+        fn = factorize(p - 1)
         t = fn.phi()
         kmax = min(8, t)
-        s, S = symmetric_functions_mod_p(p, kmax, pack)
+        s, S = symmetric_functions_mod_p(p, kmax)
         for k in range(1, kmax + 1):
             assert S[k - 1] == ramanujan_sum(fn, k) % p, (p, k)
             assert s[k - 1] == ((-1) ** k * cyclo_coeff(fn, k)) % p, (p, k)
@@ -161,10 +161,10 @@ def test_criterion_10_congruence_suite(pack):
                 "k <= min(8, phi(p-1)); zero failures")
 
 
-def test_criterion_11_cross_algorithm_equivalence(pack):
+def test_criterion_11_cross_algorithm_equivalence():
     checked = 0
     for n in range(2, 2001):
-        fn = factorize(n, pack)
+        fn = factorize(n)
         if not fn.is_squarefree():
             continue
         prefix = cyclo_coeff_prefix(fn, 20)
@@ -174,7 +174,7 @@ def test_criterion_11_cross_algorithm_equivalence(pack):
             assert a == cyclo_coeff_partition(fn, k), (n, k)
             checked += 1
     for n in range(1, 501):
-        fn = factorize(n, pack)
+        fn = factorize(n)
         coeffs = cyclo_poly(fn)
         assert cyclo_coeff_prefix(fn, len(coeffs) - 1) == coeffs, n
     _report(11, f"recurrence/series/partition agree on {checked} squarefree "

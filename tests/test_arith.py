@@ -51,28 +51,25 @@ def test_sieve_small_primes():
 
 
 def test_sieve_mobius_30(pack):
-    assert pack.mobius_of(30) == -1
-    assert pack.mobius_of(1) == 1
-    assert pack.mobius_of(4) == 0
+    assert pack.mobius[30] == -1
+    assert pack.mobius[1] == 1
+    assert pack.mobius[4] == 0
 
 
 def test_millionth_prime(pack):
     # the 10^6-th prime is 15485863, i.e. pi(15485863) = 10^6
     assert pack.prime_count(15_485_863) == 10**6
-    assert pack.nth_prime(10**6) == 15_485_863
+    assert pack.primes[10**6 - 1] == 15_485_863
 
 
 def test_sieve_agrees_with_trial_division(pack):
-    for n in range(1, 20_001):
-        assert pack.factor(n) == trial_factor(n)
-    for n in range(20_001, 100_001, 97):
-        assert pack.factor(n) == trial_factor(n)
+    for n in [*range(1, 20_001), *range(20_001, 100_001, 97)]:
+        assert pack.smallest_prime_factor[n] == spf_entry(n, trial_factor(n)), n
 
 
 def test_mobius_array_matches_definition(pack):
     for n in range(1, 100_001):
-        fac = FactoredNat(n, pack.factor(n))
-        assert int(pack.mobius[n]) == fac.mobius()
+        assert int(pack.mobius[n]) == factorize(n).mobius()
 
 
 def test_factorize_examples():
@@ -117,7 +114,7 @@ def test_multiplicativity_of_mobius_and_phi():
 
 def test_mobius_divisor_sum_is_unit_detector(pack):
     for n in range(1, 10_001):
-        total = sum(pack.mobius_of(d) for d in divisors(n))
+        total = sum(int(pack.mobius[d]) for d in divisors(n))
         assert total == (1 if n == 1 else 0)
 
 
@@ -360,9 +357,9 @@ def test_spf_is_zero_exactly_at_the_primes(pack):
 
 
 def test_factoring_past_uint16(pack):
-    # primes past 2^16, whose SPF entry is 0 as uint16 cannot hold them
-    # (the 10^6-th prime among them), the square of the largest siever, and
-    # the limit itself
+    # primes past 2^16 (the 10^6-th prime among them), the square of the
+    # largest siever, and the limit itself: factorize and _kfree at the top
+    # of the sieve
     from cyclodist.arith import small_primes
     from cyclodist.empirics import _kfree
 
@@ -370,10 +367,10 @@ def test_factoring_past_uint16(pack):
     ns = [65_537, 15_485_863, 19_999_999, top * top, pack.limit]
     assert [trial_factor(n) for n in ns[:3]] == [((n, 1),) for n in ns[:3]]
     for n in ns:
-        assert pack.factor(n) == factorize(n, pack).factors == trial_factor(n), n
+        assert factorize(n).factors == trial_factor(n), n
     for order in (2, 3):
         want = [int(all(e < order for _, e in trial_factor(n))) for n in ns]
-        assert _kfree(np.array(ns), order, pack.smallest_prime_factor).tolist() == want, order
+        assert _kfree(np.array(ns), order, pack).tolist() == want, order
 
 
 def test_sieve_refuses_a_limit_past_int32(monkeypatch):
@@ -387,21 +384,13 @@ def test_sieve_refuses_a_limit_past_int32(monkeypatch):
         sieve_pack(2**31)
 
 
-def test_nth_prime_rejects_indices_out_of_range():
-    pk = sieve_pack(100)
-    assert pk.nth_prime(1) == 2 and pk.nth_prime(25) == 97
-    for bad in (0, -1, 26):
-        with pytest.raises(ValueError, match=r"outside prime index range \[1, 25\]"):
-            pk.nth_prime(bad)
-
-
 def test_sieve_limit_for_covers_the_nth_prime(pack):
     assert pack.limit == DEFAULT_SIEVE_LIMIT  # default_pack() with no argument
     n_max = len(pack.primes)
     limits = np.array([sieve_limit_for(nprimes=n) for n in range(1, n_max + 1)])
     assert (limits >= pack.primes).all()
     assert sieve_limit_for(nprimes=0) >= 2
-    assert sieve_limit_for(nprimes=10_000) < 2 * pack.nth_prime(10_000)
+    assert sieve_limit_for(nprimes=10_000) < 2 * pack.primes[10_000 - 1]
     assert sieve_limit_for(x=1000) == 1000
     assert sieve_limit_for(x=0) == sieve_limit_for(x=1) == 2  # legal, no primes
     assert sieve_limit_for(nprimes=10, shift=-7) == sieve_limit_for(nprimes=10) + 7

@@ -128,9 +128,9 @@ def test_prefix_matches_poly(pack):
         assert cyclo_coeff_prefix(n, len(coeffs) - 1) == coeffs
 
 
-def test_kernel_reduction(pack):
+def test_kernel_reduction():
     for n in range(2, 2001):
-        fn = factorize(n, pack)
+        fn = factorize(n)
         gamma = fn.radical()
         if gamma == n:
             continue
@@ -146,10 +146,10 @@ def test_doubling(pack):
             assert cyclo_coeff(2 * n, k) == (-1) ** k * cyclo_coeff(n, k), (n, k)
 
 
-def test_log_derivative_recurrence(pack):
+def test_log_derivative_recurrence():
     # k a_n(k) = -sum_(m<k) a_n(m) c_n(k-m), through the full degree
     for n in range(2, 501):
-        fn = factorize(n, pack)
+        fn = factorize(n)
         phi = fn.phi()
         coeffs = cyclo_coeff_prefix(fn, phi)
         c = [0] + [ramanujan_sum(fn, m) for m in range(1, phi + 1)]
@@ -158,10 +158,10 @@ def test_log_derivative_recurrence(pack):
             assert -acc == k * coeffs[k], (n, k)
 
 
-def test_nicol_polynomial_identity(pack):
+def test_nicol_polynomial_identity():
     # sum_m c_n(m) X^(m-1) * Phi_n = (X^n - 1) * Phi_n'
     for n in range(2, 61):
-        fn = factorize(n, pack)
+        fn = factorize(n)
         phi_poly = cyclo_poly(fn)
         c_poly = [ramanujan_sum(fn, m) for m in range(1, n + 1)]
         lhs = [0] * (len(c_poly) + len(phi_poly) - 1)
@@ -307,14 +307,14 @@ def test_random_squarefree_cross_routes():
             assert cyclo_coeff_partition(fn, k) == want, (fn.value, k)
 
 
-def test_random_cross_routes_with_square_factors(pack):
+def test_random_cross_routes_with_square_factors():
     # the partition route is the divisor product that cyclo_poly also
     # expands, so it is checked here against the recurrence (and, on
     # squarefree n, the lift) on random n < 10^6, square factors included
     rng = random.Random(2026)
     squareful = 0
     for _ in range(300):
-        fn = factorize(rng.randrange(2, 10**6), pack)
+        fn = factorize(rng.randrange(2, 10**6))
         squareful += not fn.is_squarefree()
         for k in rng.sample(range(81), 6):
             want = cyclo_coeff(fn, k)
@@ -324,13 +324,13 @@ def test_random_cross_routes_with_square_factors(pack):
     assert squareful > 100
 
 
-def test_divisor_product_matches_recurrence(pack):
+def test_divisor_product_matches_recurrence():
     # the divisor product, in int64 rows at these heights, against the
     # recurrence on random n < 10^6 truncated at random top <= phi(n), 400
     rng = random.Random(2027)
     squareful = 0
     for _ in range(200):
-        fn = factorize(rng.randrange(2, 10**6), pack)
+        fn = factorize(rng.randrange(2, 10**6))
         squareful += not fn.is_squarefree()
         top = rng.randint(0, min(fn.phi(), 400))
         out = cyclotomic._divisor_product(fn, top)
@@ -390,10 +390,10 @@ def test_partition_enumeration():
     assert partition_count(61) == 1_121_505
 
 
-def test_order_divisibility_detects_cyclotomic_roots(pack):
+def test_order_divisibility_detects_cyclotomic_roots():
     # p | Phi_m(a) iff a has order m mod p (p prime, p not dividing m)
     for p in small_primes(200):
-        divisors_pm1 = factorize(p - 1, pack).divisors()
+        divisors_pm1 = factorize(p - 1).divisors()
         polys = {m: cyclo_poly(m) for m in divisors_pm1}
         orders = {}
         for a in range(1, p):

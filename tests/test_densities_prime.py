@@ -227,8 +227,14 @@ def test_s_small_densities():
         table = s_small_density(k)
         assert table.conditional
         table.validate()
-    with pytest.raises(ValueError):
-        s_small_density(5)
+    # past k = 4 it is still the a_(p-1)(k) table, mirrored for odd k
+    stratum = ValuationConstraint(((2, ("ge", 2)), (3, 1)))
+    for k in range(5, 21):
+        for constraint in (None, stratum):
+            a_table, _ = coeff_prime_density(k, constraint)
+            sign = -1 if k % 2 else 1
+            want = {sign * v: c for v, c in a_table.as_dict().items()}
+            assert s_small_density(k, constraint).as_dict() == want, (k, constraint)
 
 
 def test_s_small_matches_coefficient_distribution():

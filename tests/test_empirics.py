@@ -86,13 +86,13 @@ def test_symmetric_function_boundaries(pack):
             assert _s_k_values(np.array([p]), k, _coeff_values(k, pack))[0] == want, (p, k)
 
 
-def test_congruences_small(pack):
+def test_congruences_small():
     # S_k = c_(p-1)(k) and s_k = (-1)^k a_(p-1)(k) mod p, oracle side
     for p in small_primes(200):
         t = factorize(p - 1).phi() if p > 2 else 1
         kmax = min(8, t)
-        s, S = symmetric_functions_mod_p(p, kmax, pack)
-        fn = factorize(p - 1, pack)
+        s, S = symmetric_functions_mod_p(p, kmax)
+        fn = factorize(p - 1)
         for k in range(1, kmax + 1):
             assert S[k - 1] == ramanujan_sum(fn, k) % p, (p, k)
             assert s[k - 1] == ((-1) ** k * cyclo_coeff(fn, k)) % p, (p, k)
@@ -161,7 +161,7 @@ def test_scan_c_statistic_matches_direct(pack):
     report = scan_primes("c_pminus1", k=12, nprimes=2000, pack=pack)
     total = 0
     for i, p in enumerate(pack.primes[:2000].tolist()):
-        total += ramanujan_sum(factorize(p - 1, pack), 12)
+        total += ramanujan_sum(factorize(p - 1), 12)
     assert report.signed_sum() == total
 
 
@@ -169,7 +169,7 @@ def test_scan_S_residues(pack):
     rep = scan_primes("S_k_mod_p", k=2, nprimes=500, pack=pack)
     direct = {}
     for p in pack.primes[:500].tolist():
-        v = symmetric_residue(ramanujan_sum(factorize(p - 1, pack), 2), p)
+        v = symmetric_residue(ramanujan_sum(factorize(p - 1), 2), p)
         direct[v] = direct.get(v, 0) + 1
     assert rep.counts == direct
 
@@ -178,7 +178,7 @@ def test_ramanujan_scans_past_the_profile_cap(pack):
     # c_(p-1)(k) and S_k need no coefficient profile, so no profile cap
     k = 100
     primes = pack.primes[:1000].tolist()
-    values = [ramanujan_sum(factorize(p - 1, pack), k) for p in primes]
+    values = [ramanujan_sum(factorize(p - 1), k) for p in primes]
     for stat, want in (("c_pminus1", values),
                        ("S_k_mod_p", [symmetric_residue(v, p) for v, p in zip(values, primes)])):
         assert scan_primes(stat, k=k, nprimes=1000, pack=pack).counts == Counter(want), stat
@@ -191,7 +191,7 @@ def test_coeff_evaluator_matches_cyclo_coeff(pack):
     ns = np.arange(1, 3001)
     for k in (1, 2, 3, 7, 15):
         got = _coeff_values(k, pack)(ns).tolist()
-        assert got == [cyclo_coeff(factorize(n, pack), k) for n in range(1, 3001)], k
+        assert got == [cyclo_coeff(factorize(n), k) for n in range(1, 3001)], k
 
 
 def test_evaluators_match_direct_random(pack):
@@ -201,10 +201,10 @@ def test_evaluators_match_direct_random(pack):
     arr = np.array(ns)
     for k in (1, 2, 6, 13, 24, 40):
         got = _coeff_values(k, pack)(arr).tolist()
-        assert got == [cyclo_coeff(factorize(n, pack), k) for n in ns], k
+        assert got == [cyclo_coeff(factorize(n), k) for n in ns], k
     for m in (1, 2, 12, 15, 36, 210, 1024):
         got = _ramanujan_values(m, pack)(arr).tolist()
-        assert got == [ramanujan_sum(factorize(n, pack), m) for n in ns], m
+        assert got == [ramanujan_sum(factorize(n), m) for n in ns], m
 
 
 def test_engine_above_every_cap(pack):
@@ -227,11 +227,11 @@ def test_engine_above_every_cap(pack):
     for k in (2, 6, 13, 24, 40):
         ns = draws({p: int(np.log(k) / np.log(p) + 1e-9) + 1 for p in small_primes(k)})
         got = _coeff_values(k, pack)(np.array(ns)).tolist()
-        assert got == [cyclo_coeff(factorize(n, pack), k) for n in ns], k
+        assert got == [cyclo_coeff(factorize(n), k) for n in ns], k
     for m in (2, 12, 36, 210, 1024):
         ns = draws({q: e + 1 for q, e in factorize(m).factors})
         got = _ramanujan_values(m, pack)(np.array(ns)).tolist()
-        assert got == [ramanujan_sum(factorize(n, pack), m) for n in ns], m
+        assert got == [ramanujan_sum(factorize(n), m) for n in ns], m
 
 
 def _peel_loop(n, primes):
@@ -275,7 +275,7 @@ def test_engine_on_all_dead_and_all_live_blocks(pack):
     for value, direct in maps:
         for block in (live, dead):
             got = value(np.array(block)).tolist()
-            assert got == [direct(factorize(n, pack)) for n in block]
+            assert got == [direct(factorize(n)) for n in block]
         assert not any(got)
 
 
@@ -294,7 +294,7 @@ def test_scan_a_statistic(pack):
     rep = scan_primes("a_pminus1", k=2, nprimes=3000, pack=pack)
     direct = {}
     for p in pack.primes[:3000].tolist():
-        v = cyclo_coeff(factorize(p - 1, pack), 2)
+        v = cyclo_coeff(factorize(p - 1), 2)
         direct[v] = direct.get(v, 0) + 1
     assert rep.counts == direct
 
@@ -307,6 +307,26 @@ def test_kfree_shift_scan(pack):
     rep3 = scan_primes("kfree_shift", shift=-1, kfree_order=3, nprimes=10**5, pack=pack)
     cube = rep3.counts[1] / rep3.total
     assert 0.5 < cube < 1.0
+
+
+def test_kfree_matches_trial_division(pack):
+    # seeded draws against factorize for orders 2..8: m = 1, q^r, q^r - 1 and
+    # q^r * s for r <= order + 1, and the largest q with q^order <= the limit
+    # (the last prime peeled), in blocks up to the limit and alone; and a
+    # block below 2^order, where no q^order fits
+    rng = random.Random(2003)
+    primes = small_primes(math.isqrt(pack.limit))
+    for order in range(2, 9):
+        top = max(q for q in primes if q**order <= pack.limit) ** order
+        ms = [1, top, pack.limit] + [rng.randint(1, pack.limit) for _ in range(200)]
+        for r in range(1, order + 2):
+            fits = [q for q in primes if q**r <= pack.limit]
+            for q in rng.sample(fits, min(20, len(fits))):
+                ms += [q**r, q**r - 1, q**r * rng.randint(1, pack.limit // q**r)]
+        for block in (ms, [top], list(range(1, 2**order))):
+            want = [int(all(e < order for _, e in factorize(m).factors)) for m in block]
+            got = empirics._kfree(np.array(block), order, pack).tolist()
+            assert got == want, (order, [m for m, g, w in zip(block, got, want) if g != w])
 
 
 def test_conjecture1_scan(pack):
@@ -332,16 +352,16 @@ def test_conjecture1_scan(pack):
 
 
 def test_conjecture1_and_kfree_match_scalar(pack):
-    # per prime from pack.factor, against the array scans over 2*10^4 primes;
-    # squarefree_outside keeps only the p whose p - 1 is squarefree off the
-    # constraint primes, so conjecture1 then never reads 0
+    # per prime by trial division, against the array scans over 2*10^4
+    # primes; squarefree_outside keeps only the p whose p - 1 is squarefree
+    # off the constraint primes, so conjecture1 then never reads 0
     primes = pack.primes[:20_000].tolist()
+    factored = [factorize(p - 1).factors for p in primes]
     for entries in ((), ((2, 1),), ((2, ("ge", 2)), (3, 0))):
         for outside_sf in (True, False):
             c = ValuationConstraint(entries, squarefree_outside=outside_sf)
             want = {"conjecture1": {}, "mu_pminus1": {}}
-            for p in primes:
-                factors = pack.factor(p - 1)
+            for factors in factored:
                 outside = [e for q, e in factors if q not in c.primes()]
                 v = 0 if any(e >= 2 for e in outside) else (-1) ** len(outside)
                 if c.matches(factors) and (v or not outside_sf):
@@ -355,7 +375,7 @@ def test_conjecture1_and_kfree_match_scalar(pack):
         want = {}
         for p in primes:
             if p - shift >= 1:
-                v = int(all(e < order for _, e in pack.factor(p - shift)))
+                v = int(all(e < order for _, e in factorize(p - shift).factors))
                 want[v] = want.get(v, 0) + 1
         rep = scan_primes("kfree_shift", shift=shift, kfree_order=order, nprimes=20_000,
                           pack=pack)
@@ -394,7 +414,7 @@ def test_count_ramanujan_values_small(pack):
     counts = count_ramanujan_values([2, 6], 3000, pack)
     direct = {2: {}, 6: {}}
     for n in range(1, 3001):
-        fn = factorize(n, pack)
+        fn = factorize(n)
         for m in (2, 6):
             v = ramanujan_sum(fn, m)
             direct[m][v] = direct[m].get(v, 0) + 1
@@ -406,7 +426,7 @@ def test_count_cyclo_values_small(pack):
     counts = count_cyclo_values([2, 7], 3000, pack)
     direct = {2: {}, 7: {}}
     for n in range(1, 3001):
-        fn = factorize(n, pack)
+        fn = factorize(n)
         for k in (2, 7):
             v = cyclo_coeff(fn, k)
             direct[k][v] = direct[k].get(v, 0) + 1
@@ -469,10 +489,10 @@ def test_root_product_boundary_full_range(pack):
     # 1 mod p for p >= 5, 2 for p = 3, 1 for p = 2; the scan side must
     # reproduce it for every p <= 2000.
     for p in pack.primes[: pack.prime_count(2000)].tolist():
-        fn = factorize(p - 1, pack)
+        fn = factorize(p - 1)
         t = fn.phi()
         product = 1
-        for g in primitive_roots(p, pack):
+        for g in primitive_roots(p):
             product = product * g % p
         want = 1 if p != 3 else 2
         assert product == want, p

@@ -33,16 +33,16 @@ def test_direct_oracle_examples():
         ramanujan_sum_direct(200_000, 1)
 
 
-def test_holder_matches_direct_oracle(pack):
+def test_holder_matches_direct_oracle():
     for n in range(1, 501):
-        fn = factorize(n, pack)
+        fn = factorize(n)
         for m in range(1, 501):
             assert ramanujan_sum(fn, m) == ramanujan_sum_direct(n, m), (n, m)
 
 
-def test_value_bounds(pack):
+def test_value_bounds():
     for n in range(1, 400):
-        fn = factorize(n, pack)
+        fn = factorize(n)
         phi = fn.phi()
         for m in range(1, 400):
             c = ramanujan_sum(fn, m)
@@ -51,9 +51,9 @@ def test_value_bounds(pack):
             assert -phi <= c <= phi
 
 
-def test_evenness(pack):
+def test_evenness():
     for n in range(1, 1001):
-        fn = factorize(n, pack)
+        fn = factorize(n)
         for m in range(1, 1001):
             assert ramanujan_sum(fn, m) == ramanujan_sum(fn, math.gcd(n, m))
 
@@ -70,12 +70,12 @@ def test_multiplicative_in_n(pack):
             assert ramanujan_sum(a * b, m) == ramanujan_sum(a, m) * ramanujan_sum(b, m)
 
 
-def test_semi_multiplicative_in_m(pack):
+def test_semi_multiplicative_in_m():
     rng = random.Random(11)
     for _ in range(4000):
         n = rng.randrange(1, 1001)
         m1, m2 = rng.randrange(1, 1001), rng.randrange(1, 1001)
-        fn = factorize(n, pack)
+        fn = factorize(n)
         lhs = ramanujan_sum(fn, m1) * ramanujan_sum(fn, m2)
         rhs = ramanujan_sum(fn, math.gcd(m1, m2)) * ramanujan_sum(fn, math.lcm(m1, m2))
         assert lhs == rhs, (n, m1, m2)

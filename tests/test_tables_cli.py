@@ -114,7 +114,7 @@ def test_empirical_1e4_golden_by_scalar_route(pack):
     for tid, k in (("8", 2), ("9", 3)):
         values = []
         for p in primes:
-            fn = factorize(p - 1, pack)
+            fn = factorize(p - 1)
             v = 0 if k > fn.phi() else symmetric_residue((-1) ** k * cyclo_coeff(fn, k), p)
             values.append((fn.factors, v))
         rows = load_golden(tid)["rows"]
@@ -276,8 +276,9 @@ def test_cli_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-subcommand"])
     assert exc.value.code == 2
-    code, _, err = run_cli(capsys, "valueset", "--k", "62")
-    assert code == 3 and "resource" in err.lower()
+    for cmd in ("valueset", "s-density"):
+        code, _, err = run_cli(capsys, cmd, "--k", "62")
+        assert code == 3 and "resource" in err.lower(), cmd
     code, _, err = run_cli(capsys, "mean", "--k", "81", "--method", "partition")
     assert code == 3 and "resource" in err.lower()
     code, _, err = run_cli(capsys, "moment", "prime", "--k", "2", "--z", "1")
