@@ -7,10 +7,10 @@ Run it once against each of two source trees, for example
 
 and compare the two lines: any change to a count, a total, a statistic
 label or a conditioning string changes the digest.  It covers every
-statistic of `scan_primes` over the first 10^5 primes, with and without a
-valuation constraint, and the bulk counts of a_n(k) and c_n(m) over
-n <= 10^5.  It uses only public names that every tree since the
-split-profile fold has.
+statistic of `scan_primes` over the first 10^5 primes (two blocks of
+2^16), with and without a valuation constraint, and the bulk counts of
+a_n(k) and c_n(m) over n <= 10^5.  It uses only public names that every
+tree since the split-profile fold has.
 """
 
 import hashlib
@@ -23,11 +23,14 @@ NPRIMES = 10**5
 LIMIT = 10**5
 ARGS = {
     "mu_pminus1": [{}],
-    "c_pminus1": [{"k": k} for k in (1, 2, 12, 15, 30, 61, 100)],
+    # 720720 = 2^4·3^2·5·7·11·13 keeps new parts n_S coming past the first
+    # block; m = 2^80 is past int64, and c_(p-1)(m) is then as large as the
+    # 2-part of p - 1 allows
+    "c_pminus1": [{"k": k} for k in (1, 2, 12, 15, 30, 61, 100, 720720, 2**80)],
     "a_pminus1": [{"k": k} for k in (1, 2, 15, 30, 61)],
     "s_k_mod_p": [{"k": k} for k in (1, 2, 3, 15, 30, 61)],
-    "S_k_mod_p": [{"k": k} for k in (1, 2, 12, 30, 100)],
-    # orders 2 (μ) and 3, 4, 7 (peeled); shift 1 makes p = 2 give m = 1
+    "S_k_mod_p": [{"k": k} for k in (1, 2, 12, 30, 100, 720720)],
+    # orders 2 (μ) and 3, 4, 7 (floor-quotient tests); shift 1 makes p = 2 give m = 1
     "kfree_shift": [{"shift": s, "kfree_order": r}
                     for s, r in ((1, 2), (-1, 2), (2, 3), (-2, 2), (1, 4), (3, 4), (-3, 7), (1, 7))],
     "conjecture1": [{}],

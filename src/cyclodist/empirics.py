@@ -6,7 +6,7 @@ maps `cyclo_coeff` and `ramanujan_sum`, never density weights).  A scan is
 a numpy pass over blocks of `_BLOCK` primes p (or integers n); values of
 a_n(k) and c_n(m), n = p - 1 for primes, depend only on the part n_S of n
 at a finite prime set S and on μ of the cofactor n / n_S, and one engine
-(:func:`_split_values`) evaluates them for a whole block at a time.
+(:class:`_SplitValues`) evaluates them for a whole block at a time.
 Conditioning is a mask on peeled exponents.  A scan reads only two
 sieve tables, μ and the prime list; each distinct n_S is factored once,
 by trial division (:func:`cyclodist.arith.factorize`).  The k-th
@@ -20,10 +20,21 @@ that is refused once per scan or value map, never checked per block.
 It divides with `//` and never with `%`: numpy divides an array by a
 scalar through a precomputed multiply-and-shift, which on int32 is about
 ten times as fast as the true division behind `%`, so a divisibility test
-is q = r // p, q * p == r, and q is kept as the quotient.  Each entry of a
-block gets the key n_S, or 0 where the value must vanish; n_S >= 1, so 0
-is free, and its table row (0, 0) spares the boolean compressions that
-would otherwise drop the dead entries of every block.
+is q = r // p, q * p == r, and q is kept as the quotient.
+
+No block is sorted.  Each entry of a block gets the key n_S, or 0 where
+the value must vanish; n_S >= 1, so 0 is free, and its row (0, 0) spares
+the boolean compressions that would otherwise drop the dead entries.  A
+key has a slot, found in linear time through a fixed table of
+2^`_HASH_BITS` buckets (a multiplicative hash of the int32 key, checked
+against the key each slot holds); only entries that miss go through a
+dict.  An entry's code is 2·slot + [μ < 0], an index into the value map's
+append-only table of rows.  A block is counted by one `np.bincount` of
+its codes, and only the codes it holds are resolved to values.  The μ
+statistics count codes μ + 1 over (-1, 0, 1) and `kfree_shift` codes 0/1.
+A residue mod p keeps the code of its value v wherever 2|v| < p; the
+other entries get extra codes past the table, which hold for their block
+only.
 
 Counts are reported as :class:`EmpiricalReport`: per-value counts, the
 number of primes scanned, and exact rational frequencies.
@@ -60,6 +71,12 @@ SYMMETRIC_ORACLE_LIMIT = 100_000
 
 #: entries per block of a scan
 _BLOCK = 1 << 16
+#: a value map finds the slot of a key n_S among 2^_HASH_BITS buckets
+_HASH_BITS = 16
+_HASH_MUL = np.uint32(0x9E3779B1)  # odd, about 2^32 / golden ratio
+#: codes of mu (mu + 1) and of a 0/1 flag, and their values
+_MU_TABLE = np.array([-1, 0, 1], dtype=np.int64)
+_FLAG_TABLE = np.array([0, 1], dtype=np.int64)
 
 STATISTICS = (
     "mu_pminus1",
@@ -151,97 +168,213 @@ def _require_int32(pack: SievePack) -> None:
             f"sieve limit {pack.limit} does not fit the int32 scan engine")
 
 
-def _split_values(caps: Dict[int, int], pair: Callable[[FactoredNat], Tuple[int, int]],
-                  pack: SievePack) -> Callable[[np.ndarray], np.ndarray]:
+def _buckets(keys: np.ndarray, bits: int) -> np.ndarray:
+    """The buckets of int32 `keys` among 2^bits: the top `bits` bits of
+    key * _HASH_MUL mod 2^32.  Key 0 lands in bucket 0."""
+    return (keys.view(np.uint32) * _HASH_MUL) >> np.uint32(32 - bits)
+
+
+class _Codes:
+    """A value map on arrays in two halves: `codes(ns)` gives every entry
+    a small nonnegative code, and `table[code]` is its value.  A scan
+    counts codes and resolves only the codes it saw; calling the map
+    gives the values themselves."""
+
+    table: np.ndarray
+
+    def codes(self, ns: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def __call__(self, ns: np.ndarray) -> np.ndarray:
+        codes = self.codes(ns)
+        return self.table[codes]
+
+
+class _FixedCodes(_Codes):
+    def __init__(self, codes: Callable[[np.ndarray], np.ndarray], table: Sequence[int]):
+        self.codes = codes
+        self.table = np.array(table, dtype=np.int64)
+
+
+class _SplitValues(_Codes):
     """The array map n -> f(n) for 1 <= n <= pack.limit, where f depends
     only on n_S, the part of n supported on the primes S of `caps`, and on
     mu(c) for the cofactor c = n / n_S: f(n) = pair(n_S)[0] if mu(c) = 1,
     pair(n_S)[1] if mu(c) = -1, and 0 if mu(c) = 0 or nu_p(n) exceeds
-    caps[p] for some p in S (where f must vanish).  The pair is memoised
-    per n_S across the calls of the returned map.
+    caps[p] for some p in S (where f must vanish).  The pair is evaluated
+    once per n_S across the calls of the map.
 
     Every entry of a block is keyed, the dead ones (f must vanish) by 0:
-    n_S >= 1, so key 0 is free and its memo row is (0, 0).  The output is
-    one gather from the flattened table of rows."""
-    _require_int32(pack)
-    primes = sorted(caps)
-    memo: Dict[int, Tuple[int, int]] = {0: (0, 0)}
+    n_S >= 1, so key 0 is free and its row is (0, 0).  `slots` maps each
+    key seen so far to its slot, slot s holds its row (f at mu = 1, f at
+    mu = -1) at 2s and 2s + 1 of the append-only `table`, and `codes(ns)`
+    gives every entry the code 2·slot + [mu < 0].
 
-    def values(ns: np.ndarray) -> np.ndarray:
-        exps, rest = _peel(ns, primes)
-        mu = pack.mobius[rest]
+    No block is sorted.  A key finds its slot in `bucket_slot`, at the
+    bucket :func:`_buckets` gives it, and the find holds only where
+    `slot_key` of that slot is the key.  Free buckets hold 0, the slot of
+    key 0; bucket 0, where key 0 lands, is never taken, so the dead
+    entries, often most of a block, always find their slot.  An entry
+    misses when its key is new or its bucket is held by another key;
+    `misses` counts those entries."""
+
+    def __init__(self, caps: Dict[int, int], pair: Callable[[FactoredNat], Tuple[int, int]],
+                 pack: SievePack):
+        _require_int32(pack)
+        self.primes = sorted(caps)
+        self.caps = [caps[p] for p in self.primes]
+        self.pair = pair
+        self.pack = pack
+        self.bits = _HASH_BITS
+        self.bucket_slot = np.zeros(1 << self.bits, dtype=np.int32)
+        self.slot_key = np.zeros(1, dtype=np.int32)
+        self.table = np.zeros(2, dtype=np.int64)
+        self.slots: Dict[int, int] = {0: 0}
+        self.misses = 0
+
+    def codes(self, ns: np.ndarray) -> np.ndarray:
+        exps, rest = _peel(ns, self.primes)
+        mu = self.pack.mobius[rest]
         live = mu != 0
-        for p, e in zip(primes, exps):
-            live &= e <= caps[p]
+        for cap, e in zip(self.caps, exps):
+            live &= e <= cap
         key = ns.astype(np.int32) // rest
         key *= live
-        keys, inv = np.unique(key, return_inverse=True)
-        keys = keys.tolist()
-        for k in keys:
-            if k not in memo:
-                memo[k] = pair(factorize(k))
-        table = np.array([memo[k] for k in keys], dtype=np.int64)
-        return table.ravel()[2 * inv + (mu < 0)]
+        slot = self.bucket_slot[_buckets(key, self.bits)]
+        miss = np.flatnonzero(self.slot_key[slot] != key)
+        if miss.size:
+            slot[miss] = self._resolve(key[miss])
+        slot <<= 1
+        slot += mu < 0
+        return slot
 
-    return values
+    def _resolve(self, keys: np.ndarray) -> np.ndarray:
+        """The slots of `keys`: new keys are appended and take their free
+        buckets, then every key is found again through the buckets, and
+        only those that still miss are looked up one by one."""
+        self.misses += len(keys)
+        new = list(set(keys.tolist()) - self.slots.keys())
+        if new:
+            first = len(self.slots)
+            self.slots.update(zip(new, range(first, first + len(new))))
+            new_keys = np.array(new, dtype=np.int32)
+            rows = np.array([self.pair(factorize(k)) for k in new], dtype=np.int64)
+            self.slot_key = np.concatenate((self.slot_key, new_keys))
+            self.table = np.concatenate((self.table, rows.ravel()))
+            buckets = _buckets(new_keys, self.bits)
+            free = (self.bucket_slot[buckets] == 0) & (buckets != 0)
+            self.bucket_slot[buckets[free]] = np.arange(first, first + len(new),
+                                                        dtype=np.int32)[free]
+        slot = self.bucket_slot[_buckets(keys, self.bits)]
+        still = np.flatnonzero(self.slot_key[slot] != keys)
+        if still.size:
+            slot[still] = [self.slots[k] for k in keys[still].tolist()]
+        return slot
 
 
-def _coeff_values(k: int, pack: SievePack) -> Callable[[np.ndarray], np.ndarray]:
+def _coeff_values(k: int, pack: SievePack) -> _Codes:
     """n -> a_n(k) on arrays.  S = primes <= k; nu_p(n) > floor(log_p k) + 1
     makes n / rad(n) exceed k, so a_n(k) = 0.  A squarefree cofactor coprime
     to S acts like 1 or like q, the least prime above k.  k = 1 is special:
-    a_1(1) = 1 while a_n(1) = -mu(n) for n > 1."""
+    a_1(1) = 1 while a_n(1) = -mu(n) for n > 1, so its codes are mu(n) + 1
+    and 3 at n = 1."""
     if k == 1:
-        return lambda ns: np.where(ns == 1, 1, -pack.mobius[ns].astype(np.int64))
+        def codes(ns: np.ndarray) -> np.ndarray:
+            c = pack.mobius[ns] + 1
+            c[ns == 1] = 3
+            return c
+
+        return _FixedCodes(codes, (1, 0, -1, 1))
     q = least_prime_above(k)
     caps = {p: int(math.log(k, p) + 1e-9) + 1 for p in small_primes(k)}
-    return _split_values(caps, lambda f: (cyclo_coeff(f, k), cyclo_coeff(f.times_prime(q), k)),
-                         pack)
+    return _SplitValues(caps, lambda f: (cyclo_coeff(f, k), cyclo_coeff(f.times_prime(q), k)),
+                        pack)
 
 
-def _ramanujan_values(m: int, pack: SievePack) -> Callable[[np.ndarray], np.ndarray]:
+def _ramanujan_values(m: int, pack: SievePack) -> _Codes:
     """n -> c_n(m) on arrays: the caps of :func:`cyclodist.ramanujan.ramanujan_split`,
     c_(n_S)(m) by :func:`cyclodist.ramanujan.ramanujan_sum`."""
     caps, _ = ramanujan_split(m)
-    return _split_values(dict(caps), lambda f: (ramanujan_sum(f, m), -ramanujan_sum(f, m)), pack)
+    return _SplitValues(dict(caps), lambda f: (ramanujan_sum(f, m), -ramanujan_sum(f, m)), pack)
 
 
-def _s_k_values(ps: np.ndarray, k: int, coeff: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """s_k(p) mod p for an array of primes, `coeff` the map n -> a_n(k):
-    s_k(p) = (-1)^k a_(p-1)(k) mod p.  This covers k > phi(p-1), where
-    both sides vanish (Phi_(p-1) has degree phi(p-1)), and the k = phi(p-1)
-    boundary (+1 for p >= 5, -1 for p = 3, whose lone primitive root 2
-    makes the product of roots -1).  The one exception is p = 2 with
-    k = 1: its single root 1 gives s_1(2) = 1, while a_1(1) = 1 gives -1."""
-    a = coeff(ps - 1)
-    out = symmetric_residue(-a if k % 2 else a, ps)
+def _coded(value: _Codes, ns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The codes of `ns` and the table they index (read after the codes,
+    which may append to it)."""
+    codes = value.codes(ns)
+    return codes, value.table
+
+
+def _residues(ps: np.ndarray, codes: np.ndarray,
+              table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Codes and table of the symmetric residues of table[codes] mod ps.
+    A value v with 2|v| < p is its own residue and keeps its code; every
+    other entry gets an extra code past `table`, whose value is its
+    residue.  Extra codes index the returned table only: they belong to
+    this block, and the next block's table may hold other values there."""
+    if not len(ps) or 2 * int(np.abs(table).max()) < ps.min():
+        return codes, table
+    values = table[codes]
+    alias = np.flatnonzero(2 * np.abs(values) >= ps)
+    if not alias.size:
+        return codes, table
+    codes = codes.astype(np.int32, copy=False)
+    codes[alias] = np.arange(len(table), len(table) + alias.size)
+    return codes, np.concatenate((table, symmetric_residue(values[alias], ps[alias])))
+
+
+def _s_k_codes(ps: np.ndarray, k: int, coeff: _Codes) -> Tuple[np.ndarray, np.ndarray]:
+    """Codes and table of s_k(p) mod p for an array of primes, `coeff` the
+    map n -> a_n(k): s_k(p) = (-1)^k a_(p-1)(k) mod p.  This covers
+    k > phi(p-1), where both sides vanish (Phi_(p-1) has degree phi(p-1)),
+    and the k = phi(p-1) boundary (+1 for p >= 5, -1 for p = 3, whose lone
+    primitive root 2 makes the product of roots -1).  The one exception is
+    p = 2 with k = 1: its single root 1 gives s_1(2) = 1, while a_1(1) = 1
+    gives -1; 2|-1| >= 2, so p = 2 has an extra code of its own to fix."""
+    codes, table = _coded(coeff, ps - 1)
+    codes, table = _residues(ps, codes, -table if k % 2 else table)
     if k == 1:
-        out[ps == 2] = 1
-    return out
+        table[codes[ps == 2]] = 1
+    return codes, table
+
+
+def _s_k_values(ps: np.ndarray, k: int, coeff: _Codes) -> np.ndarray:
+    """s_k(p) mod p for an array of primes (see :func:`_s_k_codes`)."""
+    codes, table = _s_k_codes(ps, k, coeff)
+    return table[codes]
 
 
 def _kfree(ms: np.ndarray, order: int, pack: SievePack) -> np.ndarray:
-    """1 where no q^order divides m (1 <= m <= pack.limit), else 0.  Order 2
-    reads μ(m) != 0; a higher order peels the primes q with q^order <= max(ms)
-    and tests their valuations."""
+    """1 where no q^order divides m (1 <= m <= pack.limit), else 0, as int8
+    codes into (0, 1).  Order 2 reads μ(m) != 0; a higher order tests
+    (m // d) * d != m for each d = q^order <= max(ms), q prime."""
     if order == 2:
-        return (pack.mobius[ms] != 0).astype(np.int64)
+        return (pack.mobius[ms] != 0).view(np.int8)
     top = int(ms.max(initial=1))
     root = int(top ** (1 / order)) + 1
-    qs = [q for q in pack.primes[: pack.prime_count(root)].tolist() if q**order <= top]
     free = np.ones(len(ms), dtype=bool)
-    for e in _peel(ms, qs)[0]:
-        free &= e < order
-    return free.astype(np.int64)
+    rest = ms.astype(np.int32)
+    for q in pack.primes[: pack.prime_count(root)].tolist():
+        d = q**order
+        if d <= top:
+            free &= rest // d * d != rest
+    return free.view(np.int8)
 
 
-def _count_blocks(size: int, block: Callable[[int, int], np.ndarray]) -> Dict[int, int]:
-    """Counts of the values `block(lo, hi)` returns for the blocks
-    [lo, hi) of range(size), as Python ints in increasing value order."""
-    counts: Counter = Counter()
+def _count_blocks(size: int, block: Callable[[int, int], Tuple[np.ndarray, np.ndarray]]
+                  ) -> Dict[int, int]:
+    """Counts of the values over the blocks [lo, hi) of range(size), as
+    Python ints in increasing value order.  `block(lo, hi)` gives the
+    codes of the block's entries and the table they index; each block's
+    codes are counted by one bincount over the whole table, and only the
+    codes it holds are resolved to values (several codes may share one)."""
+    counts: Dict[int, int] = {}
     for lo in range(0, size, _BLOCK):
-        values, hits = np.unique(block(lo, min(lo + _BLOCK, size)), return_counts=True)
-        counts.update(dict(zip(values.tolist(), hits.tolist())))
+        codes, table = block(lo, min(lo + _BLOCK, size))
+        hits = np.bincount(codes, minlength=len(table))
+        seen = hits > 0
+        for v, c in zip(table[seen].tolist(), hits[seen].tolist()):
+            counts[v] = counts.get(v, 0) + c
     return dict(sorted(counts.items()))
 
 
@@ -308,31 +441,33 @@ def scan_primes(
     elif statistic in ("a_pminus1", "s_k_mod_p"):
         value = _coeff_values(k, pack)
 
-    def block(lo: int, hi: int) -> np.ndarray:
+    def block(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
         ps = primes[lo:hi]
         ns = ps - 1
-        keep = np.ones(len(ps), dtype=bool)
+        keep = None
         if constraint is not None:
+            keep = np.ones(len(ps), dtype=bool)
             exps, rest = _peel(ns, constraint.primes())
             for q, e in zip(constraint.primes(), exps):
                 keep &= constraint.allows(q, e)
             if constraint.squarefree_outside:
                 keep &= pack.mobius[rest] != 0
         if statistic == "mu_pminus1":
-            vals = pack.mobius[ns]
+            codes, table = pack.mobius[ns] + 1, _MU_TABLE
         elif statistic in ("c_pminus1", "a_pminus1"):
-            vals = value(ns)
+            codes, table = _coded(value, ns)
         elif statistic == "S_k_mod_p":
-            vals = symmetric_residue(value(ns), ps)
+            codes, table = _residues(ps, *_coded(value, ns))
         elif statistic == "s_k_mod_p":
-            vals = _s_k_values(ps, k, value)
+            codes, table = _s_k_codes(ps, k, value)
         elif statistic == "kfree_shift":
             ms = ps - shift
-            keep &= ms >= 1
-            vals = _kfree(np.maximum(ms, 1), kfree_order, pack)
+            positive = ms >= 1
+            keep = positive if keep is None else keep & positive
+            codes, table = _kfree(np.maximum(ms, 1), kfree_order, pack), _FLAG_TABLE
         else:  # conjecture1: mu of p - 1 without the constraint primes
-            vals = pack.mobius[rest]
-        return vals[keep]
+            codes, table = pack.mobius[rest] + 1, _MU_TABLE
+        return (codes if keep is None else codes[keep]), table
 
     label = statistic if not needs_k else f"{statistic}[k={k}]"
     if statistic == "kfree_shift":
@@ -439,7 +574,7 @@ def mertens_coprime(x: int, r, pack: Optional[SievePack] = None) -> int:
 
 
 def _count_integers(
-    values_of: Callable[[int, SievePack], Callable[[np.ndarray], np.ndarray]],
+    values_of: Callable[[int, SievePack], _Codes],
     args: Sequence[int], limit: int, pack: Optional[SievePack],
 ) -> Dict[int, Counter]:
     if limit < 0 or min(args, default=1) < 1:
@@ -448,7 +583,7 @@ def _count_integers(
     if limit > pack.limit:
         raise ResourceBudgetError(f"limit {limit} exceeds sieve capacity")
     return {a: Counter(_count_blocks(limit, lambda lo, hi, f=values_of(a, pack):
-                                     f(np.arange(lo + 1, hi + 1)))) for a in args}
+                                     _coded(f, np.arange(lo + 1, hi + 1)))) for a in args}
 
 
 def count_ramanujan_values(

@@ -132,16 +132,21 @@ def test_scan_bounds_validation(pack):
 
 
 def _every_scan(pack, nprimes):
-    """Reports of every statistic, with and without a constraint."""
+    """Reports of every statistic, with and without a constraint, and both
+    bulk counts.  s_k at k = 1 has the p = 2 fix-up; S_k at k = 720720
+    has a residue code past the table in the first block and new parts
+    n_S in later ones."""
     out = {}
-    args = {"mu_pminus1": {}, "c_pminus1": {"k": 12}, "a_pminus1": {"k": 15},
-            "s_k_mod_p": {"k": 3}, "S_k_mod_p": {"k": 2},
-            "kfree_shift": {"shift": 1, "kfree_order": 2}, "conjecture1": {}}
+    args = {"mu_pminus1": [{}], "c_pminus1": [{"k": 12}], "a_pminus1": [{"k": 15}],
+            "s_k_mod_p": [{"k": 3}, {"k": 1}], "S_k_mod_p": [{"k": 2}, {"k": 720720}],
+            "kfree_shift": [{"shift": 1, "kfree_order": 2}, {"shift": -1, "kfree_order": 3}],
+            "conjecture1": [{}]}
     for stat in STATISTICS:
         for c in (None, ValuationConstraint(((2, ("ge", 2)), (3, 0)))):
-            if stat != "conjecture1" or c is not None:
-                out[stat, c] = scan_primes(stat, nprimes=nprimes, constraint=c, pack=pack,
-                                           **args[stat])
+            for i, kwargs in enumerate(args[stat]):
+                if stat != "conjecture1" or c is not None:
+                    out[stat, c, i] = scan_primes(stat, nprimes=nprimes, constraint=c,
+                                                  pack=pack, **kwargs)
     out["cyclo"] = count_cyclo_values((1, 6, 15), nprimes, pack)
     out["rama"] = count_ramanujan_values((2, 12), nprimes, pack)
     return out
@@ -155,6 +160,43 @@ def test_scan_merge(pack, monkeypatch):
     blocked = _every_scan(pack, 5000)
     assert blocked == whole
     assert all(r.total == 5000 for key, r in whole.items() if isinstance(key, tuple))
+
+
+def test_engine_with_every_key_in_one_bucket(pack, monkeypatch):
+    # with one bucket, key 0's, every live key misses; with two, the live
+    # keys that land in bucket 1 share it with the one key that holds it.
+    # Counts must not change, in one block or in many
+    monkeypatch.setattr(empirics, "_BLOCK", 997)
+    wide = _every_scan(pack, 5000)
+    live = [n for n in range(1, 4000) if pack.mobius[n] != 0]
+    dead = [n * 2**7 for n in range(1, 300)]
+    for bits in (0, 1):
+        monkeypatch.setattr(empirics, "_HASH_BITS", bits)
+        assert _every_scan(pack, 5000) == wide, bits
+        # bucket 0 is never taken, so the dead entries never miss, even
+        # after live keys have been seen
+        maps = ((_coeff_values(15, pack), lambda f: cyclo_coeff(f, 15)),
+                (_ramanujan_values(12, pack), lambda f: ramanujan_sum(f, 12)))
+        for value, direct in maps:
+            for block in (live, dead, live, dead):
+                before = value.misses
+                assert value(np.array(block)).tolist() == [direct(factorize(n)) for n in block]
+                if block is dead:
+                    assert value.misses == before
+                elif bits == 0:
+                    assert value.misses == before + len(live)
+
+
+def test_scans_sort_nothing(pack, monkeypatch):
+    # a block is keyed and counted in linear time: no scan may sort, which
+    # also keeps numpy's sort code out of a process that only scans
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scan sorted")
+
+    for name in ("unique", "sort", "argsort"):
+        monkeypatch.setattr(np, name, refuse)
+    monkeypatch.setattr(empirics, "_BLOCK", 997)
+    _every_scan(pack, 3000)
 
 
 def test_scan_c_statistic_matches_direct(pack):
