@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cyclodist import empirics
-from cyclodist.arith import MAX_SIEVE_LIMIT, factorize, mobius, small_primes
+from cyclodist.arith import MAX_SIEVE_LIMIT, factorize, least_prime_above, mobius, small_primes
 from cyclodist.cyclotomic import cyclo_coeff
 from cyclodist.densities_prime import ValuationConstraint, artin_constant
 from cyclodist.empirics import (
@@ -266,11 +266,13 @@ def test_engine_above_every_cap(pack):
         ns += [p ** (cap + 1) for p, cap in caps.items() if p ** (cap + 1) <= pack.limit]
         return ns
 
-    for k in (2, 6, 13, 24, 40):
+    for k in (2, 6, 13, 24, 40, 61):
         ns = draws({p: int(np.log(k) / np.log(p) + 1e-9) + 1 for p in small_primes(k)})
         got = _coeff_values(k, pack)(np.array(ns)).tolist()
         assert got == [cyclo_coeff(factorize(n), k) for n in ns], k
-    for m in (2, 12, 36, 210, 1024):
+    # caps past the 2^16 residue tables (3^12, 5^8, 7^6), a 2-cap past
+    # int32, and a prime of m past int32 (it divides no entry)
+    for m in (2, 12, 36, 210, 1024, 3**11, 5**7 * 7**5, 2**80, 3 * (2**31 + 11)):
         ns = draws({q: e + 1 for q, e in factorize(m).factors})
         got = _ramanujan_values(m, pack)(np.array(ns)).tolist()
         assert got == [ramanujan_sum(factorize(n), m) for n in ns], m
@@ -287,22 +289,37 @@ def _peel_loop(n, primes):
     return exps, n
 
 
-def test_peel_against_a_loop():
-    # the int32 peel (nu_2 from the lowest set bit, odd primes by floor
-    # quotient) against trial division, on prime lists with and without 2
+def test_parts_against_a_loop():
+    # the residue-table parts (the 2-part from the lowest set bit, an odd p
+    # by one gather over Z/p^t) against trial division, for every cap from
+    # 0 to past the table depth and with none; n = p^t and p^t * q at the
+    # depth t of p's table run the deep path, and so do their multiples
     rng = random.Random(16)
     ns = [1] + [2**j for j in range(29)] + [3**18, 5**12]
     ns += [MAX_SIEVE_LIMIT, MAX_SIEVE_LIMIT - 1]
     ns += [MAX_SIEVE_LIMIT // m * m for m in (2**10, 3**8, 2**5 * 3**4 * 5**3, 7**6, 9699690)]
     ns += [rng.randrange(1, MAX_SIEVE_LIMIT + 1) for _ in range(500)]
     ns += [rng.randrange(1, 10**4) * rng.choice((1, 2**9, 3**6, 5**4, 7**3)) for _ in range(500)]
-    for primes in ((2,), (3,), (2, 3), (3, 5, 7), (5, 13), tuple(small_primes(61))):
-        for block in (ns, []):
-            exps, rest = empirics._peel(np.array(block, dtype=np.int64), primes)
-            want = [_peel_loop(n, primes) for n in block]
-            assert rest.tolist() == [r for _, r in want], primes
-            assert [e.tolist() for e in exps] == [[e[i] for e, _ in want]
-                                                  for i in range(len(primes))], primes
+    # 65537 has no stored table; the least prime past the limit divides no entry
+    past = least_prime_above(MAX_SIEVE_LIMIT)
+    for primes in ((2,), (3,), (2, 3), (3, 5, 7), (5, 13), tuple(small_primes(61)),
+                   (7, 65537, past)):
+        block = list(ns)
+        depth = {p: max(int(math.log(empirics._RESIDUE_TABLE, p) + 1e-9), 1) for p in primes}
+        for p, t in depth.items():
+            for m in (p**t, p ** (t + 1), p ** (2 * t), p**t * 1009, p**t * 3 * 1013):
+                block += [m * j for j in (1, 2, p + 1) if m * j <= MAX_SIEVE_LIMIT]
+        want = [_peel_loop(n, primes) for n in block]
+        arr = np.array(block, dtype=np.int32)
+        key = np.ones_like(arr)
+        for i, p in enumerate(primes):
+            exps = [e[i] for e, _ in want]
+            for cap in list(range(depth[p] + 3)) + [31, 40, 81, None]:
+                got = empirics._part_reader(p, cap, MAX_SIEVE_LIMIT)(arr).tolist()
+                assert got == [p**e if cap is None or e <= cap else 0 for e in exps], (p, cap)
+            key *= empirics._part_reader(p, None, MAX_SIEVE_LIMIT)(arr)
+            assert empirics._part_reader(p, 2, MAX_SIEVE_LIMIT)(arr[:0]).tolist() == []
+        assert (arr // key).tolist() == [r for _, r in want], primes
 
 
 def test_engine_on_all_dead_and_all_live_blocks(pack):
