@@ -4,11 +4,13 @@ Everything downstream runs on exact integers and `fractions.Fraction`
 (re-exported here as :data:`ExactRational`).  The two workhorses are
 
 * :class:`SievePack` — the Möbius table and the prime list up to a limit,
-  built once by a segmented sieve of Eratosthenes and shared read-only
-  across the package.  Its smallest-prime-factor table is a build
-  intermediate: only the μ pass reads it, and it stays a field while the
-  benchmark's ``spans._describe_sieve`` and CI's ``sieve_digest.py`` read
-  it.  A pack never factors;
+  built once by a segmented sieve of Eratosthenes over the odd numbers
+  and shared read-only across the package.  Its tables hold odd n only:
+  μ at an even n follows from μ(2o) = -μ(o) and μ(4m) = 0, and
+  :meth:`SievePack.mu` reads μ at any n.  Its smallest-prime-factor table
+  is a build intermediate: only the μ pass reads it, and it stays a field
+  while the benchmark's ``spans._describe_sieve`` and CI's
+  ``sieve_digest.py`` read it.  A pack never factors;
 * :class:`FactoredNat` — a natural number carried together with its full
   prime factorization (from :func:`factorize`, trial division, the one
   factoring route), the input of every multiplicative-function evaluation
@@ -43,8 +45,9 @@ ExactRational = Fraction
 #: Default sieve limit: covers the 10^6-th prime (15 485 863) with headroom.
 DEFAULT_SIEVE_LIMIT = 20_000_000
 
-#: Hard memory budget: 3 bytes per entry (uint16 SPF, int8 μ), 8 per prime.
-#: The build refuses limit >= 2^31 (int32 μ pass), so isqrt(limit) < 2^16.
+#: Hard memory budget: 1.5 bytes per entry (uint16 SPF and int8 μ over the
+#: odd n), 4 per prime (int32).  The build refuses limit >= 2^31 (int32 μ
+#: pass), so isqrt(limit) < 2^16.
 MAX_SIEVE_LIMIT = 300_000_000
 
 CACHE_MAGIC = b"CPD1"
@@ -81,50 +84,66 @@ def is_prime_int(n: int) -> bool:
 #: entries per block of the sieve build (1 MB of int32, so a block stays in cache)
 _SEGMENT = 1 << 18
 
+#: μ(n) is the entry :meth:`SievePack.mu` reads for n times _SIGN4[n mod 4]
+_SIGN4 = np.array([0, 1, -1, 1], dtype=np.int8)
+
 
 def _sieve_arrays_numpy(limit: int):
-    """Segmented Eratosthenes: (spf, mu, primes) over [0..limit].
+    """Segmented Eratosthenes over the odd n = 2i + 1 <= limit: (spf, mu,
+    primes), entry i of spf and mu standing for n = 2i + 1.
 
-    Block by block, the sievers p <= sqrt(limit) write p at their multiples
-    from p^2 on, largest p first and unmasked, so each composite keeps its
-    least prime factor and each prime keeps 0.  μ is read off the table in
-    int32: with p = spf[n] or n, and m = n // p, μ(n) = 0 if p | m (spf[m]
-    == p or m == p), else -μ(m); as m <= n/2, blocks [lo, lo + min(lo,
-    _SEGMENT)) in increasing order read only filled entries."""
+    Both tables have limit // 2 + 1 entries, so that n // 2 is an index for
+    every n <= limit; at an even limit the last entry stands for limit + 1
+    and is a pad holding 0 in both.  Block by block, the odd sievers p <=
+    sqrt(limit) write p at their odd multiples from p^2 on, the entries i =
+    (p - 1) / 2 mod p, largest p first and unmasked, so each odd composite
+    keeps its least prime factor and each prime keeps 0.  μ is read off the
+    table in int32: with p = spf[i] or n, and m = n // p (odd, at index m >>
+    1), μ(n) = 0 if p | m (spf[m >> 1] == p or m == p), else -μ(m); as m <=
+    n/3, blocks [lo, lo + min(lo, _SEGMENT)) in increasing order read only
+    filled entries.  The primes are int32, 2 first."""
     if limit >= 1 << 31:  # the int32 μ pass; it implies isqrt(limit) < 2^16
         raise ResourceBudgetError(f"sieve limit {limit} does not fit the int32 μ pass")
-    sievers = small_primes(math.isqrt(limit))
-    spf = np.zeros(limit + 1, dtype=np.uint16)
-    for lo in range(0, limit + 1, _SEGMENT):
+    sievers = small_primes(math.isqrt(limit))[1:]
+    size = limit // 2 + 1
+    spf = np.zeros(size, dtype=np.uint16)
+    for lo in range(0, size, _SEGMENT):
         seg = spf[lo : lo + _SEGMENT]
-        top = bisect.bisect_right(sievers, math.isqrt(lo + len(seg) - 1))
+        top = bisect.bisect_right(sievers, math.isqrt(2 * (lo + len(seg)) - 1))
         for p in reversed(sievers[:top]):
-            seg[max(p * p, -(-lo // p) * p) - lo :: p] = p
-    primes = np.flatnonzero(spf[2:] == 0) + 2
-    mu = np.empty(limit + 1, dtype=np.int8)
-    mu[:2] = (0, 1)
-    lo = 2
-    while lo <= limit:
-        hi = min(lo + min(lo, _SEGMENT), limit + 1)
-        n = np.arange(lo, hi, dtype=np.int32)
+            seg[max(p * p >> 1, lo + ((p >> 1) - lo) % p) - lo :: p] = p
+    odd = np.flatnonzero(spf[1 : (limit + 1) // 2] == 0).astype(np.int32)
+    primes = np.concatenate(([2], 2 * odd + 3), dtype=np.int32)
+    mu = np.empty(size, dtype=np.int8)
+    mu[0] = 1
+    lo = 1
+    while lo < size:
+        hi = min(lo + min(lo, _SEGMENT), size)
+        n = np.arange(2 * lo + 1, 2 * hi, 2, dtype=np.int32)
         p = spf[lo:hi] + n * (spf[lo:hi] == 0)  # n itself at a prime n
         m = n // p
-        np.negative(mu.take(m), out=mu[lo:hi])
-        mu[lo:hi] *= (spf.take(m) != p) & (m != p)
+        np.negative(mu.take(m >> 1), out=mu[lo:hi])
+        mu[lo:hi] *= (spf.take(m >> 1) != p) & (m != p)
         lo = hi
+    if limit % 2 == 0:  # the pad, limit + 1
+        spf[-1] = mu[-1] = 0
     return spf, mu, primes
 
 
 @dataclass(frozen=True, eq=False)
 class SievePack:
-    """Read-only sieve tables over [0..limit].
+    """Read-only sieve tables over the odd n <= limit.
 
-    ``mobius[n]`` is μ(n), and ``primes`` lists all π(limit) primes in
-    increasing order; a scan reads only these two.
-    ``smallest_prime_factor[n]`` (uint16) is the least prime divisor of a
-    composite n, 0 for a prime n and for n < 2; in the package only the
-    build's μ pass reads it.  Identity semantics (eq=False): packs are
-    shared, not compared element-wise.
+    Entry i of ``mobius`` (int8) is μ(2i + 1), and entry i of
+    ``smallest_prime_factor`` (uint16) is the least prime divisor of a
+    composite 2i + 1, 0 for a prime and for 1; each has limit // 2 + 1
+    entries, the last of them, at an even limit, a pad for limit + 1 that
+    holds 0.  :meth:`mu` gives μ at any n <= limit.  ``primes`` (int32)
+    lists all π(limit) primes in increasing order; a scan reads only μ and
+    the primes, and in the package only the build's μ pass reads the least
+    prime factors.  A table of the wrong length or dtype, or a pad with μ
+    != 0, is refused.  Identity semantics (eq=False): packs are shared, not
+    compared element-wise.
     """
 
     limit: int
@@ -133,8 +152,24 @@ class SievePack:
     primes: np.ndarray
 
     def __post_init__(self):
+        size = self.limit // 2 + 1
+        for name, dtype in (("smallest_prime_factor", np.uint16), ("mobius", np.int8)):
+            arr = getattr(self, name)
+            if arr.dtype != dtype or arr.shape != (size,):
+                raise ValueError(f"{name} must be {np.dtype(dtype)} over the odd n, "
+                                 f"{size} entries at limit {self.limit}; got {arr.dtype} "
+                                 f"{arr.shape}")
+        if self.limit % 2 == 0 and self.mobius[-1] != 0:
+            raise ValueError(f"the pad entry for {self.limit + 1} must hold μ = 0")
         for arr in (self.smallest_prime_factor, self.mobius, self.primes):
             arr.setflags(write=False)
+
+    def mu(self, ns) -> np.ndarray:
+        """μ(n) as int8 for an integer array of 1 <= n <= limit.  An odd n
+        reads entry n >> 1; n = 2o with o odd reads o's entry, o >> 1 = n >>
+        2, times -1; 4 | n reads the same entry times 0."""
+        ns = np.asarray(ns)
+        return np.take(self.mobius, ns >> (2 - (ns & 1))) * np.take(_SIGN4, ns & 3)
 
     def prime_count(self, x: int) -> int:
         """pi(x) for x <= limit."""

@@ -7,11 +7,12 @@ a numpy pass over blocks of `_BLOCK` primes p (or integers n); values of
 a_n(k) and c_n(m), n = p - 1 for primes, depend only on the part n_S of n
 at a finite prime set S and on μ of the cofactor n / n_S, and one engine
 (:class:`_SplitValues`) evaluates them for a whole block at a time.
-Conditioning is a mask on exact valuations.  A scan reads only two
-sieve tables, μ and the prime list; each distinct n_S is factored once,
-by trial division (:func:`cyclodist.arith.factorize`).  The k-th
-symmetric functions of primitive roots come from an explicit expansion
-over the roots themselves (the one genuinely independent oracle for the
+Conditioning is a mask on exact valuations, and the primes it drops are
+dropped before any value is coded.  A scan reads only two sieve tables,
+μ and the prime list; each distinct n_S is factored once, by trial
+division (:func:`cyclodist.arith.factorize`).  The k-th symmetric
+functions of primitive roots come from an explicit expansion over the
+roots themselves (the one genuinely independent oracle for the
 congruence suite).
 
 The engine works in int32.  Every entry is at most the sieve limit, and
@@ -29,12 +30,13 @@ p^t, with t = cap_p + 1 where p^t <= 2^16, so that its entry 0 (which
 holds 0) marks the entries past the cap.  Only the rare entries with
 p^t | n, where the table is shallower, read it again on n // p^t.  The
 cofactor n / n_S is an exact float quotient, and μ of it comes from the
-sieve.  Every gather by an int32 or uint32 index goes through `np.take`,
-which keeps numpy's bounds check and skips the generic indexing path:
-over the 2^16 int32 entries p - 1 of a block of consecutive primes (2
-cores, numpy 2.4.6), a gather from a 2197-entry table takes 210 µs as
-`f[idx]` and 80 µs as `np.take`, and one from the 2·10^7 μ table the
-same.
+sieve's table over the odd numbers: where 2 is in S a live cofactor is
+odd and reads its own entry, elsewhere it goes through `SievePack.mu`.
+Every gather by an int32 or uint32 index goes through `np.take`, which
+keeps numpy's bounds check and skips the generic indexing path: over the
+2^16 int32 entries p - 1 of a block of consecutive primes (2 cores, numpy
+2.4.6), a gather from a 2197-entry table takes 210 µs as `f[idx]` and 80
+µs as `np.take`, and one from the 2·10^7 μ table the same.
 
 No block is sorted.  Each entry of a block gets the key n_S, or 0 where
 the value must vanish; n_S >= 1, so 0 is free, and its row (0, 0) spares
@@ -257,6 +259,7 @@ class _SplitValues(_Codes):
                  pack: SievePack):
         _require_int32(pack)
         self.parts = [_part_reader(p, caps[p], pack.limit) for p in sorted(caps)]
+        self.odd_cofactors = 2 in caps
         self.pair = pair
         self.pack = pack
         self.bits = _HASH_BITS
@@ -271,9 +274,15 @@ class _SplitValues(_Codes):
         key = np.ones_like(ns)
         for part in self.parts:
             key *= part(ns)
-        # key divides n, so the float quotient is exact; a dead entry's key
-        # 0 reads mu(n), which its row (0, 0) ignores
-        mu = np.take(self.pack.mobius, (ns / np.maximum(key, 1)).astype(np.int32))
+        # key divides n, so the float quotient is exact; a dead entry (key
+        # 0) reads a mu that its row (0, 0) ignores.  With 2 in S a live
+        # cofactor c is odd and reads its own entry c >> 1, and a dead
+        # entry reads entry n >> 1 <= limit // 2
+        cofactor = (ns / np.maximum(key, 1)).astype(np.int32)
+        if self.odd_cofactors:
+            mu = np.take(self.pack.mobius, cofactor >> 1)
+        else:
+            mu = self.pack.mu(cofactor)
         key *= mu != 0
         slot = np.take(self.bucket_slot, _buckets(key, self.bits))
         miss = np.flatnonzero(np.take(self.slot_key, slot) != key)
@@ -315,7 +324,7 @@ def _coeff_values(k: int, pack: SievePack) -> _Codes:
     and 3 at n = 1."""
     if k == 1:
         def codes(ns: np.ndarray) -> np.ndarray:
-            c = np.take(pack.mobius, ns) + 1
+            c = pack.mu(ns) + 1
             c[ns == 1] = 3
             return c
 
@@ -384,7 +393,7 @@ def _kfree(ms: np.ndarray, order: int, pack: SievePack) -> np.ndarray:
     codes into (0, 1).  Order 2 reads μ(m) != 0; a higher order tests
     (m // d) * d != m for each d = q^order <= max(ms), q prime."""
     if order == 2:
-        return (np.take(pack.mobius, ms) != 0).view(np.int8)
+        return (pack.mu(ms) != 0).view(np.int8)
     top = int(ms.max(initial=1))
     root = int(top ** (1 / order)) + 1
     free = np.ones(len(ms), dtype=bool)
@@ -436,7 +445,7 @@ def _constraint_reader(constraint: ValuationConstraint, pack: SievePack
             qs = part(ns)
             keep &= constraint.allows(q, np.take(nu, np.frexp(qs)[1]))
             key *= qs
-        mu = np.take(pack.mobius, (ns / key).astype(np.int32))
+        mu = pack.mu((ns / key).astype(np.int32))
         if constraint.squarefree_outside:
             keep &= mu != 0
         return keep, mu
@@ -509,14 +518,18 @@ def scan_primes(
     elif statistic in ("a_pminus1", "s_k_mod_p"):
         value = _coeff_values(k, pack)
 
+    # kfree_shift counts only the primes p > shift, which leaves out a prefix
+    skip = int(np.searchsorted(primes, shift, side="right")) if statistic == "kfree_shift" else 0
+
     def block(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
-        ps = primes[lo:hi]
+        ps = primes[max(lo, skip):hi]
+        if constraint is not None:  # drop the primes it rejects before any value is coded
+            keep, rest_mu = matches(ps - 1)
+            kept = np.flatnonzero(keep)
+            ps, rest_mu = np.take(ps, kept), np.take(rest_mu, kept)
         ns = ps - 1
-        keep = None
-        if constraint is not None:
-            keep, rest_mu = matches(ns)
         if statistic == "mu_pminus1":
-            codes, table = np.take(pack.mobius, ns) + 1, _MU_TABLE
+            codes, table = pack.mu(ns) + 1, _MU_TABLE
         elif statistic in ("c_pminus1", "a_pminus1"):
             codes, table = _coded(value, ns)
         elif statistic == "S_k_mod_p":
@@ -524,13 +537,11 @@ def scan_primes(
         elif statistic == "s_k_mod_p":
             codes, table = _s_k_codes(ps, k, value)
         elif statistic == "kfree_shift":
-            ms = ps - shift
-            positive = ms >= 1
-            keep = positive if keep is None else keep & positive
-            codes, table = _kfree(np.maximum(ms, 1), kfree_order, pack), _FLAG_TABLE
+            # in int64, since a shift may lie past int32
+            codes, table = _kfree(ps.astype(np.int64) - shift, kfree_order, pack), _FLAG_TABLE
         else:  # conjecture1: mu of p - 1 without the constraint primes
             codes, table = rest_mu + 1, _MU_TABLE
-        return (codes if keep is None else codes[keep]), table
+        return codes, table
 
     label = statistic if not needs_k else f"{statistic}[k={k}]"
     if statistic == "kfree_shift":
@@ -608,7 +619,11 @@ def symmetric_functions_mod_p(p: int, kmax: int) -> Tuple[List[int], List[int]]:
 
 
 def _coprime_mobius(x: int, r, pack: Optional[SievePack]) -> np.ndarray:
-    """mu(m) for the m <= x coprime to r; x = 0 builds no sieve."""
+    """mu(m) for the m <= x coprime to r, odd m first and without the m
+    that 4 divides (mu is 0 there); x = 0 builds no sieve.  The odd m <= x
+    are the first (x + 1) // 2 entries of the odd table, m = 2o with o odd
+    has mu(m) = -mu(o) over its first (x // 2 + 1) // 2, and an odd q
+    divides the entries i = (q - 1) / 2 mod q."""
     if x < 0:
         raise ValueError("x must be >= 0")
     if x == 0:
@@ -616,11 +631,18 @@ def _coprime_mobius(x: int, r, pack: Optional[SievePack]) -> np.ndarray:
     pack = pack or default_pack(x)
     if x > pack.limit:
         raise ResourceBudgetError(f"x = {x} exceeds sieve limit")
-    mask = np.ones(x + 1, dtype=bool)
-    mask[0] = False
-    for q in as_factored(r).primes():
-        mask[q::q] = False
-    return pack.mobius[: x + 1][mask]
+    qs = as_factored(r).primes()
+    mus = [pack.mobius[: (x + 1) // 2]]
+    if 2 not in qs:
+        mus.append(-pack.mobius[: (x // 2 + 1) // 2])
+    out = []
+    for mu in mus:
+        mask = np.ones(len(mu), dtype=bool)
+        for q in qs:
+            if q != 2:
+                mask[q >> 1 :: q] = False
+        out.append(mu[mask])
+    return np.concatenate(out)
 
 
 def count_squarefree_coprime(x: int, r, pack: Optional[SievePack] = None) -> int:

@@ -211,7 +211,7 @@ def test_criterion_12_value_distribution_suite(pack):
 def test_criterion_13_shifted_prime_suite(pack):
     a = artin_constant(1e-8, pack=pack).value
     primes = pack.primes[: pack.prime_count(16_000_000)]
-    squarefree = int(np.count_nonzero(pack.mobius[primes - 1]))
+    squarefree = int(np.count_nonzero(pack.mu(primes - 1)))
     assert abs(squarefree / len(primes) - a) < 0.005
     for e, coeff in ((1, Fraction(1)), (2, Fraction(1, 2))):
         rep = scan_primes(

@@ -9,11 +9,14 @@ from cyclodist.arith import (
     DEFAULT_SIEVE_LIMIT,
     ExactRational,
     FactoredNat,
+    SievePack,
+    _sieve_arrays_numpy,
     default_pack,
     divisors,
     euler_phi,
     factorize,
     is_kth_powerfree,
+    is_prime_int,
     mobius,
     read_sieve_cache,
     sieve_limit_for,
@@ -45,15 +48,59 @@ def spf_entry(n, factors):
     return 0 if factors in ((), ((n, 1),)) else factors[0][0]
 
 
+def odd_entries(full, limit):
+    """The odd layout of a table `full` over [0..limit]: its entries at the
+    odd n, and at an even limit the pad for limit + 1, which holds 0."""
+    odd = full[1::2]
+    return np.append(odd, np.zeros(1, odd.dtype)) if limit % 2 == 0 else odd
+
+
 def test_sieve_small_primes():
     pk = sieve_pack(10)
     assert pk.primes.tolist() == [2, 3, 5, 7]
 
 
 def test_sieve_mobius_30(pack):
-    assert pack.mobius[30] == -1
-    assert pack.mobius[1] == 1
-    assert pack.mobius[4] == 0
+    assert pack.mu([30, 1, 4, 2, 6]).tolist() == [-1, 1, 0, -1, 1]
+
+
+def test_mu_against_trial_division():
+    # every case of the reader: odd n, n = 2o and 4 | n, and the top of
+    # the sieve, at even and odd limits; an even limit has the pad
+    ps = [n for n in range(2, 3000) if is_prime_int(n)]
+    checked = 0
+    for limit in (2, 3, 4, 5, 6, 7, 30, 31, 1000, 1001, 2**18, 2**18 + 1):
+        pk = sieve_pack(limit)
+        assert len(pk.mobius) == len(pk.smallest_prime_factor) == limit // 2 + 1, limit
+        ns = {1, 2, 3, 4, limit, limit - 1}
+        ns |= {m for p in ps for m in (2 * p, 4 * p)}
+        ns |= {2 * p * q for p in ps[:30] for q in ps[:30] if p < q}
+        ns = sorted(n for n in ns if 1 <= n <= limit)
+        want = [FactoredNat(n, trial_factor(n)).mobius() for n in ns]
+        assert pk.mu(np.array(ns, dtype=np.int32)).tolist() == want, limit
+        assert pk.mu(np.array(ns)).tolist() == want, limit
+        checked += len(ns)
+    assert checked > 3000
+
+
+def test_pack_refuses_tables_in_another_layout():
+    # full-length tables (entry n for every n) would read as odd tables
+    # without any error; so would a table one entry short, a wrong dtype,
+    # or a pad whose μ is not 0
+    spf, mu, primes = _sieve_arrays_numpy(100)
+    full_mu = np.array([0] + [factorize(n).mobius() for n in range(1, 101)], dtype=np.int8)
+    full_spf = np.array([spf_entry(n, trial_factor(n)) for n in range(101)], dtype=np.uint16)
+    assert SievePack(100, spf, mu, primes).mu(np.arange(1, 101)).tolist() == full_mu[1:].tolist()
+    pad = mu.copy()
+    pad[-1] = 1
+    bad = [(full_spf, full_mu), (spf, full_mu), (full_spf, mu), (spf[:-1], mu[:-1]),
+           (spf, mu.astype(np.int16)), (spf.astype(np.int32), mu), (spf, pad)]
+    for spf_bad, mu_bad in bad:
+        with pytest.raises(ValueError):
+            SievePack(100, spf_bad, mu_bad, primes)
+    spf, mu, primes = _sieve_arrays_numpy(101)  # an odd limit has no pad
+    assert mu[-1] == factorize(101).mobius() == -1
+    SievePack(101, spf, mu, primes)
 
 
 def test_millionth_prime(pack):
@@ -63,13 +110,13 @@ def test_millionth_prime(pack):
 
 
 def test_sieve_agrees_with_trial_division(pack):
-    for n in [*range(1, 20_001), *range(20_001, 100_001, 97)]:
-        assert pack.smallest_prime_factor[n] == spf_entry(n, trial_factor(n)), n
+    for n in [*range(1, 20_001, 2), *range(20_001, 100_001, 2 * 97)]:
+        assert pack.smallest_prime_factor[n >> 1] == spf_entry(n, trial_factor(n)), n
 
 
 def test_mobius_array_matches_definition(pack):
-    for n in range(1, 100_001):
-        assert int(pack.mobius[n]) == factorize(n).mobius()
+    got = pack.mu(np.arange(1, 100_001)).tolist()
+    assert got == [factorize(n).mobius() for n in range(1, 100_001)]
 
 
 def test_factorize_examples():
@@ -114,7 +161,7 @@ def test_multiplicativity_of_mobius_and_phi():
 
 def test_mobius_divisor_sum_is_unit_detector(pack):
     for n in range(1, 10_001):
-        total = sum(int(pack.mobius[d]) for d in divisors(n))
+        total = int(pack.mu(divisors(n)).sum())
         assert total == (1 if n == 1 else 0)
 
 
@@ -238,16 +285,15 @@ def test_sieve_pack_cache_env(tmp_path, monkeypatch):
 def test_numpy_sieve_fallback_matches_linear():
     # the sieve against the independent routes: Miller-Rabin for the prime
     # list, trial division for smallest prime factors and Möbius values
-    from cyclodist.arith import _sieve_arrays_numpy, is_prime_int
-
     spf, mu, primes = _sieve_arrays_numpy(50_000)
-    assert spf.dtype == np.uint16
+    assert spf.dtype == np.uint16 and primes.dtype == np.int32
     assert primes.tolist() == [n for n in range(50_001) if is_prime_int(n)]
-    assert spf[0] == spf[1] == 0 and mu[0] == 0 and mu[1] == 1
-    for n in range(2, 50_001):
-        fn = factorize(n)
-        assert spf[n] == spf_entry(n, fn.factors), n
-        assert mu[n] == fn.mobius(), n
+    want_spf = np.array([spf_entry(n, factorize(n).factors) if n else 0
+                         for n in range(50_001)], dtype=np.uint16)
+    want_mu = np.array([factorize(n).mobius() if n else 0 for n in range(50_001)],
+                       dtype=np.int8)
+    assert np.array_equal(spf, odd_entries(want_spf, 50_000))
+    assert np.array_equal(mu, odd_entries(want_mu, 50_000))
 
 
 def test_sieve_cache_rejects_corrupt_prime_list(tmp_path):
@@ -277,15 +323,16 @@ def test_sieve_across_a_partial_segment():
     # changes block size at every power of two up to _SEGMENT; check both
     # ends of the range, the segment boundary and every n within 50 of a
     # power of two by trial division
-    from cyclodist.arith import _SEGMENT, _sieve_arrays_numpy
+    from cyclodist.arith import _SEGMENT
 
     def check(limit, ns):
-        spf, mu, _ = _sieve_arrays_numpy(limit)
-        assert len(mu) == limit + 1 and mu[0] == 0 and spf.dtype == np.uint16
-        for n in ns:
+        spf, mu, primes = _sieve_arrays_numpy(limit)
+        assert len(mu) == limit // 2 + 1 and mu[0] == 1 and spf.dtype == np.uint16
+        got = SievePack(limit, spf, mu, primes).mu(np.array(ns)).tolist()
+        for n, mu_n in zip(ns, got):
             fn = FactoredNat(n, trial_factor(n))
-            assert mu[n] == fn.mobius(), n
-            assert spf[n] == spf_entry(n, fn.factors), n
+            assert mu_n == fn.mobius(), n
+            assert n % 2 == 0 or spf[n >> 1] == spf_entry(n, fn.factors), n
 
     limit = _SEGMENT + 4_999
     check(limit, [*range(1, 5_001), *range(_SEGMENT - 5_000, limit + 1)])
@@ -324,8 +371,6 @@ def _replaced_sieve(limit):
 
 
 def test_sieve_matches_the_replaced_build(pack):
-    from cyclodist.arith import _sieve_arrays_numpy
-
     rng = random.Random(2003)
     limits = [2, 3, 4, 5, 10, 100, 1000, 65536, 2**18 - 1, 2**18, 2**18 + 1,
               2**19 + 1, 1_100_000, 16_400_000]
@@ -337,23 +382,28 @@ def test_sieve_matches_the_replaced_build(pack):
             got = _sieve_arrays_numpy(limit)
         want = _replaced_sieve(limit)
         want[0][want[2]] = 0  # the replaced build kept p at a prime p
-        assert got[0].dtype == np.uint16 and np.array_equal(got[0], want[0]), limit
-        for arr, ref in zip(got[1:], want[1:]):
-            assert arr.dtype == ref.dtype and np.array_equal(arr, ref), limit
+        spf, mu = odd_entries(want[0], limit), odd_entries(want[1], limit)
+        assert got[0].dtype == np.uint16 and np.array_equal(got[0], spf), limit
+        assert got[1].dtype == np.int8 and np.array_equal(got[1], mu), limit
+        assert got[2].dtype == np.int32 and np.array_equal(got[2], want[2]), limit
 
 
 def test_sieve_spot_checks_against_trial_division(pack):
     rng = np.random.default_rng(1985)
-    for n in rng.integers(2, pack.limit + 1, size=20_000).tolist():
+    ns = rng.integers(2, pack.limit + 1, size=20_000)
+    for n, mu_n in zip(ns.tolist(), pack.mu(ns).tolist()):
         fn = FactoredNat(n, trial_factor(n))
-        assert pack.smallest_prime_factor[n] == spf_entry(n, fn.factors), n
-        assert pack.mobius[n] == fn.mobius(), n
+        assert n % 2 == 0 or pack.smallest_prime_factor[n >> 1] == spf_entry(n, fn.factors), n
+        assert mu_n == fn.mobius(), n
 
 
 def test_spf_is_zero_exactly_at_the_primes(pack):
+    # over the odd n: 1 (entry 0), the odd primes, and the pad of the even
+    # limit 2*10^7
     spf = pack.smallest_prime_factor
-    assert spf.dtype == np.uint16
-    assert np.array_equal(np.flatnonzero(spf == 0), np.concatenate(([0, 1], pack.primes)))
+    assert spf.dtype == np.uint16 and pack.limit % 2 == 0
+    want = np.concatenate(([0], pack.primes[1:] >> 1, [pack.limit // 2]))
+    assert np.array_equal(np.flatnonzero(spf == 0), want)
 
 
 def test_factoring_past_uint16(pack):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from cyclodist import empirics
-from cyclodist.arith import MAX_SIEVE_LIMIT, factorize, least_prime_above, mobius, small_primes
+from cyclodist.arith import (MAX_SIEVE_LIMIT, factorize, least_prime_above, mobius, sieve_pack,
+                             small_primes)
 from cyclodist.cyclotomic import cyclo_coeff
 from cyclodist.densities_prime import ValuationConstraint, artin_constant
 from cyclodist.empirics import (
@@ -168,7 +169,7 @@ def test_engine_with_every_key_in_one_bucket(pack, monkeypatch):
     # Counts must not change, in one block or in many
     monkeypatch.setattr(empirics, "_BLOCK", 997)
     wide = _every_scan(pack, 5000)
-    live = [n for n in range(1, 4000) if pack.mobius[n] != 0]
+    live = np.flatnonzero(pack.mu(np.arange(4000))).tolist()
     dead = [n * 2**7 for n in range(1, 300)]
     for bits in (0, 1):
         monkeypatch.setattr(empirics, "_HASH_BITS", bits)
@@ -326,7 +327,7 @@ def test_engine_on_all_dead_and_all_live_blocks(pack):
     # a block where f vanishes everywhere (a valuation over its cap, or a
     # square in the cofactor) maps every entry to key 0; a block of
     # squarefree n has no dead entry at all
-    live = [n for n in range(1, 4000) if pack.mobius[n] != 0]
+    live = np.flatnonzero(pack.mu(np.arange(4000))).tolist()
     dead = [n * 2**7 for n in range(1, 300)] + [n * 3**5 for n in range(1, 300)]
     dead += [n * q * q for n in range(1, 200) for q in (67, 101)]
     maps = [(_coeff_values(k, pack), lambda f, k=k: cyclo_coeff(f, k)) for k in (2, 15, 40)]
@@ -491,6 +492,23 @@ def test_count_cyclo_values_small(pack):
             direct[k][v] = direct[k].get(v, 0) + 1
     assert dict(counts[2]) == direct[2]
     assert dict(counts[7]) == direct[7]
+
+
+def test_bulk_counts_up_to_an_even_sieve_limit():
+    # n = limit = 2^7 * 25 is dead for every map here, and with 2 in S a
+    # dead entry reads entry limit / 2 of the odd tables, the pad; m = 3
+    # and 15 leave 2 out of S, so an even cofactor reads μ through
+    # SievePack.mu
+    limit = 3200
+    pk = sieve_pack(limit)
+    factored = [factorize(n) for n in range(1, limit + 1)]
+    ks, ms = (1, 2, 15), (2, 3, 12, 15)
+    counts = count_cyclo_values(ks, limit, pk)
+    for k in ks:
+        assert counts[k] == Counter(cyclo_coeff(f, k) for f in factored), k
+    counts = count_ramanujan_values(ms, limit, pk)
+    for m in ms:
+        assert counts[m] == Counter(ramanujan_sum(f, m) for f in factored), m
 
 
 def test_bulk_counts_refuse_bad_arguments(sieve_builds):
