@@ -84,9 +84,6 @@ def is_prime_int(n: int) -> bool:
 #: entries per block of the sieve build (1 MB of int32, so a block stays in cache)
 _SEGMENT = 1 << 18
 
-#: μ(n) is the entry :meth:`SievePack.mu` reads for n times _SIGN4[n mod 4]
-_SIGN4 = np.array([0, 1, -1, 1], dtype=np.int8)
-
 
 def _sieve_arrays_numpy(limit: int):
     """Segmented Eratosthenes over the odd n = 2i + 1 <= limit: (spf, mu,
@@ -167,9 +164,15 @@ class SievePack:
     def mu(self, ns) -> np.ndarray:
         """μ(n) as int8 for an integer array of 1 <= n <= limit.  An odd n
         reads entry n >> 1; n = 2o with o odd reads o's entry, o >> 1 = n >>
-        2, times -1; 4 | n reads the same entry times 0."""
+        2, times -1; 4 | n reads the same entry times 0.  The factor is
+        (n mod 2) - [n mod 4 = 2], in int8: a gather from a 4-entry table
+        costs more than these array operations."""
         ns = np.asarray(ns)
-        return np.take(self.mobius, ns >> (2 - (ns & 1))) * np.take(_SIGN4, ns & 3)
+        low = (ns & 3).astype(np.int8)
+        odd = low & 1
+        mu = np.take(self.mobius, ns >> (2 - odd))
+        mu *= odd - (low == 2)
+        return mu
 
     def prime_count(self, x: int) -> int:
         """pi(x) for x <= limit."""
