@@ -6,19 +6,23 @@ Run it once against each of two source trees, for example
     PYTHONPATH=head/src python .github/scripts/density_digest.py
 
 and compare the two lines: any change to a value, a coefficient, a basis,
-a statistic label or a conditional flag changes the digest.  It uses only
-public names that every tree since the split-profile fold has.
+a statistic label or a conditional flag changes the digest.  It also
+hashes every e_k of the partition route to its cap (k <= 80, most of which
+no divisor-route table reaches) with its integrality witness, and the flags
+of the Möller conjecture scan to k = 79.  It uses only public names that
+every tree since the split-profile fold has.
 """
 
 import hashlib
 import json
 
-from cyclodist.densities_natural import coeff_density
+from cyclodist.densities_natural import coeff_density, moller_conjecture_scan, partition_means
 from cyclodist.densities_prime import (ValuationConstraint, coeff_prime_density,
                                        ramanujan_prime_density, s_small_density)
 from cyclodist.ramanujan import natural_density_of_ramanujan
 
 COEFF_KS = list(range(1, 46)) + [50, 53, 61]
+PARTITION_K = 80  # the partition route's cap
 RAMANUJAN_MS = list(range(1, 301)) + [720720, 9699690, 2**80, 3**50 * 5**3, 10**25]
 CONSTRAINTS = [
     ((2, 1),), ((2, ("ge", 2)),), ((2, 2), (3, 1)), ((3, 0),), ((3, 1),),
@@ -48,6 +52,10 @@ def main():
         records += [_record(natural_density_of_ramanujan(m)),
                     _record(ramanujan_prime_density(m, signed=True)),
                     _record(ramanujan_prime_density(m))]
+    records += [[ek.k, str(ek.e_k), ek.integrality_witness]
+                for ek in partition_means(PARTITION_K)]
+    records += [[e.k, str(e.e_k), e.sign_ok, e.range_ok]
+                for e in moller_conjecture_scan(PARTITION_K - 1)]
     print(hashlib.sha256(json.dumps(records).encode()).hexdigest(), len(records))
 
 

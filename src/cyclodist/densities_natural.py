@@ -9,12 +9,12 @@ is computed by two fully independent routes:
 * the partition route: a sum over the partitions lambda of k involving
   only lcm/gcd of the parts and Möbius values.  These depend only on the
   set D of distinct parts, and the sum over the multiplicities of D is a
-  pair of coin-change counts, so one walk over the sets D with sum(D) <= K
-  gives every e_k for k <= K.  A set whose lcm has a non-squarefree
-  quotient by one of its parts contributes nothing, and neither does any
-  superset (adding parts only raises the exponents of the lcm), so the
-  walk prunes it with its whole subtree.  This reaches far beyond the
-  divisor route (7.8*10^4 sets for every k <= 80 against 2^pi(k)
+  pair of coin-change counts, memoised per coin tuple, so one walk over
+  the sets D with sum(D) <= K gives every e_k for k <= K.  Each set takes
+  lcm, gcd, denominator and Möbius split from its parent.  A set with
+  L/G (lcm over gcd) not squarefree contributes nothing, and neither does
+  any superset, so the walk prunes its whole subtree.  This reaches far
+  beyond the divisor route (63,488 sets for every k <= 80 against 2^pi(k)
   divisors for one k).
 
 Per-value densities delta(a_n(k) = v) are one split-profile fold over the
@@ -27,8 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .cyclotomic import coeff_profile
 from .density import Basis, DensityTable, split_density
 from .errors import InternalConsistencyError, ResourceBudgetError
 
-PARTITION_MAX_K = 80  # the walk to k = 80 visits about 7.8*10^4 distinct-part sets
+PARTITION_MAX_K = 80  # the walk to k = 80 keeps 63,488 distinct-part sets
 
 
 @dataclass(frozen=True)
@@ -77,99 +76,90 @@ def mean_coeff(k: int) -> EkValue:
 # -- partition route ----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _exponents_small(n: int) -> Tuple[Tuple[int, int], ...]:
-    return factorize(n).factors
+def _part_sets(kmax: int) -> Iterator[Tuple[int, int, Tuple[int, ...], Tuple[int, ...]]]:
+    """Yield (sum(D), G * prod_(p | L/G) (p + 1), D+, D-) for every set D
+    of distinct parts with sum(D) <= kmax and L/j squarefree for every part
+    j, with L = lcm D, G = gcd D and D+/D- the parts with mu(L/j) = +1/-1.
 
-
-def _support_data(parts: Tuple[int, ...]):
-    """Per distinct-part-set data (computed once per set, since a walk
-    visits each set once): None when L/j is not squarefree for some
-    part j, L the lcm of the parts (no contribution), else
-    (mu values of lcm/part aligned with parts, denominator G * prod_(p | L/G) (p+1))."""
-    part_exps = [dict(_exponents_small(j)) for j in parts]
-    exps: Dict[int, int] = {}
-    for pe in part_exps:
-        for p, e in pe.items():
-            if exps.get(p, 0) < e:
-                exps[p] = e
-    g = parts[0]
-    for j in parts[1:]:
-        g = math.gcd(g, j)
-    mus = []
-    for pe in part_exps:
-        cnt = 0
-        for p, e in exps.items():
-            rem = e - pe.get(p, 0)
-            if rem >= 2:
-                return None
-            cnt += rem
-        mus.append(-1 if cnt % 2 else 1)
-    denom = g
-    g_exps = dict(_exponents_small(g))
-    for p, e in exps.items():
-        if e > g_exps.get(p, 0):
-            denom *= p + 1
-    return tuple(mus), denom
-
-
-def _coin_counts(coins: List[int], rmax: int) -> List[int]:
-    """[P(coins, r) for r = 0..rmax]: the ways to write r as a sum of the
-    coins, each used any number of times."""
-    ways = [1] + [0] * rmax
-    for c in coins:
-        for r in range(c, rmax + 1):
-            ways[r] += ways[r - c]
-    return ways
+    Since nu_p(G) is the least nu_p over the parts, every L/j is squarefree
+    exactly when L/G is, and adding a part only raises nu_p(L) - nu_p(G): a
+    set whose L/G does not divide the primorial is pruned with its subtree.
+    A child adds a part j' below the last one and carries its state over:
+    L'/L and G/G' (at most kmax) divide the squarefree L'/G', so
+    mu(L'/G') = mu(L/G) mu(L'/L) mu(G/G'), every old sign is multiplied by
+    mu(L'/L) (kept when j' | L, swapping D+ and D- at mu = -1), and the new
+    part gets mu(L'/j') = mu(L'/G') mu(j'/G')."""
+    mu_of, psi_of = [0] * (kmax + 1), [0] * (kmax + 1)
+    for n in range(1, kmax + 1):
+        f = factorize(n)
+        mu_of[n], psi_of[n] = f.mobius(), math.prod(p + 1 for p, _ in f.factors)
+    primorial = math.prod(small_primes(kmax))
+    # (last part, sum, L, G, mu(L/G), prod_(p | L/G) (p + 1), D+, D-)
+    stack = [(top, top, top, top, 1, 1, (top,), ()) for top in range(1, kmax + 1)]
+    while stack:
+        last, s, lcm, gcd, sign, psi, plus, minus = stack.pop()
+        yield s, gcd * psi, plus, minus
+        for j in range(min(last - 1, kmax - s), 0, -1):
+            new_gcd = math.gcd(gcd, j)
+            raised = j // math.gcd(lcm, j)
+            new_lcm = lcm * raised
+            if primorial % (new_lcm // new_gcd):
+                continue
+            dropped = gcd // new_gcd
+            new_sign = sign * mu_of[raised] * mu_of[dropped]
+            new_plus, new_minus = (minus, plus) if mu_of[raised] < 0 else (plus, minus)
+            if new_sign * mu_of[j // new_gcd] > 0:
+                new_plus += (j,)
+            else:
+                new_minus += (j,)
+            stack.append((j, s + j, new_lcm, new_gcd, new_sign,
+                          psi * psi_of[raised] * psi_of[dropped], new_plus, new_minus))
 
 
 def partition_means(kmax: int) -> List[EkValue]:
-    """[e_1, ..., e_kmax] by one depth-first walk over the sets D of distinct
-    parts with sum(D) <= kmax (see :func:`mean_coeff_partition`).
+    """[e_1, ..., e_kmax] by one walk over the sets D of :func:`_part_sets`
+    (see :func:`mean_coeff_partition`).  A set with s = sum(D) contributes,
+    summed over every multiplicity vector of D with total k = s + r,
 
-    Children add a part smaller than the last one.  A set whose
-    :func:`_support_data` is None is skipped with its whole subtree: adding
-    parts only raises the exponents of L = lcm(D), while the part whose
-    quotient L/j is not squarefree stays in the set.  A surviving D with
-    s = sum(D) splits into D+ and D- by mu_j; summed over every multiplicity
-    vector of D with total k = s + r, eps is
-
-        (-1)^|D+| * P(D-, r) + (-1)^|D-| * P(D+, r),
+        eps = (-1)^|D+| * P(D-, r) + (-1)^|D-| * P(D+, r),
 
     since the first product is nonzero only when every D+ part occurs once
-    (the D- parts are then free), and the second with the roles swapped."""
+    (the D- parts are then free), and the second with the roles swapped.
+    The coin counts P(C, r) are memoised per coin tuple C (3,530 tuples to
+    k = 80), each made from its prefix's row by one coin pass, and each set
+    adds its eps into one integer row per denominator."""
     if kmax > PARTITION_MAX_K:
         raise ResourceBudgetError(
             f"partition route capped at k <= {PARTITION_MAX_K}, asked for {kmax}"
         )
-    # integer eps sums per k, bucketed per denominator; one Fraction pass per k
-    buckets: List[Dict[int, int]] = [{} for _ in range(kmax + 1)]
+    coins: Dict[Tuple[int, ...], List[int]] = {(): [1] + [0] * kmax}
 
-    def visit(parts: Tuple[int, ...], s: int) -> None:
-        data = _support_data(parts)
-        if data is None:
-            return
-        mus, denom = data
-        plus = [j for j, mu in zip(parts, mus) if mu == 1]
-        minus = [j for j, mu in zip(parts, mus) if mu == -1]
-        room = kmax - s
+    def counts(c: Tuple[int, ...]) -> List[int]:
+        """[P(c, r) for r <= kmax - sum(c)]: the ways to write r as a sum
+        of the coins c, each used any number of times."""
+        row = coins.get(c)
+        if row is None:
+            row = counts(c[:-1])[: kmax + 1 - sum(c)]
+            j = c[-1]
+            for r in range(j, len(row)):
+                row[r] += row[r - j]
+            coins[c] = row
+        return row
+
+    rows: Dict[int, List[int]] = {}  # denominator -> eps sums at k = 0..kmax
+    for s, denom, plus, minus in _part_sets(kmax):
+        row = rows.get(denom)
+        if row is None:
+            row = rows[denom] = [0] * (kmax + 1)
         sign_plus = -1 if len(plus) % 2 else 1
         sign_minus = -1 if len(minus) % 2 else 1
-        ways_minus = _coin_counts(minus, room)
-        ways_plus = _coin_counts(plus, room)
-        for r in range(room + 1):
-            eps = sign_plus * ways_minus[r] + sign_minus * ways_plus[r]
-            if eps:
-                bucket = buckets[s + r]
-                bucket[denom] = bucket.get(denom, 0) + eps
-        for j in range(min(parts[-1] - 1, room), 0, -1):
-            visit(parts + (j,), s + j)
-
-    for top in range(1, kmax + 1):
-        visit((top,), top)
+        for k, ways_minus, ways_plus in zip(range(s, kmax + 1), counts(minus), counts(plus)):
+            row[k] += sign_plus * ways_minus + sign_minus * ways_plus
     out = []
     for k in range(1, kmax + 1):
-        e_k = sum((Fraction(num, 2 * den) for den, num in buckets[k].items()), Fraction(0))
+        terms = [(row[k], den) for den, row in rows.items() if row[k]]
+        common = math.lcm(*(den for _, den in terms))
+        e_k = Fraction(sum(num * (common // den) for num, den in terms), 2 * common)
         out.append(_make_ek(k, e_k))
     return out
 

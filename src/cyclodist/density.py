@@ -70,8 +70,12 @@ class DensityTable:
         mapping: Dict[int, Fraction],
         conditional: bool = False,
     ) -> "DensityTable":
+        for c in mapping.values():  # Fraction(0.1) is the binary expansion of 0.1
+            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                raise TypeError(f"density coefficient {c!r} is not an int or a Fraction")
         items = tuple(
-            (int(v), Fraction(c)) for v, c in sorted(mapping.items()) if c != 0
+            (int(v), c if isinstance(c, Fraction) else Fraction(c))
+            for v, c in sorted(mapping.items()) if c != 0
         )
         table = cls(statistic, basis, items, conditional)
         table.validate()
@@ -91,7 +95,8 @@ class DensityTable:
 
     def nonzero_mass(self) -> Fraction:
         """Total coefficient of all nonzero values (on `basis`)."""
-        return sum((c for _, c in self.entries), Fraction(0))
+        den = math.lcm(*(c.denominator for _, c in self.entries))
+        return Fraction(sum(c.numerator * (den // c.denominator) for _, c in self.entries), den)
 
     def numeric(self, v: int) -> float:
         b = basis_numeric(self.basis)
@@ -133,7 +138,7 @@ class DensityTable:
         """Check the type invariants: every stored coefficient is positive
         and the numeric nonzero mass lies in [0, 1] (up to `tol`), so the
         implicit v = 0 entry gets a mass in [0, 1] as well."""
-        if any(c <= 0 for _, c in self.entries):
+        if any(c.numerator <= 0 for _, c in self.entries):
             raise ValueError("density table carries a non-positive coefficient")
         mass = float(self.nonzero_mass()) * basis_numeric(self.basis)
         if not -tol <= mass <= 1 + tol:
@@ -162,6 +167,7 @@ def artin_local_factor(q: int) -> Fraction:
     return 1 - Fraction(1, q * (q - 1))
 
 
+@lru_cache(maxsize=None)
 def _local_weight(basis: Basis, q: int, e: int) -> Fraction:
     """Density, relative to the basis, of the class nu_q = e with the
     cofactor squarefree at q: over n, q^-e / (1 + 1/q) on 6/pi^2; over

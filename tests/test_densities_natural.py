@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from cyclodist.cyclotomic import value_set
 from cyclodist.densities_natural import (
     PARTITION_MAX_K,
     _make_ek,
-    _support_data,
+    _part_sets,
     coeff_density,
     mean_coeff,
     mean_coeff_partition,
@@ -65,12 +66,12 @@ def _partitions(k, max_part):
                 yield {part: mult, **rest}
 
 
-_PRIMES_TO_30 = small_primes(30)
+_PRIMES_TO_60 = small_primes(60)
 
 
 def _exponents(n):
-    """Prime exponents of n, for n whose prime factors are at most 30."""
-    return {p: e for p in _PRIMES_TO_30 if (e := _valuation(n, p))}
+    """Prime exponents of n, for n whose prime factors are at most 60."""
+    return {p: e for p in _PRIMES_TO_60 if (e := _valuation(n, p))}
 
 
 def _valuation(n, p):
@@ -119,16 +120,79 @@ def test_partition_means_truncate():
     assert partition_means(0) == []
 
 
+def _walked_sets(kmax):
+    """{D: (sum, denominator, D+, D-)} for every set the partition walk keeps."""
+    walked = {}
+    for s, denom, plus, minus in _part_sets(kmax):
+        parts = frozenset(plus + minus)
+        assert parts not in walked and len(parts) == len(plus) + len(minus), parts
+        walked[parts] = (s, denom, plus, minus)
+    return walked
+
+
+def _per_part_data(parts):
+    """None when L/j is not squarefree for some part j, else (D+, D-,
+    G * prod_(p | L/G) (p + 1)), each part's sign mu(L/j) read off its own
+    quotient."""
+    lcm, gcd = math.lcm(*parts), math.gcd(*parts)
+    plus, minus = [], []
+    for j in sorted(parts, reverse=True):
+        quotient = _exponents(lcm // j)
+        if any(e >= 2 for e in quotient.values()):
+            return None
+        (minus if len(quotient) % 2 else plus).append(j)
+    denom = gcd
+    for p in _exponents(lcm // gcd):
+        denom *= p + 1
+    return tuple(plus), tuple(minus), denom
+
+
+def _random_sets(rng, count, kmax):
+    """`count` distinct random sets of distinct parts with sum <= kmax."""
+    out = set()
+    while len(out) < count:
+        parts = rng.sample(range(1, kmax + 1), rng.randint(1, 6))
+        if sum(parts) <= kmax:
+            out.add(frozenset(parts))
+    return sorted(out, key=sorted)
+
+
+def test_walk_state_matches_per_part_definition():
+    walked = _walked_sets(60)
+    rng = random.Random(23)
+    kept = 0
+    for parts in _random_sets(rng, 2000, 60):
+        want = _per_part_data(parts)
+        got = walked.get(parts)
+        if want is None:
+            assert got is None, parts
+            continue
+        kept += 1
+        assert got == (sum(parts),) + (want[2], want[0], want[1]), parts
+    assert kept > 300
+    # every set the walk keeps is one the per-part definition keeps
+    assert all(_per_part_data(parts) is not None for parts in walked)
+
+
 def test_pruned_sets_have_pruned_supersets():
+    # the walk skips a pruned set with its subtree: L/G is not squarefree
+    # there, and adding a part keeps it so; in the walk's terms, every subset
+    # of a kept set is kept
+    walked = _walked_sets(60)
+    for parts in walked:
+        for j in parts:
+            assert len(parts) == 1 or parts - {j} in walked, (sorted(parts), j)
     rng = random.Random(7)
     pruned = 0
-    while pruned < 60:
-        parts = tuple(sorted(rng.sample(range(2, 61), rng.randint(1, 5)), reverse=True))
-        if _support_data(parts) is not None:
+    for parts in _random_sets(rng, 2000, 60):
+        if parts in walked:
             continue
         pruned += 1
-        for j in range(1, parts[-1]):
-            assert _support_data(parts + (j,)) is None, (parts, j)
+        lcm, gcd = math.lcm(*parts), math.gcd(*parts)
+        assert any(e >= 2 for e in _exponents(lcm // gcd).values()), sorted(parts)
+        for j in range(1, 61 - sum(parts)):
+            assert parts | {j} not in walked, (sorted(parts), j)
+    assert pruned > 60
 
 
 def test_density_mean_consistency():
@@ -173,6 +237,17 @@ def test_validate_rejects_bad_tables():
         DensityTable.from_dict("over", Basis.SIX_OVER_PI2, {1: Fraction(17, 10)}).validate()
     DensityTable.from_dict("ok", Basis.SIX_OVER_PI2, {1: Fraction(16, 10)}).validate()
     DensityTable.from_dict("full", Basis.ONE, {-1: Fraction(1, 2), 1: Fraction(1, 2)}).validate()
+
+
+def test_from_dict_takes_only_exact_coefficients():
+    # Fraction(0.1) would store the binary expansion of 0.1 without notice
+    for bad in (0.1, 0.0, 1.0, True, "1/2", Decimal("0.5")):
+        with pytest.raises(TypeError):
+            DensityTable.from_dict("inexact", Basis.ONE, {1: bad})
+    table = DensityTable.from_dict("exact", Basis.SIX_OVER_PI2,
+                                   {1: 1, 2: Fraction(0), 3: 0, -1: Fraction(1, 2)})
+    assert table.entries == ((-1, Fraction(1, 2)), (1, Fraction(1)))
+    assert all(type(c) is Fraction for _, c in table.entries)
 
 
 def test_doubling_halves_density_outside_odd_set():
