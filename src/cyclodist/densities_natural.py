@@ -138,8 +138,8 @@ def partition_means(kmax: int) -> List[EkValue]:
         """[P(c, r) for r <= kmax - sum(c)]: the ways to write r as a sum
         of the coins c, each used any number of times."""
         row = coins.get(c)
-        if row is None:
-            row = counts(c[:-1])[: kmax + 1 - sum(c)]
+        if row is None:  # the set holding c's prefix was yielded, and counted, first
+            row = coins[c[:-1]][: kmax + 1 - sum(c)]
             j = c[-1]
             for r in range(j, len(row)):
                 row[r] += row[r - j]
