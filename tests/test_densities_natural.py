@@ -131,9 +131,9 @@ def _walked_sets(kmax):
 
 
 def _per_part_data(parts):
-    """None when L/j is not squarefree for some part j, else (D+, D-,
-    G * prod_(p | L/G) (p + 1)), each part's sign mu(L/j) read off its own
-    quotient."""
+    """None when L/j is not squarefree for some part j, else (sum, denominator,
+    D+, D-) as the walk yields them, each part's sign mu(L/j) read off its
+    own quotient and the denominator G * prod_(p | L/G) (p + 1) off L/G."""
     lcm, gcd = math.lcm(*parts), math.gcd(*parts)
     plus, minus = [], []
     for j in sorted(parts, reverse=True):
@@ -144,7 +144,7 @@ def _per_part_data(parts):
     denom = gcd
     for p in _exponents(lcm // gcd):
         denom *= p + 1
-    return tuple(plus), tuple(minus), denom
+    return sum(parts), denom, tuple(plus), tuple(minus)
 
 
 def _random_sets(rng, count, kmax):
@@ -159,19 +159,13 @@ def _random_sets(rng, count, kmax):
 
 def test_walk_state_matches_per_part_definition():
     walked = _walked_sets(60)
-    rng = random.Random(23)
-    kept = 0
-    for parts in _random_sets(rng, 2000, 60):
-        want = _per_part_data(parts)
-        got = walked.get(parts)
-        if want is None:
-            assert got is None, parts
-            continue
-        kept += 1
-        assert got == (sum(parts),) + (want[2], want[0], want[1]), parts
-    assert kept > 300
-    # every set the walk keeps is one the per-part definition keeps
-    assert all(_per_part_data(parts) is not None for parts in walked)
+    for parts, got in walked.items():
+        assert got == _per_part_data(parts), sorted(parts)
+    # and the walk misses no set the per-part definition keeps
+    sample = _random_sets(random.Random(23), 2000, 60)
+    for parts in sample:
+        assert walked.get(parts) == _per_part_data(parts), sorted(parts)
+    assert 300 < sum(parts in walked for parts in sample) < 1700
 
 
 def test_pruned_sets_have_pruned_supersets():
