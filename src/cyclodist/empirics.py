@@ -5,52 +5,46 @@ ignorant of the theory it is used to validate (it shares only the value
 maps `cyclo_coeff` and `ramanujan_sum`, never density weights).  A scan is
 a numpy pass over blocks of `_BLOCK` primes p (or integers n); values of
 a_n(k) and c_n(m), n = p - 1 for primes, depend only on the part n_S of n
-at a finite prime set S and on μ of the cofactor n / n_S, and one engine
-(:class:`_SplitValues`) evaluates them for a whole block at a time.
-Conditioning is a mask on exact valuations, and the primes it drops are
-dropped before any value is coded.  A scan reads only two sieve tables,
-μ and the prime list; each distinct n_S is factored once, by trial
-division (:func:`cyclodist.arith.factorize`).  The k-th symmetric
-functions of primitive roots come from an explicit expansion over the
-roots themselves (the one genuinely independent oracle for the
+at a finite prime set S and on μ of the cofactor n / n_S.  The k-th
+symmetric functions of primitive roots come from an explicit expansion
+over the roots themselves (the one genuinely independent oracle for the
 congruence suite).
+
+Conditioning is one split pass (:class:`_Split`) with the statistic's
+values.  Each part p^ν_p(n) at P = S ∪ Q, Q the primes of a valuation
+constraint, is one gather (:func:`_part_reader`), read once: the exact
+parts at Q first, whose valuations mask the block, then the parts at S
+for the entries the mask keeps.  μ is read once, of n / n_P, and μ of
+n / n_Q (for `squarefree_outside`) and of n / n_S (for the values) is
+that times μ of the parts left out.  `mu_pminus1` is the split at S = ∅
+and `conjecture1` the split at S = Q.  A scan reads only two sieve
+tables, μ and the prime list; each distinct n_S is factored once, by
+trial division (:func:`cyclodist.arith.factorize`).
 
 The engine works in int32.  Every entry is at most the sieve limit, and
 every sieve limit (`MAX_SIEVE_LIMIT` = 3·10^8) is below 2^31; a pack past
-that is refused once per scan or value map, never checked per block.
-It divides with `//` and never with `%`: numpy divides an array by a
-scalar through a precomputed multiply-and-shift, which on int32 is about
-ten times as fast as the true division behind `%`, so r mod d is
-r - r // d * d.
+that is refused once per scan or split, never checked per block.  It
+divides with `//` and never with `%`: numpy divides an array by a scalar
+through a precomputed multiply-and-shift, which on int32 is about ten
+times as fast as the true division behind `%`, so r mod d is
+r - r // d * d.  Every gather by an int32 or uint32 index goes through
+`np.take`, which keeps numpy's bounds check and skips the generic
+indexing path: over the 2^16 int32 entries p - 1 of a block of
+consecutive primes (2 cores, numpy 2.4.6), a gather from a 2197-entry
+table takes 210 µs as `f[idx]` and 80 µs as `np.take`, and one from the
+2·10^7 μ table the same.
 
-The key n_S is the product of the parts p^nu_p(n), p in S, and each part
-is one gather (:func:`_part_reader`): the 2-part is the lowest set bit
-n & -n, and an odd p reads a table of p^nu_p(r) over Z/p^t at r = n mod
-p^t, with t = cap_p + 1 where p^t <= 2^16, so that its entry 0 (which
-holds 0) marks the entries past the cap.  Only the rare entries with
-p^t | n, where the table is shallower, read it again on n // p^t.  The
-cofactor n / n_S is an exact float quotient, and μ of it comes from the
-sieve's table over the odd numbers: where 2 is in S a live cofactor is
-odd and reads its own entry, elsewhere it goes through `SievePack.mu`.
-Every gather by an int32 or uint32 index goes through `np.take`, which
-keeps numpy's bounds check and skips the generic indexing path: over the
-2^16 int32 entries p - 1 of a block of consecutive primes (2 cores, numpy
-2.4.6), a gather from a 2197-entry table takes 210 µs as `f[idx]` and 80
-µs as `np.take`, and one from the 2·10^7 μ table the same.
-
-No block is sorted.  Each entry of a block gets the key n_S, or 0 where
-the value must vanish; n_S >= 1, so 0 is free, and its row (0, 0) spares
-the boolean compressions that would otherwise drop the dead entries.  A
-key has a slot, found in linear time through a fixed table of
-2^`_HASH_BITS` buckets (a multiplicative hash of the int32 key, checked
-against the key each slot holds); only entries that miss go through a
-dict.  An entry's code is 2·slot + [μ < 0], an index into the value map's
-append-only table of rows.  A block is counted by one `np.bincount` of
-its codes, and only the codes it holds are resolved to values.  The μ
-statistics count codes μ + 1 over (-1, 0, 1) and `kfree_shift` codes 0/1.
-A residue mod p keeps the code of its value v wherever 2|v| < p; the
-other entries get extra codes past the table, which hold for their block
-only.
+No block is sorted.  Each kept entry gets the key n_S, or 0 where the
+value must vanish; n_S >= 1, so 0 is free, and its row (0, 0) spares the
+boolean compressions that would otherwise drop the dead entries.  A key
+has a slot, found in linear time through a fixed table of 2^`_HASH_BITS`
+buckets (:class:`_SplitValues`), and an entry's code 2·slot + [μ < 0]
+indexes the value map's table of rows.  A block is counted by one
+`np.bincount` of its codes, and only the codes it holds are resolved to
+values.  The μ statistics count codes μ + 1 over (-1, 0, 1) and
+`kfree_shift` codes 0/1.  A residue mod p keeps the code of its value v
+wherever 2|v| < p; the other entries get extra codes past the table,
+which hold for their block only.
 
 Counts are reported as :class:`EmpiricalReport`: per-value counts, the
 number of primes scanned, and exact rational frequencies.
@@ -92,8 +86,9 @@ _RESIDUE_TABLE = 1 << 16
 #: a value map finds the slot of a key n_S among 2^_HASH_BITS buckets
 _HASH_BITS = 16
 _HASH_MUL = np.uint32(0x9E3779B1)  # odd, about 2^32 / golden ratio
-#: codes of mu (mu + 1) and of a 0/1 flag, and their values
+#: codes of mu (mu + 1), of a_n(1) and of a 0/1 flag, and their values
 _MU_TABLE = np.array([-1, 0, 1], dtype=np.int64)
+_A1_TABLE = np.array([1, 0, -1, 1], dtype=np.int64)
 _FLAG_TABLE = np.array([0, 1], dtype=np.int64)
 
 STATISTICS = (
@@ -211,41 +206,96 @@ def _buckets(keys: np.ndarray, bits: int) -> np.ndarray:
     return (keys.view(np.uint32) * _HASH_MUL) >> np.uint32(32 - bits)
 
 
-class _Codes:
-    """A value map on arrays in two halves: `codes(ns)` gives every entry
-    a small nonnegative code, and `table[code]` is its value.  A scan
-    counts codes and resolves only the codes it saw; calling the map
-    gives the values themselves."""
+class _Split:
+    """A block of n, 1 <= n <= pack.limit, split at P = S ∪ Q, S the primes
+    of `caps` and Q those of `constraint`.  Each part p^nu_p(n) at P is
+    read once (:func:`_part_reader`): exact at Q, 0 past its cap at a
+    prime only of S (every cap is at least 1, or None for no cap).  Their
+    product n_P divides n, and mu of the cofactor n / n_P is read once.
 
-    table: np.ndarray
+    The valuation mask comes first: nu_q(n) is read off the exact q-part,
+    since no two powers q^e <= limit share a bit length, by np.frexp and a
+    32-entry table, and `ValuationConstraint.allows` keeps or drops each
+    entry; the rest is read for the entries it keeps.  mu of n / n_S is mu
+    of n / n_P times mu of each part at a prime only of Q (1 at 1, -1 at q,
+    0 otherwise).  `squarefree_outside` drops the entries where
+    mu(n / n_Q) = 0, that is where a part at a prime only of S passes p or
+    mu(n / n_P) = 0; so there such a part is capped at 1, and
+    mu(n / n_Q) != 0 where n_P != 0 and mu(n / n_P) != 0.  The key n_S
+    takes the exact part at a prime of S ∩ Q up to p^cap and is 0 past it,
+    like a part only of S."""
 
-    def codes(self, ns: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    def __init__(self, caps: Dict[int, Optional[int]],
+                 constraint: Optional[ValuationConstraint], pack: SievePack):
+        _require_int32(pack)
+        self.pack, self.constraint = pack, constraint
+        qs = constraint.primes() if constraint is not None else ()
+        self.exact = []
+        for q in qs:
+            nu, e, power = np.zeros(32, dtype=np.int8), 0, 1
+            while power <= pack.limit:
+                nu[power.bit_length()], e, power = e, e + 1, power * q
+            self.exact.append((q, _part_reader(q, None, pack.limit), nu))
+        self.squarefree = constraint is not None and constraint.squarefree_outside
+        self.capped = [(p, _part_reader(p, 1 if self.squarefree else caps[p], pack.limit))
+                       for p in sorted(caps) if p not in qs]
+        # the primes of S ∩ Q, with p^cap where a part can pass it, and only of Q
+        self.tops = {q: q ** caps[q] if caps[q] is not None and q ** caps[q] <= pack.limit
+                     else None for q in qs if q in caps}
+        self.outside = [q for q in qs if q not in caps]
+        self.odd_cofactors = 2 in caps or 2 in qs
 
-    def __call__(self, ns: np.ndarray) -> np.ndarray:
-        codes = self.codes(ns)
-        return np.take(self.table, codes)
+    def __call__(self, ns: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+        """(the kept entries n, their key n_S or None where S is empty,
+        mu(n / n_S) as int8)."""
+        ns = ns.astype(np.int32, copy=False)
+        exact = {}
+        if self.exact:
+            keep = np.ones(len(ns), dtype=bool)
+            for q, part, nu in self.exact:
+                exact[q] = part(ns)
+                keep &= self.constraint.allows(q, np.take(nu, np.frexp(exact[q])[1]))
+            kept = np.flatnonzero(keep)
+            ns = np.take(ns, kept)
+            exact = {q: np.take(a, kept) for q, a in exact.items()}
+        key = np.ones_like(ns) if self.capped or self.tops else None
+        for _, part in self.capped:
+            key *= part(ns)
+        for q in self.tops:
+            key *= exact[q]
+        n_p = key
+        for q in self.outside:
+            n_p = exact[q] if n_p is None else n_p * exact[q]
+        # the float quotient is exact; where n_P is 0 (a part past its cap) mu
+        # is read at n and never used.  With 2 in P a live cofactor c is odd
+        # and reads entry c >> 1, and n reads entry n >> 1 <= limit // 2
+        cofactor = ns if n_p is None else (ns / np.maximum(n_p, 1)).astype(np.int32)
+        mu = (np.take(self.pack.mobius, cofactor >> 1) if self.odd_cofactors
+              else self.pack.mu(cofactor))
+        if self.squarefree:
+            # a bool mask: np.flatnonzero reads one about twice as fast as int8
+            live = np.flatnonzero((mu != 0) & (n_p != 0) if self.capped else mu != 0)
+        for q in self.outside:
+            mu *= (exact[q] == 1).view(np.int8) - (exact[q] == q).view(np.int8)
+        for q, top in self.tops.items():
+            if top is not None:
+                key *= exact[q] <= top
+        if self.squarefree:
+            ns, mu = np.take(ns, live), np.take(mu, live)
+            key = None if key is None else np.take(key, live)
+        return ns, key, mu
 
 
-class _FixedCodes(_Codes):
-    def __init__(self, codes: Callable[[np.ndarray], np.ndarray], table: Sequence[int]):
-        self.codes = codes
-        self.table = np.array(table, dtype=np.int64)
-
-
-class _SplitValues(_Codes):
-    """The array map n -> f(n) for 1 <= n <= pack.limit, where f depends
-    only on n_S, the part of n supported on the primes S of `caps`, and on
-    mu(c) for the cofactor c = n / n_S: f(n) = pair(n_S)[0] if mu(c) = 1,
-    pair(n_S)[1] if mu(c) = -1, and 0 if mu(c) = 0 or nu_p(n) exceeds
-    caps[p] for some p in S (where f must vanish).  The pair is evaluated
-    once per n_S across the calls of the map.
-
-    Every entry of a block is keyed, the dead ones (f must vanish) by 0:
-    n_S >= 1, so key 0 is free and its row is (0, 0).  `slots` maps each
-    key seen so far to its slot, slot s holds its row (f at mu = 1, f at
-    mu = -1) at 2s and 2s + 1 of the append-only `table`, and `codes(ns)`
-    gives every entry the code 2·slot + [mu < 0].
+class _SplitValues:
+    """A value map: called on a split block (n, n_S, mu(c)), c = n / n_S,
+    it gives the codes of f(n) and the table they index (read after the
+    codes, which may append to it).  f depends only on n_S and mu(c):
+    pair(n_S)[0] if mu(c) = 1, pair(n_S)[1] if mu(c) = -1, and 0 if
+    mu(c) = 0 or nu_p(n) passes the cap of some p in S (key 0, free since
+    n_S >= 1, with row (0, 0)).  The pair is evaluated once per n_S:
+    `slots` maps each key seen so far to its slot, slot s holds its row
+    at 2s and 2s + 1 of the append-only `table`, and the code of an entry
+    is 2·slot + [mu < 0].
 
     No block is sorted.  A key finds its slot in `bucket_slot`, at the
     bucket :func:`_buckets` gives it, and the find holds only where
@@ -255,13 +305,8 @@ class _SplitValues(_Codes):
     misses when its key is new or its bucket is held by another key;
     `misses` counts those entries."""
 
-    def __init__(self, caps: Dict[int, int], pair: Callable[[FactoredNat], Tuple[int, int]],
-                 pack: SievePack):
-        _require_int32(pack)
-        self.parts = [_part_reader(p, caps[p], pack.limit) for p in sorted(caps)]
-        self.odd_cofactors = 2 in caps
+    def __init__(self, pair: Callable[[FactoredNat], Tuple[int, int]]):
         self.pair = pair
-        self.pack = pack
         self.bits = _HASH_BITS
         self.bucket_slot = np.zeros(1 << self.bits, dtype=np.int32)
         self.slot_key = np.zeros(1, dtype=np.int32)
@@ -269,20 +314,8 @@ class _SplitValues(_Codes):
         self.slots: Dict[int, int] = {0: 0}
         self.misses = 0
 
-    def codes(self, ns: np.ndarray) -> np.ndarray:
-        ns = ns.astype(np.int32, copy=False)
-        key = np.ones_like(ns)
-        for part in self.parts:
-            key *= part(ns)
-        # key divides n, so the float quotient is exact; a dead entry (key
-        # 0) reads a mu that its row (0, 0) ignores.  With 2 in S a live
-        # cofactor c is odd and reads its own entry c >> 1, and a dead
-        # entry reads entry n >> 1 <= limit // 2
-        cofactor = (ns / np.maximum(key, 1)).astype(np.int32)
-        if self.odd_cofactors:
-            mu = np.take(self.pack.mobius, cofactor >> 1)
-        else:
-            mu = self.pack.mu(cofactor)
+    def __call__(self, ns: np.ndarray, key: np.ndarray,
+                 mu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         key *= mu != 0
         slot = np.take(self.bucket_slot, _buckets(key, self.bits))
         miss = np.flatnonzero(np.take(self.slot_key, slot) != key)
@@ -290,7 +323,7 @@ class _SplitValues(_Codes):
             slot[miss] = self._resolve(key[miss])
         slot <<= 1
         slot += mu < 0
-        return slot
+        return slot, self.table
 
     def _resolve(self, keys: np.ndarray) -> np.ndarray:
         """The slots of `keys`: new keys are appended and take their free
@@ -316,37 +349,39 @@ class _SplitValues(_Codes):
         return slot
 
 
-def _coeff_values(k: int, pack: SievePack) -> _Codes:
-    """n -> a_n(k) on arrays.  S = primes <= k; nu_p(n) > floor(log_p k) + 1
-    makes n / rad(n) exceed k, so a_n(k) = 0.  A squarefree cofactor coprime
-    to S acts like 1 or like q, the least prime above k.  k = 1 is special:
-    a_1(1) = 1 while a_n(1) = -mu(n) for n > 1, so its codes are mu(n) + 1
-    and 3 at n = 1."""
-    if k == 1:
-        def codes(ns: np.ndarray) -> np.ndarray:
-            c = pack.mu(ns) + 1
-            c[ns == 1] = 3
-            return c
+def _mu_codes(ns: np.ndarray, key: Optional[np.ndarray],
+              mu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """A value map (see :class:`_SplitValues`): the codes of mu itself."""
+    return mu + 1, _MU_TABLE
 
-        return _FixedCodes(codes, (1, 0, -1, 1))
+
+def _coeff_values(k: int) -> Tuple[Dict[int, int], Callable]:
+    """The caps and the value map of n -> a_n(k).  S = primes <= k;
+    nu_p(n) > floor(log_p k) + 1 makes n / rad(n) exceed k, so a_n(k) = 0.
+    A squarefree cofactor coprime to S acts like 1 or like q, the least
+    prime above k.  k = 1 is special: a_1(1) = 1 while a_n(1) = -mu(n) for
+    n > 1, so S is empty and the codes are those of mu, with 3 at n = 1."""
+    if k == 1:
+        def codes(ns: np.ndarray, key: None, mu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            c = mu + 1
+            c[ns == 1] = 3
+            return c, _A1_TABLE
+
+        return {}, codes
     q = least_prime_above(k)
     caps = {p: int(math.log(k, p) + 1e-9) + 1 for p in small_primes(k)}
-    return _SplitValues(caps, lambda f: (cyclo_coeff(f, k), cyclo_coeff(f.times_prime(q), k)),
-                        pack)
+    return caps, _SplitValues(lambda f: (cyclo_coeff(f, k), cyclo_coeff(f.times_prime(q), k)))
 
 
-def _ramanujan_values(m: int, pack: SievePack) -> _Codes:
-    """n -> c_n(m) on arrays: the caps of :func:`cyclodist.ramanujan.ramanujan_split`,
-    c_(n_S)(m) by :func:`cyclodist.ramanujan.ramanujan_sum`."""
+def _ramanujan_values(m: int) -> Tuple[Dict[int, int], Callable]:
+    """The caps and the value map of n -> c_n(m): the caps of
+    :func:`cyclodist.ramanujan.ramanujan_split`, c_(n_S)(m) by
+    :func:`cyclodist.ramanujan.ramanujan_sum`; c_n(1) = mu(n) has the codes
+    of mu."""
+    if m == 1:
+        return {}, _mu_codes
     caps, _ = ramanujan_split(m)
-    return _SplitValues(dict(caps), lambda f: (ramanujan_sum(f, m), -ramanujan_sum(f, m)), pack)
-
-
-def _coded(value: _Codes, ns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The codes of `ns` and the table they index (read after the codes,
-    which may append to it)."""
-    codes = value.codes(ns)
-    return codes, value.table
+    return dict(caps), _SplitValues(lambda f: (ramanujan_sum(f, m), -ramanujan_sum(f, m)))
 
 
 def _residues(ps: np.ndarray, codes: np.ndarray,
@@ -367,25 +402,20 @@ def _residues(ps: np.ndarray, codes: np.ndarray,
     return codes, np.concatenate((table, symmetric_residue(values[alias], ps[alias])))
 
 
-def _s_k_codes(ps: np.ndarray, k: int, coeff: _Codes) -> Tuple[np.ndarray, np.ndarray]:
-    """Codes and table of s_k(p) mod p for an array of primes, `coeff` the
-    map n -> a_n(k): s_k(p) = (-1)^k a_(p-1)(k) mod p.  This covers
-    k > phi(p-1), where both sides vanish (Phi_(p-1) has degree phi(p-1)),
-    and the k = phi(p-1) boundary (+1 for p >= 5, -1 for p = 3, whose lone
-    primitive root 2 makes the product of roots -1).  The one exception is
-    p = 2 with k = 1: its single root 1 gives s_1(2) = 1, while a_1(1) = 1
-    gives -1; 2|-1| >= 2, so p = 2 has an extra code of its own to fix."""
-    codes, table = _coded(coeff, ps - 1)
+def _s_k_codes(ps: np.ndarray, k: int, codes: np.ndarray,
+               table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Codes and table of s_k(p) mod p for an array of primes, from the
+    codes of a_(p-1)(k) and their table: s_k(p) = (-1)^k a_(p-1)(k) mod p.
+    This covers k > phi(p-1), where both sides vanish (Phi_(p-1) has degree
+    phi(p-1)), and the k = phi(p-1) boundary (+1 for p >= 5, -1 for p = 3,
+    whose lone primitive root 2 makes the product of roots -1).  The one
+    exception is p = 2 with k = 1: its single root 1 gives s_1(2) = 1, while
+    a_1(1) = 1 gives -1; 2|-1| >= 2, so p = 2 has an extra code of its own
+    to fix."""
     codes, table = _residues(ps, codes, -table if k % 2 else table)
     if k == 1:
         table[codes[ps == 2]] = 1
     return codes, table
-
-
-def _s_k_values(ps: np.ndarray, k: int, coeff: _Codes) -> np.ndarray:
-    """s_k(p) mod p for an array of primes (see :func:`_s_k_codes`)."""
-    codes, table = _s_k_codes(ps, k, coeff)
-    return np.take(table, codes)
 
 
 def _kfree(ms: np.ndarray, order: int, pack: SievePack) -> np.ndarray:
@@ -420,37 +450,6 @@ def _count_blocks(size: int, block: Callable[[int, int], Tuple[np.ndarray, np.nd
         for v, c in zip(table[seen].tolist(), hits[seen].tolist()):
             counts[v] = counts.get(v, 0) + c
     return dict(sorted(counts.items()))
-
-
-def _constraint_reader(constraint: ValuationConstraint, pack: SievePack
-                       ) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
-    """n -> (the mask of the entries whose valuations at the primes q of
-    `constraint` it allows, mu of what is left of each entry off those
-    primes), for 1 <= n <= pack.limit.  The valuations are exact: each
-    q-part comes from :func:`_part_reader` with no cap, and no two powers
-    q^e <= limit share a bit length, which np.frexp reads off a part and a
-    32-entry table turns into e."""
-    parts = []
-    for q in constraint.primes():
-        nu, e, power = np.zeros(32, dtype=np.int8), 0, 1
-        while power <= pack.limit:
-            nu[power.bit_length()], e, power = e, e + 1, power * q
-        parts.append((q, _part_reader(q, None, pack.limit), nu))
-
-    def matches(ns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        ns = ns.astype(np.int32, copy=False)
-        keep = np.ones(len(ns), dtype=bool)
-        key = np.ones_like(ns)
-        for q, part, nu in parts:
-            qs = part(ns)
-            keep &= constraint.allows(q, np.take(nu, np.frexp(qs)[1]))
-            key *= qs
-        mu = pack.mu((ns / key).astype(np.int32))
-        if constraint.squarefree_outside:
-            keep &= mu != 0
-        return keep, mu
-
-    return matches
 
 
 def _select_primes(
@@ -510,37 +509,32 @@ def scan_primes(
     if statistic == "conjecture1" and constraint is None:
         raise ValueError("conjecture1 requires a valuation constraint")
 
-    if constraint is not None:
-        matches = _constraint_reader(constraint, pack)
-    value = None
+    caps, value = {}, _mu_codes  # mu_pminus1 is the split at S = {}
     if statistic in ("c_pminus1", "S_k_mod_p"):
-        value = _ramanujan_values(k, pack)
+        caps, value = _ramanujan_values(k)
     elif statistic in ("a_pminus1", "s_k_mod_p"):
-        value = _coeff_values(k, pack)
+        caps, value = _coeff_values(k)
+    elif statistic == "conjecture1":  # mu of p - 1 off the constraint primes: S = Q
+        caps = dict.fromkeys(constraint.primes())
+    split = _Split(caps, constraint, pack)
 
     # kfree_shift counts only the primes p > shift, which leaves out a prefix
     skip = int(np.searchsorted(primes, shift, side="right")) if statistic == "kfree_shift" else 0
 
     def block(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
         ps = primes[max(lo, skip):hi]
-        if constraint is not None:  # drop the primes it rejects before any value is coded
-            keep, rest_mu = matches(ps - 1)
-            kept = np.flatnonzero(keep)
-            ps, rest_mu = np.take(ps, kept), np.take(rest_mu, kept)
-        ns = ps - 1
-        if statistic == "mu_pminus1":
-            codes, table = pack.mu(ns) + 1, _MU_TABLE
-        elif statistic in ("c_pminus1", "a_pminus1"):
-            codes, table = _coded(value, ns)
-        elif statistic == "S_k_mod_p":
-            codes, table = _residues(ps, *_coded(value, ns))
-        elif statistic == "s_k_mod_p":
-            codes, table = _s_k_codes(ps, k, value)
-        elif statistic == "kfree_shift":
+        if statistic == "kfree_shift":
+            if constraint is not None:
+                ps = split(ps - 1)[0] + 1
             # in int64, since a shift may lie past int32
-            codes, table = _kfree(ps.astype(np.int64) - shift, kfree_order, pack), _FLAG_TABLE
-        else:  # conjecture1: mu of p - 1 without the constraint primes
-            codes, table = rest_mu + 1, _MU_TABLE
+            return _kfree(ps.astype(np.int64) - shift, kfree_order, pack), _FLAG_TABLE
+        ns, key, mu = split(ps - 1)
+        codes, table = value(ns, key, mu)
+        ps = ps if constraint is None else ns + 1  # the primes the constraint keeps
+        if statistic == "S_k_mod_p":
+            return _residues(ps, codes, table)
+        if statistic == "s_k_mod_p":
+            return _s_k_codes(ps, k, codes, table)
         return codes, table
 
     label = statistic if not needs_k else f"{statistic}[k={k}]"
@@ -659,7 +653,7 @@ def mertens_coprime(x: int, r, pack: Optional[SievePack] = None) -> int:
 
 
 def _count_integers(
-    values_of: Callable[[int, SievePack], _Codes],
+    values_of: Callable[[int], Tuple[Dict[int, int], Callable]],
     args: Sequence[int], limit: int, pack: Optional[SievePack],
 ) -> Dict[int, Counter]:
     if limit < 0 or min(args, default=1) < 1:
@@ -667,8 +661,13 @@ def _count_integers(
     pack = pack or default_pack(limit)
     if limit > pack.limit:
         raise ResourceBudgetError(f"limit {limit} exceeds sieve capacity")
-    return {a: Counter(_count_blocks(limit, lambda lo, hi, f=values_of(a, pack):
-                                     _coded(f, np.arange(lo + 1, hi + 1)))) for a in args}
+
+    def count(caps: Dict[int, int], value: Callable) -> Counter:
+        split = _Split(caps, None, pack)
+        return Counter(_count_blocks(
+            limit, lambda lo, hi: value(*split(np.arange(lo + 1, hi + 1)))))
+
+    return {a: count(*values_of(a)) for a in args}
 
 
 def count_ramanujan_values(

@@ -48,6 +48,7 @@ from .densities_prime import (
 )
 from .density import Basis, basis_numeric
 from .empirics import scan_primes
+from .errors import ResourceBudgetError
 
 TABLE_IDS = ("1", "2", "3", "4", "6", "7", "8", "9", "10", "11")
 # Builders of these tables scan primes and take `full` and `pack` (tables 6
@@ -365,9 +366,6 @@ def build_table10(kmax: int = 10) -> TableArtifact:
 
 
 def build_table11(kmax: int = 30) -> TableArtifact:
-    if kmax > PROFILE_MAX_K:
-        # per-value densities need the divisor profile
-        raise ValueError(f"table 11 reproduction is limited to kmax <= {PROFILE_MAX_K}")
     data = {"entries": {}}
     rows = []
     for k, ek in enumerate(partition_means(kmax), 1):
@@ -417,6 +415,8 @@ def build_table(table_id: str, full: bool = False, kmax: Optional[int] = None,
         raise ValueError(f"table {table_id} has no full mode")
     if kmax is not None and kmax < 1:
         raise ValueError("kmax must be >= 1")
+    if kmax is not None and kmax > PROFILE_MAX_K:
+        raise ResourceBudgetError(f"table {table_id}: profiles stop at kmax <= {PROFILE_MAX_K}")
     return _BUILDERS[table_id](**({} if kmax is None else {"kmax": kmax}))
 
 

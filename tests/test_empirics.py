@@ -16,7 +16,6 @@ from cyclodist.empirics import (
     STATISTICS,
     _coeff_values,
     _ramanujan_values,
-    _s_k_values,
     count_ramanujan_values,
     count_squarefree_coprime,
     count_cyclo_values,
@@ -28,6 +27,22 @@ from cyclodist.empirics import (
 )
 from cyclodist.errors import InternalConsistencyError, ResourceBudgetError
 from cyclodist.ramanujan import ramanujan_sum
+
+
+def _values(values_of, a, pack, ns):
+    """f(n) for an array of n, through the engine as a bulk count runs it:
+    the split at the caps of `values_of(a)`, then its value map."""
+    caps, value = values_of(a)
+    codes, table = value(*empirics._Split(caps, None, pack)(np.asarray(ns)))
+    return np.take(table, codes).tolist()
+
+
+def _s_k(p, k, pack):
+    """s_k(p) mod p through the scan's split, value map and residue step."""
+    caps, value = _coeff_values(k)
+    ns, key, mu = empirics._Split(caps, None, pack)(np.array([p - 1]))
+    codes, table = empirics._s_k_codes(ns + 1, k, *value(ns, key, mu))
+    return table[codes[0]]
 
 
 def test_symmetric_residue():
@@ -84,7 +99,7 @@ def test_symmetric_function_boundaries(pack):
         assert s[t] == 0 and s[t + 1] == 0, p
         for k in (t, t + 1, t + 2):
             want = symmetric_residue(s[k - 1], p) if p > 2 else s[k - 1]
-            assert _s_k_values(np.array([p]), k, _coeff_values(k, pack))[0] == want, (p, k)
+            assert _s_k(p, k, pack) == want, (p, k)
 
 
 def test_congruences_small():
@@ -176,12 +191,14 @@ def test_engine_with_every_key_in_one_bucket(pack, monkeypatch):
         assert _every_scan(pack, 5000) == wide, bits
         # bucket 0 is never taken, so the dead entries never miss, even
         # after live keys have been seen
-        maps = ((_coeff_values(15, pack), lambda f: cyclo_coeff(f, 15)),
-                (_ramanujan_values(12, pack), lambda f: ramanujan_sum(f, 12)))
-        for value, direct in maps:
+        maps = ((_coeff_values(15), lambda f: cyclo_coeff(f, 15)),
+                (_ramanujan_values(12), lambda f: ramanujan_sum(f, 12)))
+        for (caps, value), direct in maps:
+            split = empirics._Split(caps, None, pack)
             for block in (live, dead, live, dead):
                 before = value.misses
-                assert value(np.array(block)).tolist() == [direct(factorize(n)) for n in block]
+                codes, table = value(*split(np.array(block)))
+                assert np.take(table, codes).tolist() == [direct(factorize(n)) for n in block]
                 if block is dead:
                     assert value.misses == before
                 elif bits == 0:
@@ -233,7 +250,7 @@ def test_ramanujan_scans_past_the_profile_cap(pack):
 def test_coeff_evaluator_matches_cyclo_coeff(pack):
     ns = np.arange(1, 3001)
     for k in (1, 2, 3, 7, 15):
-        got = _coeff_values(k, pack)(ns).tolist()
+        got = _values(_coeff_values, k, pack, ns)
         assert got == [cyclo_coeff(factorize(n), k) for n in range(1, 3001)], k
 
 
@@ -243,10 +260,10 @@ def test_evaluators_match_direct_random(pack):
     ns += [2**16, 3**10, 2**5 * 3**4 * 5**3]  # valuations above every cap
     arr = np.array(ns)
     for k in (1, 2, 6, 13, 24, 40):
-        got = _coeff_values(k, pack)(arr).tolist()
+        got = _values(_coeff_values, k, pack, arr)
         assert got == [cyclo_coeff(factorize(n), k) for n in ns], k
     for m in (1, 2, 12, 15, 36, 210, 1024):
-        got = _ramanujan_values(m, pack)(arr).tolist()
+        got = _values(_ramanujan_values, m, pack, arr)
         assert got == [ramanujan_sum(factorize(n), m) for n in ns], m
 
 
@@ -269,13 +286,13 @@ def test_engine_above_every_cap(pack):
 
     for k in (2, 6, 13, 24, 40, 61):
         ns = draws({p: int(np.log(k) / np.log(p) + 1e-9) + 1 for p in small_primes(k)})
-        got = _coeff_values(k, pack)(np.array(ns)).tolist()
+        got = _values(_coeff_values, k, pack, ns)
         assert got == [cyclo_coeff(factorize(n), k) for n in ns], k
     # caps past the 2^16 residue tables (3^12, 5^8, 7^6), a 2-cap past
     # int32, and a prime of m past int32 (it divides no entry)
     for m in (2, 12, 36, 210, 1024, 3**11, 5**7 * 7**5, 2**80, 3 * (2**31 + 11)):
         ns = draws({q: e + 1 for q, e in factorize(m).factors})
-        got = _ramanujan_values(m, pack)(np.array(ns)).tolist()
+        got = _values(_ramanujan_values, m, pack, ns)
         assert got == [ramanujan_sum(factorize(n), m) for n in ns], m
 
 
@@ -330,21 +347,24 @@ def test_engine_on_all_dead_and_all_live_blocks(pack):
     live = np.flatnonzero(pack.mu(np.arange(4000))).tolist()
     dead = [n * 2**7 for n in range(1, 300)] + [n * 3**5 for n in range(1, 300)]
     dead += [n * q * q for n in range(1, 200) for q in (67, 101)]
-    maps = [(_coeff_values(k, pack), lambda f, k=k: cyclo_coeff(f, k)) for k in (2, 15, 40)]
-    maps += [(_ramanujan_values(m, pack), lambda f, m=m: ramanujan_sum(f, m)) for m in (2, 12, 720)]
-    for value, direct in maps:
+    maps = [(_coeff_values, k, lambda f, k=k: cyclo_coeff(f, k)) for k in (2, 15, 40)]
+    maps += [(_ramanujan_values, m, lambda f, m=m: ramanujan_sum(f, m)) for m in (2, 12, 720)]
+    for values_of, a, direct in maps:
         for block in (live, dead):
-            got = value(np.array(block)).tolist()
+            got = _values(values_of, a, pack, block)
             assert got == [direct(factorize(n)) for n in block]
         assert not any(got)
 
 
 def test_engine_refuses_a_pack_past_int32():
-    # checked from the limit alone, once per value map and once per scan:
-    # the stubs have no tables, so no block is ever evaluated
+    # checked from the limit alone, once per value map of a bulk count and
+    # once per scan: the stubs have no tables, and a count up to 0 evaluates
+    # no block
     fits, past = SimpleNamespace(limit=2**31 - 1), SimpleNamespace(limit=2**31)
-    assert callable(_coeff_values(15, fits)) and callable(_ramanujan_values(12, fits))
-    for make in (lambda: _coeff_values(15, past), lambda: _ramanujan_values(12, past),
+    assert count_cyclo_values([15], 0, fits) == {15: {}}
+    assert count_ramanujan_values([12], 0, fits) == {12: {}}
+    for make in (lambda: count_cyclo_values([15], 0, past),
+                 lambda: count_ramanujan_values([12], 0, past),
                  lambda: scan_primes("mu_pminus1", nprimes=10, pack=past)):
         with pytest.raises(InternalConsistencyError):
             make()
@@ -440,6 +460,51 @@ def test_conjecture1_and_kfree_match_scalar(pack):
         rep = scan_primes("kfree_shift", shift=shift, kfree_order=order, nprimes=20_000,
                           pack=pack)
         assert rep.counts == want and rep.total == 20_000, (shift, order)
+
+
+def test_constrained_value_scans_match_scalar(pack, monkeypatch):
+    # every value statistic, with k or m drawn from a fixed set, under a
+    # constraint at a prime outside S (where mu of the part flips the sign
+    # of the cofactor), at one of S and one outside, and at a prime of S
+    # prescribed exactly past its cap, with and without squarefree_outside:
+    # the array scans against factorize, ValuationConstraint.matches and the
+    # scalar values over 2*10^4 primes.  The engine factors no key past a
+    # cap: a part at a constraint prime of S is capped like any part of S
+    rng = random.Random(24)
+    primes = pack.primes[:20_000].tolist()
+    factored = [factorize(p - 1) for p in primes]
+    keys = []
+    monkeypatch.setattr(empirics, "factorize", lambda n: keys.append(n) or factorize(n))
+    scalar = {
+        "a_pminus1": lambda f, p, k: cyclo_coeff(f, k),
+        "c_pminus1": lambda f, p, k: ramanujan_sum(f, k),
+        "s_k_mod_p": lambda f, p, k: (int(k == 1) if p == 2
+                                      else symmetric_residue((-1) ** k * cyclo_coeff(f, k), p)),
+        "S_k_mod_p": lambda f, p, k: symmetric_residue(ramanujan_sum(f, k), p),
+    }
+    for stat, value in scalar.items():
+        coeff = stat in ("a_pminus1", "s_k_mod_p")
+        for k in rng.sample((1, 2, 3, 12, 15, 30), 2):
+            caps = (_coeff_values if coeff else _ramanujan_values)(k)[0]
+            values = [value(f, p, k) for f, p in zip(factored, primes)]
+            out = next(q for q in small_primes(100) if q not in caps)
+            entries = [((out, 1),)]
+            if caps:
+                inside, low = rng.choice(sorted(caps)), min(caps)
+                entries += [tuple(sorted(((inside, rng.randrange(3)), (out, ("ge", 1))))),
+                            ((low, caps[low] + 1),)]
+            for entry in entries:
+                c = ValuationConstraint(entry)
+                kept = [(v, all(e < 2 for q, e in f.factors if q not in c.primes()))
+                        for f, v in zip(factored, values) if c.matches(f.factors)]
+                for outside_sf in (False, True):
+                    c = ValuationConstraint(entry, squarefree_outside=outside_sf)
+                    want = Counter(v for v, sf in kept if sf or not outside_sf)
+                    del keys[:]
+                    rep = scan_primes(stat, k=k, nprimes=20_000, constraint=c, pack=pack)
+                    assert rep.counts == want and rep.total == 20_000, (stat, k, entry, outside_sf)
+                    assert all(e <= caps[q] for n in keys for q, e in factorize(n).factors), (
+                        stat, k, entry)
 
 def test_mobius_sums(pack):
     assert count_squarefree_coprime(100, 1, pack) == 61
@@ -576,6 +641,5 @@ def test_root_product_boundary_full_range(pack):
         # p = 2 aliases under the symmetric map (documented exclusion):
         # the scan reports the root value itself there
         expected = 1 if p == 2 else symmetric_residue(product, p)
-        ps = np.array([p])
-        assert _s_k_values(ps, t, _coeff_values(t, pack))[0] == expected, p
-        assert _s_k_values(ps, t + 1, _coeff_values(t + 1, pack))[0] == 0, p
+        assert _s_k(p, t, pack) == expected, p
+        assert _s_k(p, t + 1, pack) == 0, p

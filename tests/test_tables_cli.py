@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from cyclodist import cyclotomic
 from cyclodist.arith import factorize, sieve_limit_for
 from cyclodist.cli import main
 from cyclodist.cyclotomic import cyclo_coeff
@@ -272,7 +273,7 @@ def test_cli_reproduce_all(capsys, tmp_path, pack):
     assert manifest["all_pass"] and len(manifest["tables"]) >= 10
 
 
-def test_cli_exit_codes(capsys):
+def test_cli_exit_codes(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-subcommand"])
     assert exc.value.code == 2
@@ -309,6 +310,16 @@ def test_cli_exit_codes(capsys):
         for kmax in ("0", "-2"):
             code, out, err = run_cli(capsys, "table", "--id", table_id, "--kmax", kmax)
             assert code == 2 and out == "" and "kmax must be >= 1" in err, (table_id, kmax)
+
+    # past the profile cap every table that takes kmax is a budget refusal,
+    # made before any coefficient lattice is built
+    def no_lattice(*args):
+        raise AssertionError("lattice built for a refused kmax")
+
+    monkeypatch.setattr(cyclotomic, "_profile_lattice", no_lattice)
+    for table_id in KMAX_TABLES:
+        code, out, err = run_cli(capsys, "table", "--id", table_id, "--kmax", "62")
+        assert code == 3 and out == "" and "resource" in err.lower(), table_id
     code, out, err = run_cli(capsys, "empirical", "--stat", "mu", "--x", "-5")
     assert code == 2 and out == "" and "x must be >= 0" in err
     code, out, err = run_cli(capsys, "oracle", "sym", "--p", "7", "--kmax", "-1")
