@@ -11,11 +11,18 @@ hashes every e_k of the partition route to its cap (k <= 80, most of which
 no divisor-route table reaches) with its integrality witness, and the flags
 of the Möller conjecture scan to k = 79.  It uses only public names that
 every tree since the split-profile fold has.
+
+A second line hashes the value sets for k = 61 down to 2 and the partition
+route's e_k lists for a descending run of kmax, each asked for after every
+table above.  A tree that keeps the largest lattice and the longest walk
+serves these from what it kept; a tree that keeps neither rebuilds each one,
+so the two lines agree only if the kept structures answer as fresh builds.
 """
 
 import hashlib
 import json
 
+from cyclodist.cyclotomic import value_set
 from cyclodist.densities_natural import coeff_density, moller_conjecture_scan, partition_means
 from cyclodist.densities_prime import (ValuationConstraint, coeff_prime_density,
                                        ramanujan_prime_density, s_small_density)
@@ -23,6 +30,8 @@ from cyclodist.ramanujan import natural_density_of_ramanujan
 
 COEFF_KS = list(range(1, 46)) + [50, 53, 61]
 PARTITION_K = 80  # the partition route's cap
+VALUE_SET_KS = range(61, 1, -1)
+PARTITION_KS = (80, 79, 61, 49, 48, 40, 35, 12, 2, 1, 0, -3)  # descending, then empty
 RAMANUJAN_MS = list(range(1, 301)) + [720720, 9699690, 2**80, 3**50 * 5**3, 10**25]
 CONSTRAINTS = [
     ((2, 1),), ((2, ("ge", 2)),), ((2, 2), (3, 1)), ((3, 0),), ((3, 1),),
@@ -57,6 +66,11 @@ def main():
     records += [[e.k, str(e.e_k), e.sign_ok, e.range_ok]
                 for e in moller_conjecture_scan(PARTITION_K - 1)]
     print(hashlib.sha256(json.dumps(records).encode()).hexdigest(), len(records))
+    kept = [[r.k, r.bound, sorted(r.full_set), sorted(r.odd_set), sorted(r.even_set)]
+            for r in map(value_set, VALUE_SET_KS)]
+    kept += [[kmax, [[ek.k, str(ek.e_k), ek.integrality_witness] for ek in partition_means(kmax)]]
+             for kmax in PARTITION_KS]
+    print(hashlib.sha256(json.dumps(kept).encode()).hexdigest(), len(kept))
 
 
 if __name__ == "__main__":

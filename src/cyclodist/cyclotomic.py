@@ -34,7 +34,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import FrozenSet, List, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,9 +49,10 @@ from .arith import (
 from .errors import InternalConsistencyError, ResourceBudgetError
 
 #: Largest k for which the divisor profile of M_k is built (its lattice has
-#: 2^pi(k) rows, 2^18 at k = 61, where a profile build takes about 0.5 s and
-#: peaks the process at about 74 MB on 2 cores); caps value sets,
-#: divisor-route densities and means, and the coefficient scans.
+#: 2^pi(k) rows, 2^18 at k = 61, where a profile build takes about 0.5 s;
+#: the lattice, 32.5 MB of int8 there, is kept for the process, which then
+#: peaks at about 101 MB in a density fold at k = 61 on 2 cores); caps value
+#: sets, divisor-route densities and means, and the coefficient scans.
 PROFILE_MAX_K = 61
 CYCLO_POLY_MAX_DEGREE = 100_000
 
@@ -356,6 +357,28 @@ def _profile_lattice(primes: List[int], k: int) -> Tuple[np.ndarray, np.ndarray]
     return F, G
 
 
+# (K, F, G): the largest lattice built so far, read-only (see _lattice)
+_kept_lattice: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+
+
+def _lattice(k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """What _profile_lattice(small_primes(k), k) returns, as read-only views
+    of the kept lattice of some K >= k: its first 2^pi(k) rows are the r
+    over the primes <= k, and its first k + 1 columns are the series mod
+    X^(k+1), as truncation commutes with the products of the lift.  For
+    k > K the kept lattice is dropped before the build at k, so the two
+    never coexist."""
+    global _kept_lattice
+    primes = small_primes(k)
+    if _kept_lattice is None or _kept_lattice[0] < k:
+        _kept_lattice = None
+        F, G = _profile_lattice(primes, k)
+        F.flags.writeable = G.flags.writeable = False
+        _kept_lattice = (k, F, G)
+    rows = 1 << len(primes)
+    return tuple(series[:rows, : k + 1] for series in _kept_lattice[1:])
+
+
 @lru_cache(maxsize=1)
 def coeff_profile(k: int) -> CoeffProfile:
     """Divisor-indexed coefficient pairs behind the exact distribution of
@@ -367,17 +390,21 @@ def coeff_profile(k: int) -> CoeffProfile:
     nu_p(k) + 1).  So a_d(k) = a_r(k/t), read from the lattice of
     :func:`_profile_lattice`, and a_(dq)(k) = Phi_r(0) * [X^(k/t)] 1/Phi_r,
     since Phi_(rq) = Phi_r(0)/Phi_r mod X^(k+1) for the prime q > k.  Only
-    the columns k/t are read out; the bitmask of r and the column of t are
-    tabulated by position as outer products over the caps.  At k = 61 the
-    lattice holds 2^18 rows of each series (32 MB of int8), and a profile
-    build takes about 0.5 s and peaks the process at about 74 MB (2 cores)."""
+    the columns k/t of the first 2^pi(k) rows are read out; the bitmask of r
+    and the column of t are tabulated by position as outer products over the
+    caps.  The lattice is built once for the largest k asked so far and kept
+    for the process (:func:`_lattice`), so a sweep over k builds it once
+    if it starts at the top.  At k = 61 it holds 2^18 rows of each series
+    (32.5 MB of int8), a build takes about 0.5 s, and a density fold there
+    peaks the process at about 101 MB, against 75 MB when nothing was kept
+    (2 cores)."""
     if k < 2:
         raise ValueError("coefficient profile requires k >= 2 (k = 1 is special-cased by callers)")
     if k > PROFILE_MAX_K:
         raise ResourceBudgetError(f"coefficient profile limited to k <= {PROFILE_MAX_K}")
     m_k = support_modulus(k)
     quots = as_factored(k).divisors()
-    F, G = (rows[:, [k // t for t in quots]] for rows in _profile_lattice(small_primes(k), k))
+    F, G = (rows[:, [k // t for t in quots]] for rows in _lattice(k))
     mask, t = np.zeros(1, np.int64), np.ones(1, np.int64)
     for i, (p, cap) in enumerate(m_k.factors):
         e = np.arange(cap + 1)

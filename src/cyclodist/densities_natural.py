@@ -10,7 +10,8 @@ is computed by two fully independent routes:
   only lcm/gcd of the parts and Möbius values.  These depend only on the
   set D of distinct parts, and the sum over the multiplicities of D is a
   pair of coin-change counts, memoised per coin tuple, so one walk over
-  the sets D with sum(D) <= K gives every e_k for k <= K.  Each set takes
+  the sets D with sum(D) <= K gives every e_k for k <= K (the longest walk
+  is kept for the process and serves every smaller K).  Each set takes
   lcm, gcd, denominator and Möbius split from its parent.  A set with
   L/G (lcm over gcd) not squarefree contributes nothing, and neither does
   any superset, so the walk prunes its whole subtree.  This reaches far
@@ -116,7 +117,26 @@ def _part_sets(kmax: int) -> Iterator[Tuple[int, int, Tuple[int, ...], Tuple[int
                           psi * psi_of[raised] * psi_of[dropped], new_plus, new_minus))
 
 
+# e_1 .. e_K of the longest walk so far (see partition_means)
+_kept_means: List[EkValue] = []
+
+
 def partition_means(kmax: int) -> List[EkValue]:
+    """[e_1, ..., e_kmax] (empty for kmax <= 0), as a fresh list.  The
+    longest walk so far is kept for the process and serves every smaller
+    kmax, since e_k does not depend on the walk's bound (to k = 80 it holds
+    80 values); a larger kmax walks again (:func:`_partition_walk`)."""
+    global _kept_means
+    if kmax > PARTITION_MAX_K:
+        raise ResourceBudgetError(
+            f"partition route capped at k <= {PARTITION_MAX_K}, asked for {kmax}"
+        )
+    if kmax > len(_kept_means):
+        _kept_means = _partition_walk(kmax)
+    return _kept_means[: max(kmax, 0)]
+
+
+def _partition_walk(kmax: int) -> List[EkValue]:
     """[e_1, ..., e_kmax] by one walk over the sets D of :func:`_part_sets`
     (see :func:`mean_coeff_partition`).  A set with s = sum(D) contributes,
     summed over every multiplicity vector of D with total k = s + r,
@@ -128,10 +148,6 @@ def partition_means(kmax: int) -> List[EkValue]:
     The coin counts P(C, r) are memoised per coin tuple C (3,530 tuples to
     k = 80), each made from its prefix's row by one coin pass, and each set
     adds its eps into one integer row per denominator."""
-    if kmax > PARTITION_MAX_K:
-        raise ResourceBudgetError(
-            f"partition route capped at k <= {PARTITION_MAX_K}, asked for {kmax}"
-        )
     coins: Dict[Tuple[int, ...], List[int]] = {(): [1] + [0] * kmax}
 
     def counts(c: Tuple[int, ...]) -> List[int]:

@@ -166,10 +166,12 @@ class ValuationConstraint:
                     raise ValueError(f"bad exponent spec {spec}")
             elif spec < 0:
                 raise ValueError("exponents must be >= 0")
+        # q -> spec, built once; not a field, so eq, hash and repr ignore it
+        object.__setattr__(self, "_specs", dict(self.entries))
 
     def allows(self, q: int, e: int) -> bool:
         """Does nu_q(p-1) = e satisfy the prescription at q (if any)?"""
-        spec = dict(self.entries).get(q)
+        spec = self._specs.get(q)
         if isinstance(spec, tuple):
             return e >= spec[1]
         return spec is None or e == spec
@@ -177,7 +179,7 @@ class ValuationConstraint:
     def matches(self, factors: Sequence[Tuple[int, int]]) -> bool:
         """Does a factorization of p - 1 satisfy the valuation part?"""
         exps = dict(factors)
-        return all(self.allows(q, exps.get(q, 0)) for q in self.primes())
+        return all(self.allows(q, exps.get(q, 0)) for q in self._specs)
 
     def primes(self) -> Tuple[int, ...]:
         return tuple(q for q, _ in self.entries)

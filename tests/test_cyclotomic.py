@@ -275,6 +275,62 @@ def test_random_lattice_rows_above_40():
                 assert G[row, j] == want == sign * cyclo_coeff_partition(r * q, j), (k, r, j)
 
 
+@pytest.fixture
+def lattice_builds(monkeypatch):
+    """k of every lattice built during the test, which starts with no kept
+    lattice and no cached profile (the process's kept lattice comes back
+    after it).  A build with a smaller lattice still kept fails the test."""
+    builds = []
+
+    def recording(primes, k):
+        assert cyclotomic._kept_lattice is None, "a smaller lattice kept through a build"
+        builds.append(k)
+        return _profile_lattice(primes, k)
+
+    monkeypatch.setattr(cyclotomic, "_profile_lattice", recording)
+    monkeypatch.setattr(cyclotomic, "_kept_lattice", None)
+    coeff_profile.cache_clear()
+    yield builds
+    coeff_profile.cache_clear()
+
+
+def test_kept_lattice_serves_every_smaller_k(lattice_builds, monkeypatch):
+    # each k's profile and value set from a lattice built at that k alone ...
+    fresh = {}
+    for k in range(2, 41):
+        monkeypatch.setattr(cyclotomic, "_kept_lattice", None)
+        fresh[k] = (coeff_profile(k).entries, value_set(k))
+    assert lattice_builds == list(range(2, 41))
+    # ... equal what the kept k = 40 lattice serves, read in descending
+    # order; its corner for k is a fresh build at k, shape and all
+    for k in range(40, 1, -1):
+        F, G = cyclotomic._lattice(k)
+        want_F, want_G = _profile_lattice(small_primes(k), k)
+        assert np.array_equal(F, want_F) and np.array_equal(G, want_G), k
+        assert np.array_equal(coeff_profile(k).entries, fresh[k][0]), k
+        assert value_set(k) == fresh[k][1], k
+    assert lattice_builds == list(range(2, 41))  # the descending pass built nothing
+
+
+def test_kept_lattice_grows_and_survives_refusals(lattice_builds):
+    for k in range(2, 21):  # ascending: one build per k, none kept through the next
+        coeff_profile(k)
+    assert lattice_builds == list(range(2, 21))
+    kept = cyclotomic._kept_lattice
+    assert kept[0] == 20
+    with pytest.raises(ResourceBudgetError):
+        coeff_profile(62)
+    with pytest.raises(ValueError):
+        coeff_profile(1)
+    assert lattice_builds == list(range(2, 21)) and cyclotomic._kept_lattice is kept
+    for series in kept[1:] + cyclotomic._lattice(7):
+        assert not series.flags.writeable
+        with pytest.raises(ValueError):
+            series[0, 0] = 0
+    coeff_profile(23)
+    assert lattice_builds[-1] == 23 and cyclotomic._kept_lattice[0] == 23
+
+
 def test_lift_refuses_overflowing_rows():
     # (k//p + 1) * max^2 must fit the accumulator: 2 * (2^32)^2 does not fit int64
     F = np.array([[-1, 2**32, 0, 0]], dtype=np.int64)
@@ -423,5 +479,5 @@ def test_expansion_against_sympy():
     rng = __import__("random").Random(2024)
     ns = {1, 2, 105, 120, 210, 4096} | {rng.randrange(2, 5000) for _ in range(40)}
     for n in sorted(ns):
-        reference = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        reference = sympy.cyclotomic_poly(n, x, polys=True).all_coeffs()[::-1]
         assert cyclo_poly(n) == [int(c) for c in reference], n

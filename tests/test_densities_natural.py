@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from cyclodist import densities_natural
 from cyclodist.arith import small_primes
 from cyclodist.cyclotomic import value_set
 from cyclodist.densities_natural import (
     PARTITION_MAX_K,
     _make_ek,
     _part_sets,
+    _partition_walk,
     coeff_density,
     mean_coeff,
     mean_coeff_partition,
@@ -116,8 +118,32 @@ def test_partition_means_truncate():
     for _ in range(6):
         K = rng.randint(2, 50)
         k = rng.randint(1, K - 1)
-        assert partition_means(K)[k - 1] == partition_means(k)[-1], (k, K)
-    assert partition_means(0) == []
+        assert _partition_walk(K)[k - 1] == _partition_walk(k)[-1], (k, K)
+    assert _partition_walk(0) == []
+
+
+def test_kept_partition_means(monkeypatch):
+    # one walk to k = 80 serves every smaller kmax, and what it serves is
+    # what a fresh walk to that kmax gives, as a list of the caller's own
+    walks = []
+
+    def recording(kmax):
+        walks.append(kmax)
+        return _partition_walk(kmax)
+
+    monkeypatch.setattr(densities_natural, "_kept_means", [])
+    monkeypatch.setattr(densities_natural, "_partition_walk", recording)
+    full = partition_means(80)
+    assert [ek.k for ek in full] == list(range(1, 81))
+    for k in (79, 48, 35, 12, 1):
+        assert partition_means(k) == _partition_walk(k), k
+    assert partition_means(0) == partition_means(-3) == []
+    want = list(full)
+    full.clear()
+    part = partition_means(40)
+    part[0] = None
+    assert partition_means(80) == want and partition_means(40) == want[:40]
+    assert walks == [80]
 
 
 def _walked_sets(kmax):

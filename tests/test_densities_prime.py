@@ -140,6 +140,14 @@ def test_constraint_validation_and_matching():
     assert c.matches(((2, 2), (3, 1), (7, 1)))
     assert not c.matches(((2, 1), (3, 1)))
     assert not c.matches(((2, 2),))
+    assert c.allows(5, 3) and c.allows(3, 4) and not c.allows(2, 3)
+    # the lookup table built at construction is not a field: equality, hash
+    # and repr are those of the entries and the flag alone
+    same = ValuationConstraint(((2, 2), (3, ("ge", 1))))
+    assert c == same and hash(c) == hash(same)
+    assert c != ValuationConstraint(c.entries, squarefree_outside=False)
+    assert repr(c) == ("ValuationConstraint(entries=((2, 2), (3, ('ge', 1))), "
+                       "squarefree_outside=True)")
 
 
 def test_prime_density_table6():
