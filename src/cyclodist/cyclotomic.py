@@ -417,6 +417,13 @@ def coeff_profile(k: int) -> CoeffProfile:
     return CoeffProfile(k, least_prime_above(k), m_k, entries)
 
 
+def _distinct_int8(rows: np.ndarray) -> List[int]:
+    """The distinct values of int8 rows: the byte values that occur, counted
+    by np.bincount and read back as int8 (no sort, no list of every entry)."""
+    seen = np.flatnonzero(np.bincount(rows.ravel().view(np.uint8), minlength=256))
+    return seen.astype(np.uint8).view(np.int8).tolist()
+
+
 def value_set(k: int) -> ValueSetReport:
     """The set of values a_n(k) takes over all n, split by parity of n.
 
@@ -429,8 +436,9 @@ def value_set(k: int) -> ValueSetReport:
         return ValueSetReport(1, s, s, s, 1)
     profile = coeff_profile(k)
     odd_rows = len(profile.entries) // (profile.m_k.factors[0][1] + 1)  # nu_2(d) = 0: 2 leads
-    full, odd, even = (frozenset({0} | set(rows.ravel().tolist())) for rows in
-                       (profile.entries, profile.entries[:odd_rows], profile.entries[odd_rows:]))
+    odd, even = (frozenset({0, *_distinct_int8(rows)}) for rows in
+                 (profile.entries[:odd_rows], profile.entries[odd_rows:]))
+    full = odd | even
     return ValueSetReport(k, full, odd, even, max(abs(v) for v in full))
 
 
