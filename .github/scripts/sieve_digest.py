@@ -14,9 +14,11 @@ prime factor of an even n >= 4 is 2.  The smallest-prime-factor table is
 hashed in one convention, n itself at a prime n, as little-endian int32,
 whatever the tree stores at primes and whatever its dtype; μ is hashed as
 int8 and the primes as little-endian int64.  The limits cover the smallest sieves, both
-sides of the 2^18 block boundary, the sieve of a 10^4-prime scan and the
-default 2*10^7 sieve.  It uses only `sieve_pack` and the `SievePack`
-fields, which every tree since the segmented build has.
+sides of the 2^18 block boundary, both sides of n = 2^16 and 2^17, where
+the μ pass's first and second full blocks of 2^15 odd entries start, the
+sieve of a 10^4-prime scan and the default 2*10^7 sieve.  It uses only
+`sieve_pack` and the `SievePack` fields, which every tree since the
+segmented build has.
 """
 
 import hashlib
@@ -25,7 +27,8 @@ import numpy as np
 
 from cyclodist.arith import sieve_pack
 
-LIMITS = (2, 3, 10, 2**18 - 1, 2**18, 2**18 + 1, 110_000, 20_000_000)
+LIMITS = (2, 3, 10, 2**16 - 1, 2**16, 2**16 + 1, 2**17 - 1, 2**17 + 1, 2**18 - 1, 2**18,
+          2**18 + 1, 110_000, 20_000_000)
 CHUNK = 1 << 20  # entries converted at a time, so the 2*10^7 table is never copied whole
 
 

@@ -4,8 +4,9 @@ Everything downstream runs on exact integers and `fractions.Fraction`
 (re-exported here as :data:`ExactRational`).  The two workhorses are
 
 * :class:`SievePack` — the Möbius table and the prime list up to a limit,
-  built once by a segmented sieve of Eratosthenes over the odd numbers
-  and shared read-only across the package.  Its tables hold odd n only:
+  built once by a segmented sieve of Eratosthenes over the odd numbers,
+  in blocks that need no temporary the size of a table, and shared
+  read-only across the package.  Its tables hold odd n only:
   μ at an even n follows from μ(2o) = -μ(o) and μ(4m) = 0, and
   :meth:`SievePack.mu` reads μ at any n.  Its smallest-prime-factor table
   is a build intermediate: only the μ pass reads it, and it stays a field
@@ -46,8 +47,9 @@ ExactRational = Fraction
 DEFAULT_SIEVE_LIMIT = 20_000_000
 
 #: Hard memory budget: 1.5 bytes per entry (uint16 SPF and int8 μ over the
-#: odd n), 4 per prime (int32).  The build refuses limit >= 2^31 (int32 μ
-#: pass), so isqrt(limit) < 2^16.
+#: odd n), 4 per prime (int32).  The build's peak is these tables plus
+#: O(block) bytes, so the budget counts all of it.  The build refuses limit
+#: >= 2^31 (int32 primes), so isqrt(limit) < 2^16.
 MAX_SIEVE_LIMIT = 300_000_000
 
 CACHE_MAGIC = b"CPD1"
@@ -81,8 +83,10 @@ def is_prime_int(n: int) -> bool:
     return True
 
 
-#: entries per block of the sieve build (1 MB of int32, so a block stays in cache)
+#: entries per block of the marking pass (512 KB of uint16, so a block stays in cache)
 _SEGMENT = 1 << 18
+#: entries per block of the μ pass (its largest temporary is 256 KB of intp)
+_MU_BLOCK = 1 << 15
 
 
 def _sieve_arrays_numpy(limit: int):
@@ -94,33 +98,48 @@ def _sieve_arrays_numpy(limit: int):
     and is a pad holding 0 in both.  Block by block, the odd sievers p <=
     sqrt(limit) write p at their odd multiples from p^2 on, the entries i =
     (p - 1) / 2 mod p, largest p first and unmasked, so each odd composite
-    keeps its least prime factor and each prime keeps 0.  μ is read off the
-    table in int32: with p = spf[i] or n, and m = n // p (odd, at index m >>
-    1), μ(n) = 0 if p | m (spf[m >> 1] == p or m == p), else -μ(m); as m <=
-    n/3, blocks [lo, lo + min(lo, _SEGMENT)) in increasing order read only
-    filled entries.  The primes are int32, 2 first."""
-    if limit >= 1 << 31:  # the int32 μ pass; it implies isqrt(limit) < 2^16
-        raise ResourceBudgetError(f"sieve limit {limit} does not fit the int32 μ pass")
+    keeps its least prime factor and each prime keeps 0; the block's primes
+    are then read off while it is in cache.  The primes are int32, 2 first.
+
+    μ starts at 1, with 0 at the odd multiples of p^2 for each siever p, one
+    strided write per siever: every odd n <= limit that is not squarefree
+    has such a p^2 | n.  Blocks [lo, lo + min(lo, _MU_BLOCK)) in increasing
+    order then multiply entry i by -1 times entry i // p, with p the least
+    prime factor of n: n = p m with m odd gives i // p = m >> 1, the entry
+    of m, which is squarefree when n is and lies below lo as m <= n/3, so
+    it is final.  At a prime n, p is taken as 1 and the entry reads its own
+    1.  Each block's temporaries are O(_MU_BLOCK), so the build's peak is
+    the three tables plus O(block)."""
+    if limit >= 1 << 31:  # the int32 primes; it implies isqrt(limit) < 2^16
+        raise ResourceBudgetError(f"sieve limit {limit} does not fit the int32 primes")
     sievers = small_primes(math.isqrt(limit))[1:]
     size = limit // 2 + 1
+    end = (limit + 1) // 2  # past the entry of the largest odd n <= limit
     spf = np.zeros(size, dtype=np.uint16)
+    # π(limit) < 1.25506 limit / ln limit (Rosser and Schoenfeld).  Freeing one
+    # buffer (6 MB at 2*10^7), not a list of chunks, lifts glibc's mmap threshold:
+    # later scans then reuse heap for their MB-sized blocks, not fresh mmaps.
+    primes = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int32)
+    primes[0], count = 2, 1
     for lo in range(0, size, _SEGMENT):
         seg = spf[lo : lo + _SEGMENT]
         top = bisect.bisect_right(sievers, math.isqrt(2 * (lo + len(seg)) - 1))
         for p in reversed(sievers[:top]):
             seg[max(p * p >> 1, lo + ((p >> 1) - lo) % p) - lo :: p] = p
-    odd = np.flatnonzero(spf[1 : (limit + 1) // 2] == 0).astype(np.int32)
-    primes = np.concatenate(([2], 2 * odd + 3), dtype=np.int32)
-    mu = np.empty(size, dtype=np.int8)
-    mu[0] = 1
+        first = max(lo, 1)
+        odd = np.flatnonzero(seg[first - lo : end - lo] == 0)
+        primes[count : count + len(odd)] = 2 * odd + (2 * first + 1)
+        count += len(odd)
+    primes = primes[:count].copy()
+    mu = np.ones(size, dtype=np.int8)
+    for p in sievers:
+        mu[p * p >> 1 :: p * p] = 0
     lo = 1
     while lo < size:
-        hi = min(lo + min(lo, _SEGMENT), size)
-        n = np.arange(2 * lo + 1, 2 * hi, 2, dtype=np.int32)
-        p = spf[lo:hi] + n * (spf[lo:hi] == 0)  # n itself at a prime n
-        m = n // p
-        np.negative(mu.take(m >> 1), out=mu[lo:hi])
-        mu[lo:hi] *= (spf.take(m >> 1) != p) & (m != p)
+        hi = min(lo + min(lo, _MU_BLOCK), size)
+        at = np.arange(lo, hi, dtype=np.int32)
+        at //= np.maximum(spf[lo:hi], 1)
+        mu[lo:hi] *= -mu.take(at)
         lo = hi
     if limit % 2 == 0:  # the pad, limit + 1
         spf[-1] = mu[-1] = 0
@@ -175,10 +194,11 @@ class SievePack:
         return mu
 
     def prime_count(self, x: int) -> int:
-        """pi(x) for x <= limit."""
+        """pi(x) for x <= limit, 0 for any x < 2.  The search takes x as an
+        int32 scalar: a Python int would cast the whole table to int64."""
         if x > self.limit:
             raise ValueError(f"{x} exceeds sieve limit {self.limit}")
-        return int(np.searchsorted(self.primes, x, side="right"))
+        return int(np.searchsorted(self.primes, np.int32(max(x, 0)), side="right"))
 
 
 def _resolve_cache_dir(cache_dir) -> Optional[Path]:

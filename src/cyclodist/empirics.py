@@ -519,7 +519,9 @@ def scan_primes(
     split = _Split(caps, constraint, pack)
 
     # kfree_shift counts only the primes p > shift, which leaves out a prefix
-    skip = int(np.searchsorted(primes, shift, side="right")) if statistic == "kfree_shift" else 0
+    skip = 0
+    if statistic == "kfree_shift":  # primes is a prefix of pack.primes
+        skip = min(pack.prime_count(min(shift, pack.limit)), len(primes))
 
     def block(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
         ps = primes[max(lo, skip):hi]

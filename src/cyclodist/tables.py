@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
 from .arith import SievePack, sieve_limit_for
-from .cyclotomic import PROFILE_MAX_K, value_set
+from .cyclotomic import PROFILE_MAX_K, coeff_profile, value_set
 from .densities_natural import coeff_density, mean_coeff, partition_means
 from .densities_prime import (
     ValuationConstraint,
@@ -413,11 +413,15 @@ def build_table(table_id: str, full: bool = False, kmax: Optional[int] = None,
         return _BUILDERS[table_id](full=full, pack=pack)
     if full:
         raise ValueError(f"table {table_id} has no full mode")
-    if kmax is not None and kmax < 1:
+    builder = _BUILDERS[table_id]
+    kmax = builder.__defaults__[0] if kmax is None else kmax  # its one parameter
+    if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    if kmax is not None and kmax > PROFILE_MAX_K:
+    if kmax > PROFILE_MAX_K:
         raise ResourceBudgetError(f"table {table_id}: profiles stop at kmax <= {PROFILE_MAX_K}")
-    return _BUILDERS[table_id](**({} if kmax is None else {"kmax": kmax}))
+    if kmax >= 2:  # the lattice kept for the top k serves the sweep's every k
+        coeff_profile(kmax)
+    return builder(kmax=kmax)
 
 
 # -- golden comparison -----------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from cyclodist import arith, density
+from cyclodist import arith, cyclotomic, density
 from cyclodist.arith import default_pack
 
 
@@ -28,3 +28,23 @@ def sieve_builds(monkeypatch):
     density._artin_default.cache_clear()
     yield limits
     density._artin_default.cache_clear()
+
+
+@pytest.fixture
+def lattice_builds(monkeypatch):
+    """k of every lattice built during the test, which starts with no kept
+    lattice and no cached profile (the process's kept lattice comes back
+    after it).  A build with a smaller lattice still kept fails the test."""
+    builds = []
+    build = cyclotomic._profile_lattice
+
+    def recording(primes, k):
+        assert cyclotomic._kept_lattice is None, "a smaller lattice kept through a build"
+        builds.append(k)
+        return build(primes, k)
+
+    monkeypatch.setattr(cyclotomic, "_profile_lattice", recording)
+    monkeypatch.setattr(cyclotomic, "_kept_lattice", None)
+    cyclotomic.coeff_profile.cache_clear()
+    yield builds
+    cyclotomic.coeff_profile.cache_clear()

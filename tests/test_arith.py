@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -371,9 +372,14 @@ def _replaced_sieve(limit):
 
 
 def test_sieve_matches_the_replaced_build(pack):
+    from cyclodist.arith import _MU_BLOCK
+
     rng = random.Random(2003)
     limits = [2, 3, 4, 5, 10, 100, 1000, 65536, 2**18 - 1, 2**18, 2**18 + 1,
               2**19 + 1, 1_100_000, 16_400_000]
+    # both sides of the first and second full μ blocks, in n
+    limits += [2 * _MU_BLOCK + d for d in (-1, 1, 2, 3)]
+    limits += [4 * _MU_BLOCK + d for d in (-1, 0, 1, 3)]
     limits += [rng.randrange(2, 3_000_001) for _ in range(20)]
     for limit in [*limits, pack.limit]:
         if limit == pack.limit:  # the session's 2*10^7 build
@@ -395,6 +401,37 @@ def test_sieve_spot_checks_against_trial_division(pack):
         fn = FactoredNat(n, trial_factor(n))
         assert n % 2 == 0 or pack.smallest_prime_factor[n >> 1] == spf_entry(n, fn.factors), n
         assert mu_n == fn.mobius(), n
+
+
+def _traced_peak(run):
+    """The peak of the memory that tracemalloc sees while `run()` runs; numpy
+    reports its array buffers to it."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sieve_build_holds_little_beyond_its_tables():
+    # no step of the build allocates in proportion to the limit besides the
+    # three tables: its peak is theirs plus O(block) buffers
+    pk, peak = _traced_peak(lambda: sieve_pack(4_000_000))
+    tables = sum(t.nbytes for t in (pk.smallest_prime_factor, pk.mobius, pk.primes))
+    assert peak <= 1.15 * tables, (peak, tables)
+
+
+def test_prime_count_searches_in_int32(pack):
+    # a Python int or an int64 would cast the whole int32 table for the search
+    xs = (-2**40, -1, 0, 1, 2, 3, 4, 15_485_863, 10**7, pack.limit)
+    assert [pack.prime_count(x) for x in xs] == [0, 0, 0, 0, 1, 2, 2, 10**6, 664_579,
+                                                  len(pack.primes)]
+    for x in (pack.limit + 1, 2**31, 2**40):
+        with pytest.raises(ValueError):
+            pack.prime_count(x)
+    count, peak = _traced_peak(lambda: pack.prime_count(10**7))
+    assert count == 664_579 and peak < 1024, peak
 
 
 def test_spf_is_zero_exactly_at_the_primes(pack):

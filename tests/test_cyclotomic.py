@@ -275,25 +275,6 @@ def test_random_lattice_rows_above_40():
                 assert G[row, j] == want == sign * cyclo_coeff_partition(r * q, j), (k, r, j)
 
 
-@pytest.fixture
-def lattice_builds(monkeypatch):
-    """k of every lattice built during the test, which starts with no kept
-    lattice and no cached profile (the process's kept lattice comes back
-    after it).  A build with a smaller lattice still kept fails the test."""
-    builds = []
-
-    def recording(primes, k):
-        assert cyclotomic._kept_lattice is None, "a smaller lattice kept through a build"
-        builds.append(k)
-        return _profile_lattice(primes, k)
-
-    monkeypatch.setattr(cyclotomic, "_profile_lattice", recording)
-    monkeypatch.setattr(cyclotomic, "_kept_lattice", None)
-    coeff_profile.cache_clear()
-    yield builds
-    coeff_profile.cache_clear()
-
-
 def test_kept_lattice_serves_every_smaller_k(lattice_builds, monkeypatch):
     # each k's profile and value set from a lattice built at that k alone ...
     fresh = {}

@@ -389,6 +389,18 @@ def test_kfree_shift_scan(pack):
     assert 0.5 < cube < 1.0
 
 
+def test_kfree_shift_past_int32(pack):
+    # the primes p <= shift are left out; a shift past the sieve, or past
+    # int32, leaves out all of them, and p - shift past the sieve is refused
+    for shift, left in ((int(pack.primes[499]), 500), (pack.limit, 1000), (2**31, 1000),
+                        (2**40, 1000)):
+        rep = scan_primes("kfree_shift", shift=shift, kfree_order=2, nprimes=1000, pack=pack)
+        assert sum(rep.counts.values()) == 1000 - left and rep.total == 1000, shift
+    for shift in (-pack.limit, -2**31, -2**40):
+        with pytest.raises(ResourceBudgetError):
+            scan_primes("kfree_shift", shift=shift, kfree_order=2, nprimes=1000, pack=pack)
+
+
 def test_kfree_matches_trial_division(pack):
     # seeded draws against factorize for orders 2..8: m = 1, q^r, q^r - 1 and
     # q^r * s for r <= order + 1, and the largest q with q^order <= the limit

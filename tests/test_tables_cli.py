@@ -37,6 +37,16 @@ def test_all_tables_match_golden(pack):
     assert compare_to_golden(build_table("3", kmax=5)) == []
 
 
+@pytest.mark.parametrize("kmax", [None, pytest.param(61, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("tid", KMAX_TABLES)
+def test_kmax_tables_build_one_lattice(tid, kmax, lattice_builds):
+    # each kmax table asks for its top k first, so the lattice kept for it
+    # serves the sweep's every k (at 61, about 1.5 s a table on 2 cores)
+    top = kmax or {"2": 30, "3": 20, "4": 16, "10": 10, "11": 30}[tid]
+    assert len(build_table(tid, kmax=kmax).rows) >= top
+    assert lattice_builds == [top]
+
+
 # Corruptions of one artifact each, as (action, path into the artifact's data):
 # "bump" changes an exact leaf, "nudge" moves a theory_numeric leaf by 2e-6,
 # "add" puts an unexpected value key into a map, "drop" deletes a key and
