@@ -15,10 +15,12 @@ hashed in one convention, n itself at a prime n, as little-endian int32,
 whatever the tree stores at primes and whatever its dtype; μ is hashed as
 int8 and the primes as little-endian int64.  The limits cover the smallest sieves, both
 sides of the 2^18 block boundary, both sides of n = 2^16 and 2^17, where
-the μ pass's first and second full blocks of 2^15 odd entries start, the
-sieve of a 10^4-prime scan and the default 2*10^7 sieve.  It uses only
-`sieve_pack` and the `SievePack` fields, which every tree since the
-segmented build has.
+the μ pass's first and second full blocks of 2^15 odd entries start, both
+sides of n = 2^19 and 2^20, where the first and second marking segments of
+2^18 odd entries end, the sieve of a 10^4-prime scan and the default
+2*10^7 sieve.  It uses only `sieve_pack`, the `SievePack` tables and its
+`smallest_prime_factor`, which every tree since the segmented build has,
+as a field or as a property that marks the table when first read.
 """
 
 import hashlib
@@ -28,7 +30,7 @@ import numpy as np
 from cyclodist.arith import sieve_pack
 
 LIMITS = (2, 3, 10, 2**16 - 1, 2**16, 2**16 + 1, 2**17 - 1, 2**17 + 1, 2**18 - 1, 2**18,
-          2**18 + 1, 110_000, 20_000_000)
+          2**18 + 1, 110_000, 2**19 - 1, 2**19 + 1, 2**20 - 1, 2**20 + 1, 20_000_000)
 CHUNK = 1 << 20  # entries converted at a time, so the 2*10^7 table is never copied whole
 
 

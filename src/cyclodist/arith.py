@@ -8,10 +8,10 @@ Everything downstream runs on exact integers and `fractions.Fraction`
   in blocks that need no temporary the size of a table, and shared
   read-only across the package.  Its tables hold odd n only:
   μ at an even n follows from μ(2o) = -μ(o) and μ(4m) = 0, and
-  :meth:`SievePack.mu` reads μ at any n.  Its smallest-prime-factor table
-  is a build intermediate: only the μ pass reads it, and it stays a field
-  while the benchmark's ``spans._describe_sieve`` and CI's
-  ``sieve_digest.py`` read it.  A pack never factors;
+  :meth:`SievePack.mu` reads μ at any n.  The build keeps least prime
+  factors one block at a time; a pack marks a full table of them only when
+  asked (by the benchmark's ``spans._describe_sieve`` and CI's
+  ``sieve_digest.py``).  A pack never factors;
 * :class:`FactoredNat` — a natural number carried together with its full
   prime factorization (from :func:`factorize`, trial division, the one
   factoring route), the input of every multiplicative-function evaluation
@@ -24,6 +24,7 @@ pure, so concurrent use needs no locking.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import os
 import struct
@@ -46,22 +47,30 @@ ExactRational = Fraction
 #: Default sieve limit: covers the 10^6-th prime (15 485 863) with headroom.
 DEFAULT_SIEVE_LIMIT = 20_000_000
 
-#: Hard memory budget: 1.5 bytes per entry (uint16 SPF and int8 μ over the
-#: odd n), 4 per prime (int32).  The build's peak is these tables plus
-#: O(block) bytes, so the budget counts all of it.  The build refuses limit
-#: >= 2^31 (int32 primes), so isqrt(limit) < 2^16.
+#: Hard memory budget: 0.5 bytes per entry (int8 μ over the odd n) and 4
+#: per prime (int32), held twice while the build copies the primes out of a
+#: buffer sized by a bound on π(limit): 292 MB at this limit.  The build's
+#: peak is these plus O(block) bytes.  The build refuses limit >= 2^31
+#: (int32 primes), so isqrt(limit) < 2^16.
 MAX_SIEVE_LIMIT = 300_000_000
 
 CACHE_MAGIC = b"CPD1"
 CACHE_ENV_VAR = "CYCLODIST_CACHE"
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: the least strong pseudoprime to every base in _MR_WITNESSES (OEIS A014233)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime_int(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for n < 3.3*10^24."""
+    """Deterministic Miller-Rabin, exact for n < 3.3*10^24; a larger n is
+    refused with ValueError.  The bases 2..37 alone pass the composite
+    318665857834031151167461 = 399165290221 * 798330580441."""
     if n < 2:
         return False
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"{n} is past {_MR_EXACT_BELOW}, where Miller-Rabin to the bases "
+                         f"{_MR_WITNESSES} is no longer exact")
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
@@ -85,100 +94,111 @@ def is_prime_int(n: int) -> bool:
 
 #: entries per block of the marking pass (512 KB of uint16, so a block stays in cache)
 _SEGMENT = 1 << 18
-#: entries per block of the μ pass (its largest temporary is 256 KB of intp)
+#: entries per block of the μ pass (its largest temporary is 128 KB of int32)
 _MU_BLOCK = 1 << 15
 
 
-def _sieve_arrays_numpy(limit: int):
-    """Segmented Eratosthenes over the odd n = 2i + 1 <= limit: (spf, mu,
-    primes), entry i of spf and mu standing for n = 2i + 1.
-
-    Both tables have limit // 2 + 1 entries, so that n // 2 is an index for
-    every n <= limit; at an even limit the last entry stands for limit + 1
-    and is a pad holding 0 in both.  Block by block, the odd sievers p <=
+def _spf_segments(limit: int, sievers: list) -> Iterator[tuple]:
+    """Yield (lo, seg) for the blocks of _SEGMENT entries over the odd n = 2i
+    + 1 <= limit: seg holds, at entry i - lo, the least prime factor of a
+    composite n, and 0 at a prime and at 1.  Every seg is a view of one
+    buffer, cleared and marked afresh for each block.  The odd sievers p <=
     sqrt(limit) write p at their odd multiples from p^2 on, the entries i =
-    (p - 1) / 2 mod p, largest p first and unmasked, so each odd composite
-    keeps its least prime factor and each prime keeps 0; the block's primes
-    are then read off while it is in cache.  The primes are int32, 2 first.
+    (p - 1) / 2 mod p, largest p first, so the least prime factor writes
+    last."""
+    end = (limit + 1) // 2
+    buf = np.empty(min(_SEGMENT, end), dtype=np.uint16)
+    for lo in range(0, end, _SEGMENT):
+        seg = buf[: min(_SEGMENT, end - lo)]
+        seg.fill(0)
+        top = bisect.bisect_right(sievers, math.isqrt(2 * (lo + len(seg)) - 1))
+        for p in reversed(sievers[:top]):
+            seg[max(p * p >> 1, lo + ((p >> 1) - lo) % p) - lo :: p] = p
+        yield lo, seg
+
+
+def _sieve_arrays_numpy(limit: int):
+    """Segmented Eratosthenes over the odd n = 2i + 1 <= limit: (mu, primes),
+    entry i of mu standing for n = 2i + 1, the primes int32, 2 first.  mu has
+    limit // 2 + 1 entries, so that n // 2 is an index for every n <= limit;
+    at an even limit the last stands for limit + 1 and is a pad holding 0.
 
     μ starts at 1, with 0 at the odd multiples of p^2 for each siever p, one
     strided write per siever: every odd n <= limit that is not squarefree
-    has such a p^2 | n.  Blocks [lo, lo + min(lo, _MU_BLOCK)) in increasing
-    order then multiply entry i by -1 times entry i // p, with p the least
-    prime factor of n: n = p m with m odd gives i // p = m >> 1, the entry
-    of m, which is squarefree when n is and lies below lo as m <= n/3, so
-    it is final.  At a prime n, p is taken as 1 and the entry reads its own
-    1.  Each block's temporaries are O(_MU_BLOCK), so the build's peak is
-    the three tables plus O(block)."""
+    has such a p^2 | n.  Each block of `_spf_segments` is then read while
+    it is in cache: its primes are the entries holding 0, and μ over it
+    multiplies entry i by -1 times entry i // p, with p the least prime
+    factor of n: n = p m with m odd gives i // p = m >> 1, the entry of m,
+    which is squarefree when n is; a prime takes p = 1 and reads its own 1.
+    μ runs in sub-blocks [lo, lo + min(lo, _MU_BLOCK)) from lo = 1: as m <=
+    n/3, each read falls below the sub-block, on a final entry.  The build's
+    peak is μ, the prime buffer and the primes' copy, plus O(block)."""
     if limit >= 1 << 31:  # the int32 primes; it implies isqrt(limit) < 2^16
         raise ResourceBudgetError(f"sieve limit {limit} does not fit the int32 primes")
     sievers = small_primes(math.isqrt(limit))[1:]
-    size = limit // 2 + 1
     end = (limit + 1) // 2  # past the entry of the largest odd n <= limit
-    spf = np.zeros(size, dtype=np.uint16)
+    mu = np.ones(limit // 2 + 1, dtype=np.int8)
+    mu[end:] = 0  # the pad, limit + 1, at an even limit
+    for p in sievers:
+        mu[p * p >> 1 :: p * p] = 0
     # π(limit) < 1.25506 limit / ln limit (Rosser and Schoenfeld).  Freeing one
     # buffer (6 MB at 2*10^7), not a list of chunks, lifts glibc's mmap threshold:
     # later scans then reuse heap for their MB-sized blocks, not fresh mmaps.
     primes = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int32)
     primes[0], count = 2, 1
-    for lo in range(0, size, _SEGMENT):
-        seg = spf[lo : lo + _SEGMENT]
-        top = bisect.bisect_right(sievers, math.isqrt(2 * (lo + len(seg)) - 1))
-        for p in reversed(sievers[:top]):
-            seg[max(p * p >> 1, lo + ((p >> 1) - lo) % p) - lo :: p] = p
-        first = max(lo, 1)
-        odd = np.flatnonzero(seg[first - lo : end - lo] == 0)
+    for lo, seg in _spf_segments(limit, sievers):
+        first, hi = max(lo, 1), lo + len(seg)
+        odd = np.flatnonzero(seg[first - lo :] == 0)
         primes[count : count + len(odd)] = 2 * odd + (2 * first + 1)
         count += len(odd)
-    primes = primes[:count].copy()
-    mu = np.ones(size, dtype=np.int8)
-    for p in sievers:
-        mu[p * p >> 1 :: p * p] = 0
-    lo = 1
-    while lo < size:
-        hi = min(lo + min(lo, _MU_BLOCK), size)
-        at = np.arange(lo, hi, dtype=np.int32)
-        at //= np.maximum(spf[lo:hi], 1)
-        mu[lo:hi] *= -mu.take(at)
-        lo = hi
-    if limit % 2 == 0:  # the pad, limit + 1
-        spf[-1] = mu[-1] = 0
-    return spf, mu, primes
+        while first < hi:
+            top = min(first + min(first, _MU_BLOCK), hi)
+            at = np.arange(first, top, dtype=np.int32)
+            at //= np.maximum(seg[first - lo : top - lo], 1)
+            mu[first:top] *= -mu.take(at)
+            first = top
+    return mu, primes[:count].copy()
 
 
 @dataclass(frozen=True, eq=False)
 class SievePack:
     """Read-only sieve tables over the odd n <= limit.
 
-    Entry i of ``mobius`` (int8) is μ(2i + 1), and entry i of
-    ``smallest_prime_factor`` (uint16) is the least prime divisor of a
-    composite 2i + 1, 0 for a prime and for 1; each has limit // 2 + 1
+    Entry i of ``mobius`` (int8) is μ(2i + 1); it has limit // 2 + 1
     entries, the last of them, at an even limit, a pad for limit + 1 that
     holds 0.  :meth:`mu` gives μ at any n <= limit.  ``primes`` (int32)
     lists all π(limit) primes in increasing order; a scan reads only μ and
-    the primes, and in the package only the build's μ pass reads the least
-    prime factors.  A table of the wrong length or dtype, or a pad with μ
-    != 0, is refused.  Identity semantics (eq=False): packs are shared, not
+    the primes.  A μ table of the wrong length or dtype, or a pad with μ !=
+    0, is refused.  Identity semantics (eq=False): packs are shared, not
     compared element-wise.
     """
 
     limit: int
-    smallest_prime_factor: np.ndarray
     mobius: np.ndarray
     primes: np.ndarray
 
     def __post_init__(self):
         size = self.limit // 2 + 1
-        for name, dtype in (("smallest_prime_factor", np.uint16), ("mobius", np.int8)):
-            arr = getattr(self, name)
-            if arr.dtype != dtype or arr.shape != (size,):
-                raise ValueError(f"{name} must be {np.dtype(dtype)} over the odd n, "
-                                 f"{size} entries at limit {self.limit}; got {arr.dtype} "
-                                 f"{arr.shape}")
+        if self.mobius.dtype != np.int8 or self.mobius.shape != (size,):
+            raise ValueError(f"mobius must be int8 over the odd n, {size} entries at limit "
+                             f"{self.limit}; got {self.mobius.dtype} {self.mobius.shape}")
         if self.limit % 2 == 0 and self.mobius[-1] != 0:
             raise ValueError(f"the pad entry for {self.limit + 1} must hold μ = 0")
-        for arr in (self.smallest_prime_factor, self.mobius, self.primes):
+        for arr in (self.mobius, self.primes):
             arr.setflags(write=False)
+
+    @functools.cached_property
+    def smallest_prime_factor(self) -> np.ndarray:
+        """uint16 over the odd n, laid out as ``mobius``: the least prime
+        divisor of a composite 2i + 1, 0 for a prime, for 1 and for the pad;
+        marked again by the build's segments.  Nothing in the package reads
+        it; the benchmark's ``spans._describe_sieve`` and CI's
+        ``sieve_digest.py`` do."""
+        spf = np.zeros(self.limit // 2 + 1, dtype=np.uint16)
+        for lo, seg in _spf_segments(self.limit, small_primes(math.isqrt(self.limit))[1:]):
+            spf[lo : lo + len(seg)] = seg
+        spf.setflags(write=False)
+        return spf
 
     def mu(self, ns) -> np.ndarray:
         """μ(n) as int8 for an integer array of 1 <= n <= limit.  An odd n
@@ -261,7 +281,7 @@ def sieve_pack(limit: int = DEFAULT_SIEVE_LIMIT, cache_dir=None) -> SievePack:
         raise ResourceBudgetError(
             f"sieve limit {limit} exceeds memory budget {MAX_SIEVE_LIMIT}"
         )
-    spf, mu, primes = _sieve_arrays_numpy(limit)
+    mu, primes = _sieve_arrays_numpy(limit)
     cdir = _resolve_cache_dir(cache_dir)
     if cdir is not None:
         path = cdir / f"sieve_{limit}.cpd1"
@@ -272,7 +292,7 @@ def sieve_pack(limit: int = DEFAULT_SIEVE_LIMIT, cache_dir=None) -> SievePack:
                 write_sieve_cache(path, limit, primes)
             except OSError:
                 pass
-    return SievePack(limit, spf, mu, primes)
+    return SievePack(limit, mu, primes)
 
 
 _default_pack: Optional[SievePack] = None

@@ -85,23 +85,23 @@ def test_mu_against_trial_division():
 
 
 def test_pack_refuses_tables_in_another_layout():
-    # full-length tables (entry n for every n) would read as odd tables
+    # a full-length μ table (entry n for every n) would read as an odd table
     # without any error; so would a table one entry short, a wrong dtype,
     # or a pad whose μ is not 0
-    spf, mu, primes = _sieve_arrays_numpy(100)
+    mu, primes = _sieve_arrays_numpy(100)
     full_mu = np.array([0] + [factorize(n).mobius() for n in range(1, 101)], dtype=np.int8)
     full_spf = np.array([spf_entry(n, trial_factor(n)) for n in range(101)], dtype=np.uint16)
-    assert SievePack(100, spf, mu, primes).mu(np.arange(1, 101)).tolist() == full_mu[1:].tolist()
+    pk = SievePack(100, mu, primes)
+    assert pk.mu(np.arange(1, 101)).tolist() == full_mu[1:].tolist()
+    assert np.array_equal(pk.smallest_prime_factor, odd_entries(full_spf, 100))
     pad = mu.copy()
     pad[-1] = 1
-    bad = [(full_spf, full_mu), (spf, full_mu), (full_spf, mu), (spf[:-1], mu[:-1]),
-           (spf, mu.astype(np.int16)), (spf.astype(np.int32), mu), (spf, pad)]
-    for spf_bad, mu_bad in bad:
+    for mu_bad in (full_mu, mu[:-1], mu.astype(np.int16), pad):
         with pytest.raises(ValueError):
-            SievePack(100, spf_bad, mu_bad, primes)
-    spf, mu, primes = _sieve_arrays_numpy(101)  # an odd limit has no pad
+            SievePack(100, mu_bad, primes)
+    mu, primes = _sieve_arrays_numpy(101)  # an odd limit has no pad
     assert mu[-1] == factorize(101).mobius() == -1
-    SievePack(101, spf, mu, primes)
+    SievePack(101, mu, primes)
 
 
 def test_millionth_prime(pack):
@@ -111,8 +111,9 @@ def test_millionth_prime(pack):
 
 
 def test_sieve_agrees_with_trial_division(pack):
+    spf = pack.smallest_prime_factor
     for n in [*range(1, 20_001, 2), *range(20_001, 100_001, 2 * 97)]:
-        assert pack.smallest_prime_factor[n >> 1] == spf_entry(n, trial_factor(n)), n
+        assert spf[n >> 1] == spf_entry(n, trial_factor(n)), n
 
 
 def test_mobius_array_matches_definition(pack):
@@ -136,6 +137,24 @@ def test_factored_nat_validation():
         FactoredNat(6, ((3, 1), (2, 1)))  # out of order
     with pytest.raises(ValueError):
         FactoredNat.from_factors(((4, 1),))  # 4 not prime
+
+
+def test_miller_rabin_past_the_bases_2_to_37():
+    # the least strong pseudoprime to the bases 2..37 (OEIS A014233), which
+    # base 41 exposes; past the next term no fixed base set is exact, so
+    # such an n is refused
+    pseudoprime = 318665857834031151167461
+    assert pseudoprime == 399165290221 * 798330580441
+    assert not is_prime_int(pseudoprime)
+    with pytest.raises(ValueError, match="not prime"):
+        FactoredNat.from_factors([(pseudoprime, 1)])
+    prime = 3317044064679887385961813  # the largest prime below the bound
+    assert pseudoprime < prime and is_prime_int(prime)
+    assert FactoredNat.from_factors([(prime, 1)]).value == prime
+    bound = 3317044064679887385961981
+    for n in (bound, bound + 2, 2**89 - 1):
+        with pytest.raises(ValueError, match="no longer exact"):
+            is_prime_int(n)
 
 
 def test_mobius_phi_examples():
@@ -286,7 +305,8 @@ def test_sieve_pack_cache_env(tmp_path, monkeypatch):
 def test_numpy_sieve_fallback_matches_linear():
     # the sieve against the independent routes: Miller-Rabin for the prime
     # list, trial division for smallest prime factors and Möbius values
-    spf, mu, primes = _sieve_arrays_numpy(50_000)
+    mu, primes = _sieve_arrays_numpy(50_000)
+    spf = SievePack(50_000, mu, primes).smallest_prime_factor
     assert spf.dtype == np.uint16 and primes.dtype == np.int32
     assert primes.tolist() == [n for n in range(50_001) if is_prime_int(n)]
     want_spf = np.array([spf_entry(n, factorize(n).factors) if n else 0
@@ -327,9 +347,11 @@ def test_sieve_across_a_partial_segment():
     from cyclodist.arith import _SEGMENT
 
     def check(limit, ns):
-        spf, mu, primes = _sieve_arrays_numpy(limit)
+        mu, primes = _sieve_arrays_numpy(limit)
+        pk = SievePack(limit, mu, primes)
+        spf = pk.smallest_prime_factor
         assert len(mu) == limit // 2 + 1 and mu[0] == 1 and spf.dtype == np.uint16
-        got = SievePack(limit, spf, mu, primes).mu(np.array(ns)).tolist()
+        got = pk.mu(np.array(ns)).tolist()
         for n, mu_n in zip(ns, got):
             fn = FactoredNat(n, trial_factor(n))
             assert mu_n == fn.mobius(), n
@@ -372,20 +394,22 @@ def _replaced_sieve(limit):
 
 
 def test_sieve_matches_the_replaced_build(pack):
-    from cyclodist.arith import _MU_BLOCK
+    from cyclodist.arith import _MU_BLOCK, _SEGMENT
 
     rng = random.Random(2003)
     limits = [2, 3, 4, 5, 10, 100, 1000, 65536, 2**18 - 1, 2**18, 2**18 + 1,
-              2**19 + 1, 1_100_000, 16_400_000]
+              1_100_000, 16_400_000]
     # both sides of the first and second full μ blocks, in n
     limits += [2 * _MU_BLOCK + d for d in (-1, 1, 2, 3)]
     limits += [4 * _MU_BLOCK + d for d in (-1, 0, 1, 3)]
+    # both sides of the first and second marking segments, in n, which the
+    # μ pass crosses as it goes
+    limits += [2 * _SEGMENT + d for d in (-1, 0, 1, 3)]
+    limits += [4 * _SEGMENT + d for d in (-1, 0, 1, 3)]
     limits += [rng.randrange(2, 3_000_001) for _ in range(20)]
     for limit in [*limits, pack.limit]:
-        if limit == pack.limit:  # the session's 2*10^7 build
-            got = (pack.smallest_prime_factor, pack.mobius, pack.primes)
-        else:
-            got = _sieve_arrays_numpy(limit)
+        pk = pack if limit == pack.limit else SievePack(limit, *_sieve_arrays_numpy(limit))
+        got = (pk.smallest_prime_factor, pk.mobius, pk.primes)
         want = _replaced_sieve(limit)
         want[0][want[2]] = 0  # the replaced build kept p at a prime p
         spf, mu = odd_entries(want[0], limit), odd_entries(want[1], limit)
@@ -397,29 +421,48 @@ def test_sieve_matches_the_replaced_build(pack):
 def test_sieve_spot_checks_against_trial_division(pack):
     rng = np.random.default_rng(1985)
     ns = rng.integers(2, pack.limit + 1, size=20_000)
+    spf = pack.smallest_prime_factor
     for n, mu_n in zip(ns.tolist(), pack.mu(ns).tolist()):
         fn = FactoredNat(n, trial_factor(n))
-        assert n % 2 == 0 or pack.smallest_prime_factor[n >> 1] == spf_entry(n, fn.factors), n
+        assert n % 2 == 0 or spf[n >> 1] == spf_entry(n, fn.factors), n
         assert mu_n == fn.mobius(), n
 
 
-def _traced_peak(run):
-    """The peak of the memory that tracemalloc sees while `run()` runs; numpy
-    reports its array buffers to it."""
+def _traced(run):
+    """`run()`, the memory that tracemalloc sees held after it, and the peak
+    while it ran; numpy reports its array buffers to it."""
     tracemalloc.start()
     try:
         out = run()
-        return out, tracemalloc.get_traced_memory()[1]
+        return (out, *tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
 
 
 def test_sieve_build_holds_little_beyond_its_tables():
-    # no step of the build allocates in proportion to the limit besides the
-    # three tables: its peak is theirs plus O(block) buffers
-    pk, peak = _traced_peak(lambda: sieve_pack(4_000_000))
-    tables = sum(t.nbytes for t in (pk.smallest_prime_factor, pk.mobius, pk.primes))
-    assert peak <= 1.15 * tables, (peak, tables)
+    # no step of the build allocates in proportion to the limit besides μ,
+    # the prime buffer and the primes: its peak is theirs plus one marking
+    # segment and O(block) buffers
+    from cyclodist.arith import _SEGMENT
+
+    limit = 4_000_000
+    pk, _, peak = _traced(lambda: sieve_pack(limit))
+    buffer = 4 * (int(1.25506 * limit / math.log(limit)) + 1)
+    bound = 1.1 * (pk.mobius.nbytes + pk.primes.nbytes + buffer + 2 * _SEGMENT)
+    assert peak <= bound, (peak, bound)
+
+
+def test_sieve_pack_keeps_only_mu_and_the_primes():
+    # the least prime factors are marked again only when asked for
+    pk, held, _ = _traced(lambda: sieve_pack(4_000_000))
+    assert "smallest_prime_factor" not in vars(pk)
+    assert held <= pk.mobius.nbytes + pk.primes.nbytes + 65_536, held
+    spf = pk.smallest_prime_factor
+    assert vars(pk)["smallest_prime_factor"] is spf is pk.smallest_prime_factor
+    assert spf.dtype == np.uint16 and spf.shape == pk.mobius.shape
+    for table in (pk.mobius, pk.primes, spf):
+        with pytest.raises(ValueError):
+            table[1] = 0
 
 
 def test_prime_count_searches_in_int32(pack):
@@ -430,7 +473,7 @@ def test_prime_count_searches_in_int32(pack):
     for x in (pack.limit + 1, 2**31, 2**40):
         with pytest.raises(ValueError):
             pack.prime_count(x)
-    count, peak = _traced_peak(lambda: pack.prime_count(10**7))
+    count, _, peak = _traced(lambda: pack.prime_count(10**7))
     assert count == 664_579 and peak < 1024, peak
 
 
