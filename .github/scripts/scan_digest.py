@@ -44,7 +44,8 @@ CONSTRAINTS = [
 ]
 # exact valuations past the 3^10 residue table: conjecture1 only
 DEEP_CONSTRAINT = ((3, ("ge", 11)),)
-KS = (1, 2, 15, 62)
+# 62 and 80 lie past the profile cap (61); 80 is the coefficient scans' own cap
+KS = (1, 2, 15, 40, 62, 80)
 MS = (1, 2, 12, 720)
 
 

@@ -38,7 +38,7 @@ from .densities_prime import (
     sieve_limit_for_precision,
 )
 from .density import DensityTable, basis_numeric
-from .empirics import primitive_roots, scan_primes, symmetric_functions_mod_p
+from .empirics import check_scan, primitive_roots, scan_primes, symmetric_functions_mod_p
 from .errors import InternalConsistencyError, ResourceBudgetError
 from .ramanujan import natural_density_of_ramanujan, natural_moment_of_ramanujan, ramanujan_sum, ramanujan_sum_direct
 
@@ -284,6 +284,7 @@ def _run(args) -> int:
     elif cmd == "empirical":
         stat, k = _resolve_stat(args.stat, args.k)
         constraint = _parse_constraint(args.cond) if args.cond else None
+        check_scan(stat, k=k, shift=args.r, kfree_order=args.kfree_order, constraint=constraint)
         limit = sieve_limit_for(nprimes=args.nprimes, x=args.x, shift=args.r)
         report = scan_primes(
             stat, k=k, shift=args.r, kfree_order=args.kfree_order, nprimes=args.nprimes,

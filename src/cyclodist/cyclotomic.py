@@ -3,9 +3,11 @@
 Writing Phi_n(X) = sum_k a_n(k) X^k (degree phi(n), monic), a single
 coefficient a_n(k) is computed by
 
-* :func:`cyclo_coeff` — reduction to the squarefree kernel followed by the
-  log-derivative recurrence b_j = -(1/j) sum b_m T_(j-m) with
-  T_r = mu(n) mu((r,d)) phi((r,d)), d the part of n supported on primes <= k;
+* :func:`cyclo_coeff` — reduction to the squarefree kernel r followed by
+  the log-derivative recurrence b_j = -(1/j) sum b_m T_(j-m) with
+  T_i = mu(r) mu(g) phi(g), g = gcd(i, r); the same recurrence runs over
+  many rows at once in int64 (:func:`_recurrence`), which is how
+  :func:`cyclo_coeff_pairs` evaluates a scan's keys in one batch;
 * :func:`cyclo_coeff_series` — the lattice lift of truncated series
   (Arnold & Monagan, *Calculating cyclotomic polynomials*, Math. Comp. 80,
   2011): Phi_dp = Phi_d(X^p) / Phi_d(X) mod X^(k+1) is carried with its
@@ -31,7 +33,6 @@ p3 <= k < p1 + p2.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import FrozenSet, List, Optional, Tuple
@@ -42,7 +43,6 @@ from .arith import (
     FactoredLike,
     FactoredNat,
     as_factored,
-    factorize,
     least_prime_above,
     small_primes,
 )
@@ -52,50 +52,93 @@ from .errors import InternalConsistencyError, ResourceBudgetError
 #: 2^pi(k) rows, 2^18 at k = 61, where a profile build takes about 0.5 s;
 #: the lattice, 32.5 MB of int8 there, is kept for the process, which then
 #: peaks at about 101 MB in a density fold at k = 61 on 2 cores); caps value
-#: sets, divisor-route densities and means, and the coefficient scans.
+#: sets and divisor-route densities and means.
 PROFILE_MAX_K = 61
 CYCLO_POLY_MAX_DEGREE = 100_000
 
 
-@lru_cache(maxsize=None)
-def _mu_phi_small(r: int) -> Tuple[int, int]:
-    """(mu(r), phi(r)); only hit with r <= max k."""
-    fr = factorize(r)
-    return fr.mobius(), fr.phi()
+#: the int64 recurrence keeps every sum of one step within this bound; a
+#: step that could pass it runs in Python ints, as does every later step
+_INT64_MAX = int(np.iinfo(np.int64).max)
+#: keys per chunk of :func:`cyclo_coeff_pairs`: two recurrence rows each
+_CHUNK = 512
 
 
 def _kernel_reduction(n: FactoredLike) -> Tuple[FactoredNat, int]:
     """(n, t) with t = n / rad n: a_n(k) = a_(rad n)(k/t) if t | k, else 0.
-    :func:`_recurrence` reads only the primes of n, so rad n is never built."""
+    :func:`_kernel_row` reads only the primes of n, so rad n is never built."""
     fn = as_factored(n)
     return fn, fn.value // fn.radical()
 
 
-def _recurrence(fn: FactoredNat, kmax: int) -> List[int]:
-    """[a_r(0), ..., a_r(kmax)] for the squarefree kernel r = rad n of
-    n >= 2 by the log-derivative recurrence b_j = -(1/j) sum_(m<j) b_m T_(j-m).
-    Every division must be exact; a remainder raises
-    InternalConsistencyError (it would mean a bug, not bad input)."""
-    top = min(kmax, math.prod(p - 1 for p, _ in fn.factors))
-    mu_n = -1 if len(fn.factors) % 2 else 1
-    d = 1
-    for p, _ in fn.factors:
+def _log_rows(divides: np.ndarray, primes: List[int], top: int) -> np.ndarray:
+    """Rows T_0..T_top of the recurrence, one per squarefree r, given which
+    of `primes`, among them every prime of r, divide r:
+    T_i = mu(r) mu(g) phi(g) = mu(r) prod_(p | g) (1 - p), g = gcd(i, r).
+    A prime q > top of r changes only mu(r), so r and rq have opposite rows."""
+    mu = 1 - 2 * (divides.sum(axis=1, dtype=np.int64) % 2)
+    T = np.repeat(mu[:, None], top + 1, axis=1)
+    factors = np.where(divides, 1 - np.array(primes, dtype=np.int64), 1)
+    for i, p in enumerate(primes):
         if p <= top:
-            d *= p
-    T = [0] * (top + 1)
-    for r in range(1, top + 1):
-        mu_g, phi_g = _mu_phi_small(math.gcd(r, d))
-        T[r] = mu_n * mu_g * phi_g
-    b = [1] + [0] * kmax
-    for j in range(1, top + 1):
-        q, rem = divmod(-sum(map(operator.mul, b[:j], T[j:0:-1])), j)
-        if rem:
-            raise InternalConsistencyError(
-                f"inexact division at step {j} of the coefficient recurrence "
-                f"(n={fn.value})"
-            )
-        b[j] = q
+            T[:, p::p] *= factors[:, i, None]
+    return T
+
+
+def _recurrence(T: np.ndarray) -> np.ndarray:
+    """Rows [b_0, ..., b_top] with b_0 = 1 and the log-derivative recurrence
+    b_j = -(1/j) sum_(m<j) b_m T_(j-m), one step per j over every row of
+    T at once; for the rows of :func:`_log_rows` these are the coefficients
+    of prod_(d | r) (1 - X^d)^mu(r/d) mod X^(top+1), Phi_r for r >= 2 and
+    -Phi_1 = 1 - X for r = 1.
+
+    Heights: every |T_i| <= top (|T_i| = phi(g) <= i for the rows of
+    :func:`_log_rows`), so with |b_m| <= H for m < j the sum of step j is
+    at most j top H in absolute value, and |b_j| <= top H.
+    The rows run in int64 while that bound stays within _INT64_MAX.  H is
+    carried as a bound, times top per step, and measured again only when
+    the bound would pass; if the measured H passes too, the rows turn to
+    Python ints (object dtype) once, for every later step.  Each step's
+    sums are kept, and after the last step every b_j must give back its sum
+    exactly as j b_j; a remainder raises InternalConsistencyError (it would
+    mean a bug, not bad input).  Memory is a few arrays of the shape of T,
+    so a batch comes in chunks (:func:`cyclo_coeff_pairs`)."""
+    rows, width = T.shape
+    top = width - 1
+    b, sums, minus_T = np.zeros_like(T), np.zeros((width, rows, 1, 1), T.dtype), -T[:, ::-1]
+    b[:, 0] = 1
+
+    def views():
+        return b[:, None, :], minus_T[:, :, None], b.T[:, :, None, None]
+
+    prefix, terms, column = views()
+    bound = height = seen = 1  # bound >= |b_m| for m < j; 0 once in Python ints
+    for j in range(1, width):
+        if bound and j * top * bound > _INT64_MAX:
+            height, seen = max(height, _height(b[:, seen:j])), j
+            bound = height
+            if j * top * bound > _INT64_MAX:
+                b, sums, minus_T = (a.astype(object) for a in (b, sums, minus_T))
+                prefix, terms, column = views()
+                bound = 0
+        # sum_(m<j) b_m * -T_(j-m), as minus_T[:, top - j + m] = -T_(j-m)
+        np.matmul(prefix[:, :, :j], terms[:, top - j : top], out=sums[j])
+        np.floor_divide(sums[j], j, out=column[j])
+        bound *= top
+    inexact = np.flatnonzero(b[:, 1:] * np.arange(1, width) != sums[1:, :, 0, 0].T)
+    if inexact.size:
+        raise InternalConsistencyError(
+            f"inexact division at step {inexact[0] % top + 1} of the coefficient recurrence")
     return b
+
+
+def _kernel_row(fn: FactoredNat, kmax: int) -> List[int]:
+    """[a_r(0), ..., a_r(kmax)] for the squarefree kernel r = rad n of
+    n >= 2: one row of :func:`_recurrence`, run to min(kmax, phi(r)), past
+    which Phi_r has no coefficient."""
+    top = min(kmax, math.prod(p - 1 for p, _ in fn.factors))
+    row = _recurrence(_log_rows(np.ones((1, len(fn.factors)), bool), fn.primes(), top))[0]
+    return row.tolist() + [0] * (kmax - top)
 
 
 def cyclo_coeff(n: FactoredLike, k: int) -> int:
@@ -110,7 +153,7 @@ def cyclo_coeff(n: FactoredLike, k: int) -> int:
         return (-1, 1)[k] if k <= 1 else 0
     if k % t or k > fn.phi():
         return 0
-    return _recurrence(fn, k // t)[k // t]
+    return _kernel_row(fn, k // t)[k // t]
 
 
 def cyclo_coeff_prefix(n: FactoredLike, kmax: int) -> List[int]:
@@ -123,7 +166,39 @@ def cyclo_coeff_prefix(n: FactoredLike, kmax: int) -> List[int]:
     if fn.value == 1:
         return [-1, 1][: kmax + 1] + [0] * max(0, kmax - 1)
     out = [0] * (kmax + 1)
-    out[::t] = _recurrence(fn, kmax // t)
+    out[::t] = _kernel_row(fn, kmax // t)
+    return out
+
+
+def cyclo_coeff_pairs(keys: np.ndarray, k: int) -> np.ndarray:
+    """(a_n(k), a_(nq)(k)) for each n >= 1 of the integer array `keys`,
+    every prime of n at most k and q the least prime above k, as an int64
+    array of shape (len(keys), 2): the values that a scan's keys n_S take
+    (:mod:`cyclodist.empirics`), in one batched recurrence.
+
+    The radical R and t = n / R of each key come from one pass over the
+    primes <= k, and a_n(k) = a_R(k/t) where t | k, else 0.  The keys that
+    share t form one batch, run to column k/t in chunks of _CHUNK keys
+    (no sort: one pass per divisor t of k).  Each key gives two rows: T of
+    R (:func:`_log_rows`), and -T, which is the row of Rq.  For n = 1 the
+    first row is -Phi_1, so its sign is flipped."""
+    keys = np.asarray(keys, dtype=np.int64)
+    primes = small_primes(k)
+    rad = np.ones_like(keys)
+    for p in primes:
+        rad[keys % p == 0] *= p
+    t = keys // rad
+    out = np.zeros((len(keys), 2), dtype=np.int64)
+    for d in as_factored(k).divisors():
+        col = k // d
+        batch = np.flatnonzero(t == d)
+        for lo in range(0, len(batch), _CHUNK):
+            idx = batch[lo : lo + _CHUNK]
+            divides = np.take(rad, idx)[:, None] % np.array(primes, dtype=np.int64) == 0
+            T = _log_rows(divides, primes, col)
+            b = _recurrence(np.concatenate((T, -T)))[:, col]
+            out[idx, 0], out[idx, 1] = b[: len(idx)], b[len(idx) :]
+    out[keys == 1, 0] *= -1
     return out
 
 

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,6 +37,8 @@ from .ramanujan import ramanujan_split
 _TAIL_CONSTANT = 2.52
 #: slack for float rounding in the truncated product accumulation
 _FLOAT_SLACK = 1e-12
+#: primes per block of a truncated product's log-sum
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,15 @@ class EulerProductConstant:
     value: float
     truncation_prime: int
     tail_bound: float
+
+
+def _log_product(primes: np.ndarray, log_factor: Callable[[np.ndarray], np.ndarray]) -> float:
+    """exp of the sum of log_factor(p) over `primes`, summed in float64 one
+    block of _BLOCK primes at a time, so no temporary spans the prime list."""
+    total = 0.0
+    for lo in range(0, len(primes), _BLOCK):
+        total += float(log_factor(primes[lo : lo + _BLOCK].astype(np.float64)).sum())
+    return float(np.exp(total))
 
 
 def _tail_bound(limit: int) -> float:
@@ -91,8 +102,7 @@ def artin_constant(
             f"tail bound {bound:.3g} at sieve limit {pack.limit} exceeds "
             f"precision goal {precision_goal:.3g}"
         )
-    p = pack.primes.astype(np.float64)
-    value = float(np.exp(np.log1p(-1.0 / (p * (p - 1.0))).sum()))
+    value = _log_product(pack.primes, lambda p: np.log1p(-1.0 / (p * (p - 1.0))))
     return EulerProductConstant(value, int(pack.primes[-1]), bound)
 
 
@@ -131,13 +141,17 @@ def shifted_prime_kfree_density(
         raise ValueError("shift r must be nonzero")
     check_kfree_order(k)
     pack = pack or default_pack()
-    p = pack.primes.astype(np.float64)
-    with np.errstate(over="ignore"):
-        terms = np.log1p(-1.0 / (p ** (k - 1) * (p - 1.0)))
-    mask = np.isfinite(terms)
-    for q, _ in as_factored(abs(r)).factors:
-        mask &= pack.primes != q
-    value = float(np.exp(terms[mask].sum()))
+    qs = as_factored(abs(r)).primes()
+
+    def log_factor(p: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            terms = np.log1p(-1.0 / (p ** (k - 1) * (p - 1.0)))
+        mask = np.isfinite(terms)
+        for q in qs:
+            mask &= p != q
+        return terms[mask]
+
+    value = _log_product(pack.primes, log_factor)
     return EulerProductConstant(value, int(pack.primes[-1]), _tail_bound(pack.limit))
 
 

@@ -2,13 +2,13 @@
 
 Every counting routine here is exact, reproducible bit-for-bit, and
 ignorant of the theory it is used to validate (it shares only the value
-maps `cyclo_coeff` and `ramanujan_sum`, never density weights).  A scan is
-a numpy pass over blocks of `_BLOCK` primes p (or integers n); values of
-a_n(k) and c_n(m), n = p - 1 for primes, depend only on the part n_S of n
-at a finite prime set S and on μ of the cofactor n / n_S.  The k-th
-symmetric functions of primitive roots come from an explicit expansion
-over the roots themselves (the one genuinely independent oracle for the
-congruence suite).
+maps, the recurrence of `cyclo_coeff` and `ramanujan_sum`, never density
+weights).  A scan is a numpy pass over blocks of `_BLOCK` primes p (or
+integers n); values of a_n(k) and c_n(m), n = p - 1 for primes, depend
+only on the part n_S of n at a finite prime set S and on μ of the
+cofactor n / n_S.  The k-th symmetric functions of primitive roots come
+from an explicit expansion over the roots themselves (the one genuinely
+independent oracle for the congruence suite).
 
 Conditioning is one split pass (:class:`_Split`) with the statistic's
 values.  Each part p^ν_p(n) at P = S ∪ Q, Q the primes of a valuation
@@ -18,8 +18,7 @@ for the entries the mask keeps.  μ is read once, of n / n_P, and μ of
 n / n_Q (for `squarefree_outside`) and of n / n_S (for the values) is
 that times μ of the parts left out.  `mu_pminus1` is the split at S = ∅
 and `conjecture1` the split at S = Q.  A scan reads only two sieve
-tables, μ and the prime list; each distinct n_S is factored once, by
-trial division (:func:`cyclodist.arith.factorize`).
+tables, μ and the prime list.
 
 The engine works in int32.  Every entry is at most the sieve limit, and
 every sieve limit (`MAX_SIEVE_LIMIT` = 3·10^8) is below 2^31; a pack past
@@ -39,12 +38,18 @@ value must vanish; n_S >= 1, so 0 is free, and its row (0, 0) spares the
 boolean compressions that would otherwise drop the dead entries.  A key
 has a slot, found in linear time through a fixed table of 2^`_HASH_BITS`
 buckets (:class:`_SplitValues`), and an entry's code 2·slot + [μ < 0]
-indexes the value map's table of rows.  A block is counted by one
-`np.bincount` of its codes, and only the codes it holds are resolved to
-values.  The μ statistics count codes μ + 1 over (-1, 0, 1) and
-`kfree_shift` codes 0/1.  A residue mod p keeps the code of its value v
-wherever 2|v| < p; the other entries get extra codes past the table,
-which hold for their block only.
+indexes the value map's table of rows, which only grows, so a code keeps
+its value for the whole scan.  A block is counted by one `np.bincount` of
+its codes, the hits are summed per code over the blocks, and the table is
+read once, at the end (:func:`_count_blocks`).  Only then are the rows of
+the keys filled: for a_n(k) by one batched int64 recurrence over every
+new key (:func:`cyclodist.cyclotomic.cyclo_coeff_pairs`, about k^2/2
+vector steps in all), for c_n(m) by `ramanujan_sum` on each key, factored
+by trial division.  The μ statistics count codes μ + 1 over (-1, 0, 1)
+and `kfree_shift` codes 0/1.  A residue mod p needs the values, so
+`s_k_mod_p` and `S_k_mod_p` read the table in every block: a residue
+keeps the code of its value v wherever 2|v| < p, and the other entries
+get extra codes past the table, which hold for their block only.
 
 Counts are reported as :class:`EmpiricalReport`: per-value counts, the
 number of primes scanned, and exact rational frequencies.
@@ -56,28 +61,32 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .arith import (
-    FactoredNat,
     SievePack,
     as_factored,
     default_pack,
     factorize,
     is_prime_int,
-    least_prime_above,
     sieve_limit_for,
     small_primes,
 )
-from .cyclotomic import PROFILE_MAX_K, cyclo_coeff
+from .cyclotomic import cyclo_coeff_pairs
 from .densities_prime import ValuationConstraint
 from .errors import InternalConsistencyError, ResourceBudgetError
 from .ramanujan import ramanujan_split, ramanujan_sum
 
 PRIMITIVE_ROOT_LIMIT = 1_000_000
 SYMMETRIC_ORACLE_LIMIT = 100_000
+#: largest k of the coefficient scans (a_pminus1, s_k_mod_p and
+#: count_cyclo_values), refused before any sieve is built: their values
+#: cost about k^2/2 vector steps over the new keys n_S, and at k = 80 over
+#: 10^6 primes or integers a scan takes 0.2-0.5 s once the sieve is built
+#: and peaks at most about 10 MB above it (2 cores)
+COEFF_SCAN_MAX_K = 80
 
 #: entries per block of a scan
 _BLOCK = 1 << 16
@@ -90,6 +99,8 @@ _HASH_MUL = np.uint32(0x9E3779B1)  # odd, about 2^32 / golden ratio
 _MU_TABLE = np.array([-1, 0, 1], dtype=np.int64)
 _A1_TABLE = np.array([1, 0, -1, 1], dtype=np.int64)
 _FLAG_TABLE = np.array([0, 1], dtype=np.int64)
+#: a table of values, or a reader that returns one (see :func:`_count_blocks`)
+_Table = Union[np.ndarray, Callable[[], np.ndarray]]
 
 STATISTICS = (
     "mu_pminus1",
@@ -100,6 +111,7 @@ STATISTICS = (
     "kfree_shift",
     "conjecture1",
 )
+_K_STATISTICS = ("c_pminus1", "a_pminus1", "s_k_mod_p", "S_k_mod_p")
 
 
 def symmetric_residue(v, p):
@@ -288,14 +300,18 @@ class _Split:
 
 class _SplitValues:
     """A value map: called on a split block (n, n_S, mu(c)), c = n / n_S,
-    it gives the codes of f(n) and the table they index (read after the
-    codes, which may append to it).  f depends only on n_S and mu(c):
-    pair(n_S)[0] if mu(c) = 1, pair(n_S)[1] if mu(c) = -1, and 0 if
-    mu(c) = 0 or nu_p(n) passes the cap of some p in S (key 0, free since
-    n_S >= 1, with row (0, 0)).  The pair is evaluated once per n_S:
-    `slots` maps each key seen so far to its slot, slot s holds its row
-    at 2s and 2s + 1 of the append-only `table`, and the code of an entry
-    is 2·slot + [mu < 0].
+    it gives the codes of f(n) and `read`, which returns the table they
+    index.  f depends only on n_S and mu(c): rows(n_S)[0] if mu(c) = 1,
+    rows(n_S)[1] if mu(c) = -1, and 0 if mu(c) = 0 or nu_p(n) passes the
+    cap of some p in S (key 0, free since n_S >= 1, with row (0, 0)).
+    `slots` maps each key seen so far to its slot, slot s holds its row at
+    2s and 2s + 1 of the append-only `table`, and the code of an entry is
+    2·slot + [mu < 0], so a code keeps its value for the whole scan.
+
+    A new key takes its slot at once, but its row waits: `read` first fills
+    the rows of every waiting key by one call of `rows` on their array.  A
+    scan that reads the table only after its last block evaluates all of
+    its keys in one batch; one that reads it per block, in one per block.
 
     No block is sorted.  A key finds its slot in `bucket_slot`, at the
     bucket :func:`_buckets` gives it, and the find holds only where
@@ -305,8 +321,8 @@ class _SplitValues:
     misses when its key is new or its bucket is held by another key;
     `misses` counts those entries."""
 
-    def __init__(self, pair: Callable[[FactoredNat], Tuple[int, int]]):
-        self.pair = pair
+    def __init__(self, rows: Callable[[np.ndarray], np.ndarray]):
+        self.rows = rows
         self.bits = _HASH_BITS
         self.bucket_slot = np.zeros(1 << self.bits, dtype=np.int32)
         self.slot_key = np.zeros(1, dtype=np.int32)
@@ -315,7 +331,7 @@ class _SplitValues:
         self.misses = 0
 
     def __call__(self, ns: np.ndarray, key: np.ndarray,
-                 mu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+                 mu: np.ndarray) -> Tuple[np.ndarray, Callable[[], np.ndarray]]:
         key *= mu != 0
         slot = np.take(self.bucket_slot, _buckets(key, self.bits))
         miss = np.flatnonzero(np.take(self.slot_key, slot) != key)
@@ -323,7 +339,14 @@ class _SplitValues:
             slot[miss] = self._resolve(key[miss])
         slot <<= 1
         slot += mu < 0
-        return slot, self.table
+        return slot, self.read
+
+    def read(self) -> np.ndarray:
+        """The table, with the rows of the keys that waited for them."""
+        done = len(self.table) // 2
+        if done < len(self.slot_key):
+            self.table = np.concatenate((self.table, self.rows(self.slot_key[done:]).ravel()))
+        return self.table
 
     def _resolve(self, keys: np.ndarray) -> np.ndarray:
         """The slots of `keys`: new keys are appended and take their free
@@ -335,9 +358,7 @@ class _SplitValues:
             first = len(self.slots)
             self.slots.update(zip(new, range(first, first + len(new))))
             new_keys = np.array(new, dtype=np.int32)
-            rows = np.array([self.pair(factorize(k)) for k in new], dtype=np.int64)
             self.slot_key = np.concatenate((self.slot_key, new_keys))
-            self.table = np.concatenate((self.table, rows.ravel()))
             buckets = _buckets(new_keys, self.bits)
             free = (np.take(self.bucket_slot, buckets) == 0) & (buckets != 0)
             self.bucket_slot[buckets[free]] = np.arange(first, first + len(new),
@@ -350,38 +371,45 @@ class _SplitValues:
 
 
 def _mu_codes(ns: np.ndarray, key: Optional[np.ndarray],
-              mu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+              mu: np.ndarray) -> Tuple[np.ndarray, Callable[[], np.ndarray]]:
     """A value map (see :class:`_SplitValues`): the codes of mu itself."""
-    return mu + 1, _MU_TABLE
+    return mu + 1, lambda: _MU_TABLE
 
 
 def _coeff_values(k: int) -> Tuple[Dict[int, int], Callable]:
     """The caps and the value map of n -> a_n(k).  S = primes <= k;
     nu_p(n) > floor(log_p k) + 1 makes n / rad(n) exceed k, so a_n(k) = 0.
     A squarefree cofactor coprime to S acts like 1 or like q, the least
-    prime above k.  k = 1 is special: a_1(1) = 1 while a_n(1) = -mu(n) for
-    n > 1, so S is empty and the codes are those of mu, with 3 at n = 1."""
+    prime above k, and the rows (a_(n_S)(k), a_(n_S q)(k)) of the keys come
+    from :func:`cyclodist.cyclotomic.cyclo_coeff_pairs`.  k = 1 is special:
+    a_1(1) = 1 while a_n(1) = -mu(n) for n > 1, so S is empty and the codes
+    are those of mu, with 3 at n = 1."""
     if k == 1:
-        def codes(ns: np.ndarray, key: None, mu: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        def codes(ns: np.ndarray, key: None,
+                  mu: np.ndarray) -> Tuple[np.ndarray, Callable[[], np.ndarray]]:
             c = mu + 1
             c[ns == 1] = 3
-            return c, _A1_TABLE
+            return c, lambda: _A1_TABLE
 
         return {}, codes
-    q = least_prime_above(k)
     caps = {p: int(math.log(k, p) + 1e-9) + 1 for p in small_primes(k)}
-    return caps, _SplitValues(lambda f: (cyclo_coeff(f, k), cyclo_coeff(f.times_prime(q), k)))
+    return caps, _SplitValues(lambda keys: cyclo_coeff_pairs(keys, k))
 
 
 def _ramanujan_values(m: int) -> Tuple[Dict[int, int], Callable]:
     """The caps and the value map of n -> c_n(m): the caps of
     :func:`cyclodist.ramanujan.ramanujan_split`, c_(n_S)(m) by
-    :func:`cyclodist.ramanujan.ramanujan_sum`; c_n(1) = mu(n) has the codes
-    of mu."""
+    :func:`cyclodist.ramanujan.ramanujan_sum`, one key at a time;
+    c_n(1) = mu(n) has the codes of mu."""
     if m == 1:
         return {}, _mu_codes
     caps, _ = ramanujan_split(m)
-    return dict(caps), _SplitValues(lambda f: (ramanujan_sum(f, m), -ramanujan_sum(f, m)))
+
+    def rows(keys: np.ndarray) -> np.ndarray:
+        values = [ramanujan_sum(factorize(n), m) for n in keys.tolist()]
+        return np.array(values, dtype=np.int64)[:, None] * np.array([1, -1])
+
+    return dict(caps), _SplitValues(rows)
 
 
 def _residues(ps: np.ndarray, codes: np.ndarray,
@@ -435,20 +463,35 @@ def _kfree(ms: np.ndarray, order: int, pack: SievePack) -> np.ndarray:
     return free.view(np.int8)
 
 
-def _count_blocks(size: int, block: Callable[[int, int], Tuple[np.ndarray, np.ndarray]]
+def _count_blocks(size: int, block: Callable[[int, int], Tuple[np.ndarray, _Table]]
                   ) -> Dict[int, int]:
     """Counts of the values over the blocks [lo, hi) of range(size), as
     Python ints in increasing value order.  `block(lo, hi)` gives the
-    codes of the block's entries and the table they index; each block's
-    codes are counted by one bincount over the whole table, and only the
-    codes it holds are resolved to values (several codes may share one)."""
+    codes of the block's entries and their table: an array holds for that
+    block only and is read at once; a reader (a callable) returns a table
+    that only grows, whose codes keep their values, so its hits are summed
+    per code over every block and it is read once, after the last block.
+    Only the codes hit are resolved to values (several codes may share one)."""
     counts: Dict[int, int] = {}
+
+    def fold(hits: np.ndarray, table: np.ndarray) -> None:
+        seen = hits > 0
+        for v, c in zip(table[: len(hits)][seen].tolist(), hits[seen].tolist()):
+            counts[v] = counts.get(v, 0) + c
+
+    total, read = np.zeros(0, dtype=np.int64), None
     for lo in range(0, size, _BLOCK):
         codes, table = block(lo, min(lo + _BLOCK, size))
-        hits = np.bincount(codes, minlength=len(table))
-        seen = hits > 0
-        for v, c in zip(table[seen].tolist(), hits[seen].tolist()):
-            counts[v] = counts.get(v, 0) + c
+        hits = np.bincount(codes)
+        if not callable(table):
+            fold(hits, table)
+            continue
+        read = table
+        if len(hits) > len(total):
+            total = np.concatenate((total, np.zeros(len(hits) - len(total), dtype=np.int64)))
+        total[: len(hits)] += hits
+    if read is not None:
+        fold(total, read())
     return dict(sorted(counts.items()))
 
 
@@ -465,6 +508,31 @@ def _select_primes(
     if x > pack.limit:
         raise ResourceBudgetError(f"x = {x} exceeds sieve limit {pack.limit}")
     return pack.primes[: pack.prime_count(x)], f"x={x}"
+
+
+def _check_coeff_k(k: int) -> None:
+    if k > COEFF_SCAN_MAX_K:
+        raise ResourceBudgetError(f"coefficient scans capped at k <= {COEFF_SCAN_MAX_K}")
+
+
+def check_scan(statistic: str, *, k: Optional[int] = None, shift: Optional[int] = None,
+               kfree_order: Optional[int] = None,
+               constraint: Optional[ValuationConstraint] = None) -> None:
+    """Refuse the arguments of a :func:`scan_primes` call that cannot run,
+    before any sieve is built: an unknown statistic, a missing argument,
+    or a coefficient scan past COEFF_SCAN_MAX_K."""
+    if statistic not in STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
+    if statistic in _K_STATISTICS:
+        if k is None or k < 1:
+            raise ValueError(f"statistic {statistic} requires k >= 1")
+        if statistic in ("a_pminus1", "s_k_mod_p"):
+            _check_coeff_k(k)
+    if statistic == "kfree_shift":
+        if shift is None or shift == 0 or kfree_order is None or kfree_order < 2:
+            raise ValueError("kfree_shift requires shift != 0 and kfree_order >= 2")
+    if statistic == "conjecture1" and constraint is None:
+        raise ValueError("conjecture1 requires a valuation constraint")
 
 
 def scan_primes(
@@ -488,26 +556,15 @@ def scan_primes(
     primes whose p - 1 it matches, squarefree outside its primes unless
     `squarefree_outside` is off; skipped primes still count toward `total`.
     """
-    if statistic not in STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r}; choose from {STATISTICS}")
+    check_scan(statistic, k=k, shift=shift, kfree_order=kfree_order, constraint=constraint)
     limit = sieve_limit_for(nprimes=nprimes, x=x, shift=shift)
     pack = pack or default_pack(limit)
     _require_int32(pack)
     primes, bound = _select_primes(pack, nprimes, x)
-    needs_k = statistic in ("c_pminus1", "a_pminus1", "s_k_mod_p", "S_k_mod_p")
-    if needs_k:
-        if k is None or k < 1:
-            raise ValueError(f"statistic {statistic} requires k >= 1")
-        if k > PROFILE_MAX_K and statistic in ("a_pminus1", "s_k_mod_p"):
-            raise ResourceBudgetError(f"coefficient statistics capped at k <= {PROFILE_MAX_K}")
     if statistic == "kfree_shift":
-        if shift is None or shift == 0 or kfree_order is None or kfree_order < 2:
-            raise ValueError("kfree_shift requires shift != 0 and kfree_order >= 2")
         top = int(primes[-1]) if len(primes) else 0
         if top - shift > pack.limit:
             raise ResourceBudgetError("p - shift exceeds sieve range")
-    if statistic == "conjecture1" and constraint is None:
-        raise ValueError("conjecture1 requires a valuation constraint")
 
     caps, value = {}, _mu_codes  # mu_pminus1 is the split at S = {}
     if statistic in ("c_pminus1", "S_k_mod_p"):
@@ -529,17 +586,17 @@ def scan_primes(
             if constraint is not None:
                 ps = split(ps - 1)[0] + 1
             # in int64, since a shift may lie past int32
-            return _kfree(ps.astype(np.int64) - shift, kfree_order, pack), _FLAG_TABLE
+            return _kfree(ps.astype(np.int64) - shift, kfree_order, pack), lambda: _FLAG_TABLE
         ns, key, mu = split(ps - 1)
-        codes, table = value(ns, key, mu)
+        codes, read = value(ns, key, mu)
         ps = ps if constraint is None else ns + 1  # the primes the constraint keeps
         if statistic == "S_k_mod_p":
-            return _residues(ps, codes, table)
+            return _residues(ps, codes, read())
         if statistic == "s_k_mod_p":
-            return _s_k_codes(ps, k, codes, table)
-        return codes, table
+            return _s_k_codes(ps, k, codes, read())
+        return codes, read
 
-    label = statistic if not needs_k else f"{statistic}[k={k}]"
+    label = f"{statistic}[k={k}]" if statistic in _K_STATISTICS else statistic
     if statistic == "kfree_shift":
         label = f"kfree_shift[r={shift},k={kfree_order}]"
     return EmpiricalReport(
@@ -682,5 +739,7 @@ def count_ramanujan_values(
 def count_cyclo_values(
     ks: Sequence[int], limit: int, pack: Optional[SievePack] = None
 ) -> Dict[int, Counter]:
-    """Counts of a_n(k) over 1 <= n <= limit for each k."""
+    """Counts of a_n(k) over 1 <= n <= limit for each k <= COEFF_SCAN_MAX_K."""
+    for k in ks:
+        _check_coeff_k(k)
     return _count_integers(_coeff_values, ks, limit, pack)

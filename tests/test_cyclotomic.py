@@ -20,6 +20,7 @@ from cyclodist.cyclotomic import (
     coeff_profile,
     construct_coeff_value,
     cyclo_coeff,
+    cyclo_coeff_pairs,
     cyclo_coeff_partition,
     cyclo_coeff_prefix,
     cyclo_coeff_series,
@@ -373,6 +374,63 @@ def test_divisor_product_matches_recurrence():
         out = cyclotomic._divisor_product(fn, top)
         assert out.tolist() == cyclo_coeff_prefix(fn, top), (fn.value, top)
     assert squareful > 50
+
+
+def _phi(n: int, k: int) -> int:
+    """a_n(k) by the partition route, with Phi_1 = X - 1 for n = 1."""
+    if n == 1:
+        return (-1, 1)[k] if k <= 1 else 0
+    return cyclo_coeff_partition(n, k)
+
+
+def test_coeff_pairs_match_the_series_and_partition_routes():
+    # random keys n = R t over the primes <= k, t | R^e with e up to the
+    # scans' caps, so t divides k or does not; n = 1 and k = 1 included
+    rng = random.Random(2028)
+    ks = [1, 2, 3, 4, 6, 12, 24, 30, 61, 62, 80] + rng.sample(range(5, 81), 8)
+    for k in ks:
+        primes, q = small_primes(k), least_prime_above(k)
+        keys = [1]
+        while len(keys) < 30:
+            n = 1
+            for p in rng.sample(primes, rng.randint(0, min(len(primes), 6))):
+                n *= p ** rng.choice((1, 1, 1, 2, 3))
+            if n < 2**31:
+                keys.append(n)
+        pairs = cyclo_coeff_pairs(np.array(keys), k).tolist()
+        assert pairs == [[_phi(n, k), _phi(n * q, k)] for n in keys], k
+        for n, (a, b) in zip(keys, pairs):
+            if n > 1 and factorize(n).is_squarefree():
+                assert [cyclo_coeff_series(n, k), cyclo_coeff_series(n * q, k)] == [a, b], (n, k)
+    assert cyclo_coeff_pairs(np.array([1]), 1).tolist() == [[1, 1]]  # Phi_1 = X - 1, Phi_2 = X + 1
+
+
+def test_recurrence_refuses_an_inexact_division():
+    # T = (., 0, 1) gives b_1 = 0 and b_2 = -1/2
+    with pytest.raises(InternalConsistencyError, match="step 2"):
+        cyclotomic._recurrence(np.array([[0, 0, 1]], dtype=np.int64))
+
+
+def test_recurrence_leaves_int64_when_the_bound_does(monkeypatch):
+    # T_i = -60 for every i gives (1 - X)^-60, whose X^j coefficient is
+    # binom(59 + j, j), past int64 from j = 21 on: int64 rows would wrap
+    T = np.full((2, 61), -60, dtype=np.int64)
+    b = cyclotomic._recurrence(T)
+    assert b.dtype == object
+    want = [math.comb(59 + j, j) for j in range(61)]
+    assert b.tolist() == [want, want] and want[20] < 2**63 <= want[21]
+    # 3*5*...*29 at k = 8000 stays in int64, far faster than Python ints
+    n = math.prod(small_primes(29)[1:])
+    assert cyclo_coeff(n, 8000) == cyclo_coeff_partition(n, 8000)
+    # with the switch point lowered, the rows turn to Python ints after a
+    # few steps and finish with the same values
+    fn = factorize(255255)
+    want = cyclo_coeff_prefix(fn, 300)
+    real, rows = cyclotomic._recurrence, []
+    monkeypatch.setattr(cyclotomic, "_recurrence", lambda T: rows.append(real(T)) or rows[-1])
+    monkeypatch.setattr(cyclotomic, "_INT64_MAX", 10**4)
+    assert cyclo_coeff_prefix(fn, 300) == want
+    assert rows[0].dtype == object
 
 
 def _primorial_200() -> FactoredNat:

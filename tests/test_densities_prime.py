@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,22 @@ def test_artin_constant(pack):
     assert a.truncation_prime == int(pack.primes[-1])
     coarse = artin_constant(1e-4, pack=pack)
     assert abs(coarse.value - A_REFERENCE) <= 1e-4
+
+
+def test_euler_products_hold_little_beyond_a_block(pack):
+    # the log-sums run over blocks of _BLOCK primes: no temporary spans the
+    # 1.27 million primes of the default pack (10 MB per float64 array)
+    bound = 8 * densities_prime._BLOCK * 8
+    for run in (lambda: artin_constant(1e-8, pack=pack),
+                lambda: shifted_prime_kfree_density(1, 2, pack=pack),
+                lambda: shifted_prime_kfree_density(-6, 3, pack=pack)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
 
 
 def test_artin_partial_products_decrease(pack):

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cyclodist import empirics
+from cyclodist import cyclotomic, empirics
 from cyclodist.arith import (MAX_SIEVE_LIMIT, factorize, least_prime_above, mobius, sieve_pack,
                              small_primes)
 from cyclodist.cyclotomic import cyclo_coeff
@@ -31,17 +31,19 @@ from cyclodist.ramanujan import ramanujan_sum
 
 def _values(values_of, a, pack, ns):
     """f(n) for an array of n, through the engine as a bulk count runs it:
-    the split at the caps of `values_of(a)`, then its value map."""
+    the split at the caps of `values_of(a)`, then its value map, whose
+    table is read after the codes."""
     caps, value = values_of(a)
-    codes, table = value(*empirics._Split(caps, None, pack)(np.asarray(ns)))
-    return np.take(table, codes).tolist()
+    codes, read = value(*empirics._Split(caps, None, pack)(np.asarray(ns)))
+    return np.take(read(), codes).tolist()
 
 
 def _s_k(p, k, pack):
     """s_k(p) mod p through the scan's split, value map and residue step."""
     caps, value = _coeff_values(k)
     ns, key, mu = empirics._Split(caps, None, pack)(np.array([p - 1]))
-    codes, table = empirics._s_k_codes(ns + 1, k, *value(ns, key, mu))
+    codes, read = value(ns, key, mu)
+    codes, table = empirics._s_k_codes(ns + 1, k, codes, read())
     return table[codes[0]]
 
 
@@ -178,6 +180,22 @@ def test_scan_merge(pack, monkeypatch):
     assert all(r.total == 5000 for key, r in whole.items() if isinstance(key, tuple))
 
 
+def test_counts_do_not_depend_on_the_batch_chunks(pack, monkeypatch):
+    # the rows of a scan's new keys are evaluated in chunks of _CHUNK keys
+    # per divisor t of k, once per scan or once per block
+    def scans():
+        out = _every_scan(pack, 3000)
+        for stat in ("a_pminus1", "s_k_mod_p"):
+            out[stat, 61] = scan_primes(stat, k=61, nprimes=20000, pack=pack)
+        out["cyclo", 62] = count_cyclo_values((62, 24), 20000, pack)
+        return out
+
+    whole = scans()
+    for chunk in (1, 3):
+        monkeypatch.setattr(cyclotomic, "_CHUNK", chunk)
+        assert scans() == whole, chunk
+
+
 def test_engine_with_every_key_in_one_bucket(pack, monkeypatch):
     # with one bucket, key 0's, every live key misses; with two, the live
     # keys that land in bucket 1 share it with the one key that holds it.
@@ -197,8 +215,8 @@ def test_engine_with_every_key_in_one_bucket(pack, monkeypatch):
             split = empirics._Split(caps, None, pack)
             for block in (live, dead, live, dead):
                 before = value.misses
-                codes, table = value(*split(np.array(block)))
-                assert np.take(table, codes).tolist() == [direct(factorize(n)) for n in block]
+                codes, read = value(*split(np.array(block)))
+                assert np.take(read(), codes).tolist() == [direct(factorize(n)) for n in block]
                 if block is dead:
                     assert value.misses == before
                 elif bits == 0:
@@ -235,16 +253,32 @@ def test_scan_S_residues(pack):
 
 
 def test_ramanujan_scans_past_the_profile_cap(pack):
-    # c_(p-1)(k) and S_k need no coefficient profile, so no profile cap
+    # c_(p-1)(k) and S_k need no coefficient profile, so no profile cap; nor
+    # do a_(p-1)(k) and s_k, which stop at their own cap
     k = 100
     primes = pack.primes[:1000].tolist()
     values = [ramanujan_sum(factorize(p - 1), k) for p in primes]
     for stat, want in (("c_pminus1", values),
                        ("S_k_mod_p", [symmetric_residue(v, p) for v, p in zip(values, primes)])):
         assert scan_primes(stat, k=k, nprimes=1000, pack=pack).counts == Counter(want), stat
+    k = 62
+    values = [cyclo_coeff(factorize(p - 1), k) for p in primes]
+    for stat, want in (("a_pminus1", values),
+                       ("s_k_mod_p", [symmetric_residue(v, p) for v, p in zip(values, primes)])):
+        assert scan_primes(stat, k=k, nprimes=1000, pack=pack).counts == Counter(want), stat
     for stat in ("a_pminus1", "s_k_mod_p"):
         with pytest.raises(ResourceBudgetError):
-            scan_primes(stat, k=62, nprimes=10, pack=pack)
+            scan_primes(stat, k=empirics.COEFF_SCAN_MAX_K + 1, nprimes=10, pack=pack)
+
+
+def test_coefficient_scans_refuse_past_the_cap_before_any_sieve(sieve_builds):
+    over = empirics.COEFF_SCAN_MAX_K + 1
+    for refused in (lambda: scan_primes("a_pminus1", k=over, nprimes=10),
+                    lambda: scan_primes("s_k_mod_p", k=over, x=10**6),
+                    lambda: count_cyclo_values([15, over], 10**6)):
+        with pytest.raises(ResourceBudgetError, match=f"k <= {over - 1}"):
+            refused()
+    assert sieve_builds == []
 
 
 def test_coeff_evaluator_matches_cyclo_coeff(pack):

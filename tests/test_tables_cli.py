@@ -301,8 +301,8 @@ def test_cli_exit_codes(capsys, monkeypatch):
             assert code == 2 and out == "", (m, order)
     code, _, err = run_cli(capsys, "empirical", "--stat", "c", "--nprimes", "10")
     assert code == 2  # missing k
-    code, _, err = run_cli(capsys, "empirical", "--stat", "a", "--k", "62", "--nprimes", "10")
-    assert code == 3 and "k <= 61" in err
+    code, _, err = run_cli(capsys, "empirical", "--stat", "a", "--k", "81", "--nprimes", "10")
+    assert code == 3 and "k <= 80" in err
     # c_(p-1)(k) reads no coefficient profile: no cap on k
     code, out, _ = run_cli(capsys, "empirical", "--stat", "c", "--k", "100", "--nprimes", "10")
     assert code == 0 and out
@@ -442,3 +442,14 @@ def test_cli_empirical_needs_a_range(capsys, sieve_builds):
     code, _, err = run_cli(capsys, "empirical", "--stat", "mu")
     assert code == 2 and "nprimes" in err
     assert sieve_builds == []
+
+
+def test_cli_coefficient_scans_refuse_past_the_cap_before_the_sieve(capsys, sieve_builds):
+    for stat in ("a", "s"):
+        code, out, err = run_cli(capsys, "empirical", "--stat", stat, "--k", "81",
+                                 "--nprimes", "10")
+        assert code == 3 and out == "" and "k <= 80" in err, stat
+    assert sieve_builds == []
+    # k = 62 is past the profile cap, which the scans no longer read
+    code, out, _ = run_cli(capsys, "empirical", "--stat", "a", "--k", "62", "--nprimes", "10")
+    assert code == 0 and out
