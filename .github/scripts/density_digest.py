@@ -37,6 +37,11 @@ CONSTRAINTS = [
     ((2, 1),), ((2, ("ge", 2)),), ((2, 2), (3, 1)), ((3, 0),), ((3, 1),),
     ((3, ("ge", 2)),), ((2, ("ge", 1)), (5, 0)), ((2, 3), (3, ("ge", 1)), (7, 1)),
 ]
+# at these k the Artin-basis fold sums its largest primes (29 among them) in
+# Python ints, 1 prime at k = 30 and 8 at k = 61; the constraints below read
+# nu_29 there, so they zero weights inside that tail
+TAIL_KS = (30, 45, 61)
+TAIL_CONSTRAINTS = [((2, 2), (29, 0)), ((3, ("ge", 1)), (29, ("ge", 1)))]
 
 
 def _record(table):
@@ -57,6 +62,11 @@ def main():
                 records += [_record(table), str(mean)]
                 if k <= 4:
                     records.append(_record(s_small_density(k, constraint)))
+    for entries in TAIL_CONSTRAINTS:
+        constraint = ValuationConstraint(entries, squarefree_outside=False)
+        for k in TAIL_KS:
+            table, mean = coeff_prime_density(k, constraint)
+            records += [_record(table), str(mean)]
     for m in RAMANUJAN_MS:
         records += [_record(natural_density_of_ramanujan(m)),
                     _record(ramanujan_prime_density(m, signed=True)),

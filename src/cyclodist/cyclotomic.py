@@ -18,7 +18,7 @@ coefficient a_n(k) is computed by
   it is the partition sum over (sum j*n_j = k) of
   prod_j (-1)^(n_j) * binom(mu(n/j), n_j), and at full degree it is
   :func:`cyclo_poly` (:func:`_divisor_product` serves both, in int64 with an
-  exact fallback to Python ints; Phi_255255 takes about 0.025 s).
+  exact fallback to Python ints; Phi_255255 takes about 0.013 s).
 
 The three paths share no code, which is what makes their agreement a real
 test.  The coefficient profile behind the value sets and the divisor-route
@@ -51,7 +51,7 @@ from .errors import InternalConsistencyError, ResourceBudgetError
 #: Largest k for which the divisor profile of M_k is built (its lattice has
 #: 2^pi(k) rows, 2^18 at k = 61, where a profile build takes about 0.5 s;
 #: the lattice, 32.5 MB of int8 there, is kept for the process, which then
-#: peaks at about 101 MB in a density fold at k = 61 on 2 cores); caps value
+#: peaks at about 79 MB in a density fold at k = 61 on 2 cores); caps value
 #: sets and divisor-route densities and means.
 PROFILE_MAX_K = 61
 CYCLO_POLY_MAX_DEGREE = 100_000
@@ -330,7 +330,13 @@ def _divisor_product(fn: FactoredNat, top: int) -> np.ndarray:
             out[d:] = out[d:] - out[:-d]
         else:
             classes = np.concatenate([out, np.zeros(-(top + 1) % d, dtype=out.dtype)])
-            out = classes.reshape(-1, d).cumsum(axis=0).ravel()[: top + 1]
+            classes = classes.reshape(-1, d)
+            if len(classes) > d:
+                classes = classes.cumsum(axis=0)
+            else:  # few long rows: cumsum(axis=0) would step down each column
+                for i in range(1, len(classes)):
+                    classes[i] += classes[i - 1]
+            out = classes.ravel()[: top + 1]
     return out
 
 
@@ -471,8 +477,8 @@ def coeff_profile(k: int) -> CoeffProfile:
     for the process (:func:`_lattice`), so a sweep over k builds it once
     if it starts at the top.  At k = 61 it holds 2^18 rows of each series
     (32.5 MB of int8), a build takes about 0.5 s, and a density fold there
-    peaks the process at about 101 MB, against 75 MB when nothing was kept
-    (2 cores)."""
+    peaks the process at about 79 MB, 12 MB of it the fold's own
+    temporaries (2 cores)."""
     if k < 2:
         raise ValueError("coefficient profile requires k >= 2 (k = 1 is special-cased by callers)")
     if k > PROFILE_MAX_K:

@@ -24,6 +24,8 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .cyclotomic import _INT64_MAX, _distinct_int8
+
 
 class Basis(enum.Enum):
     ONE = "ONE"
@@ -199,25 +201,58 @@ def split_density(
     the vector whose exponents are the mixed-radix digits of i, the first
     prime of `caps` most significant (the order of itertools.product over
     the ranges 0..cap_q).  Exponents past a cap, and cofactors that are not
-    squarefree, must give the value 0, whose mass stays implicit.  Weights
-    are an outer product of integer numerators over one common denominator,
-    summed per value, so each value costs one Fraction at the end."""
-    denom = 2
-    weights = np.ones(1, dtype=object)
+    squarefree, must give the value 0, whose mass stays implicit.
+
+    Each prime's weights are integer numerators num_q(e) over one common
+    denominator.  The head is the longest leading run of primes for which
+    2 prod_(q in head) sum_e num_q(e), the largest sum one value can collect
+    over the head's cells and both signs, stays within _INT64_MAX; the tail
+    is the rest, the largest primes, which vary fastest in row order.  So
+    the pairs are a (H, T, 2) view, H head cells by T tail cells, and the
+    head weights are summed per (tail cell, value) into a T x V int64 table
+    by one np.add.at, V the number of distinct values.  That table is then
+    contracted with the tail weights in Python ints, one product per
+    (tail cell, value), and each value costs one Fraction at the end.  At
+    k = 61 the coefficient profile has V = 27, and T = 12 over n or 384 over
+    p - 1; the head covers every prime (T = 1) up to k = 43 over n and
+    k = 28 over p - 1."""
+    denom, nums = 2, []
     for q, cap in caps:
         local = [_local_weight(basis, q, e) if keep is None or keep(q, e) else Fraction(0)
                  for e in range(cap + 1)]
         den = math.lcm(*(w.denominator for w in local))
-        nums = np.array([w.numerator * (den // w.denominator) for w in local], dtype=object)
-        weights = np.multiply.outer(weights, nums).ravel()
+        nums.append([w.numerator * (den // w.denominator) for w in local])
         denom *= den
-    values = sorted(set(pairs.ravel().tolist()))  # no arithmetic on the entries: int8 wraps
-    sums = np.zeros(len(values), dtype=object)
-    at = np.searchsorted(np.array(values, dtype=pairs.dtype), pairs.ravel())
-    np.add.at(sums, at, np.repeat(weights, 2))
-    return DensityTable.from_dict(
+    split, bound = 0, 2
+    for num in nums:
+        bound *= sum(num)
+        if bound > _INT64_MAX:
+            break
+        split += 1
+    head, tail = np.ones(1, dtype=np.int64), np.ones(1, dtype=object)
+    for num in nums[:split]:
+        head = np.multiply.outer(head, np.array(num, dtype=np.int64)).ravel()
+    for num in nums[split:]:
+        tail = np.multiply.outer(tail, np.array(num, dtype=object)).ravel()
+    if pairs.dtype == np.int8:
+        values = _distinct_int8(pairs)  # byte order: 0..127, then -128..-1
+        code = np.zeros(256, dtype=np.intp)
+        code[np.array(values, dtype=np.int8).view(np.uint8)] = np.arange(len(values))
+        at = code[pairs.view(np.uint8)]
+    else:
+        values = sorted(set(pairs.ravel().tolist()))  # no arithmetic on the entries
+        at = np.searchsorted(np.array(values, dtype=pairs.dtype), pairs)
+    at = at.reshape(len(head), len(tail), 2)
+    at += (np.arange(len(tail)) * len(values))[:, None]
+    sums = np.zeros(len(tail) * len(values), dtype=np.int64)
+    np.add.at(sums, at.ravel(), np.repeat(head, 2 * len(tail)))
+    totals = tail @ sums.reshape(len(tail), len(values)).astype(object)
+    table = DensityTable(
         statistic,
         basis,
-        {v: Fraction(num, denom) for v, num in zip(values, sums.tolist()) if v},
+        tuple((v, Fraction(num, denom)) for v, num in sorted(zip(values, totals.tolist()))
+              if v and num),
         conditional,
     )
+    table.validate()
+    return table

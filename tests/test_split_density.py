@@ -15,9 +15,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cyclodist import density
 from cyclodist.arith import euler_phi, factorize, mobius, small_primes
 from cyclodist.cyclotomic import coeff_profile
-from cyclodist.densities_natural import coeff_density
+from cyclodist.densities_natural import coeff_density, coeff_split
 from cyclodist.densities_prime import (
     ValuationConstraint,
     coeff_prime_density,
@@ -151,11 +152,35 @@ def _random_pairs(rng, rows):
     return np.array([[rng.choice(pool) for _ in range(2)] for _ in range(rows)], dtype=dtype)
 
 
-def test_split_density_matches_brute_force():
-    # every value, position and weight against a Fraction sum over
-    # itertools.product (first prime of caps most significant)
+def _numerator_sum(basis, q, cap, keep=None):
+    """sum_e num_q(e): the local weights e <= cap (0 where keep refuses)
+    as numerators over their least common denominator."""
+    local = [_oracle_weight(basis, q, e) if keep is None or keep(q, e) else Fraction(0)
+             for e in range(cap + 1)]
+    den = math.lcm(*(w.denominator for w in local))
+    return sum(w * den for w in local)
+
+
+def _head_length(basis, caps, keep, bound):
+    """The primes of the head: the longest leading run whose largest
+    per-value sum over both signs, 2 prod sum_e num_q(e), is at most bound."""
+    head, total = 0, 2
+    for q, cap in caps:
+        total *= _numerator_sum(basis, q, cap, keep)
+        if total > bound:
+            break
+        head += 1
+    return head
+
+
+def test_split_density_matches_brute_force(monkeypatch):
+    # every value, position, weight and the entry order against a Fraction
+    # sum over itertools.product (first prime of caps most significant),
+    # with the head's int64 bound lowered so that every split of caps into
+    # int64 head and Python-int tail is taken
     rng = random.Random(15)
-    for trial in range(300):
+    seen = set()
+    for trial in range(600):
         primes = rng.sample([2, 3, 5, 7, 11, 13], rng.randint(0, 4))
         caps = [(q, rng.randint(0, 3)) for q in primes]
         grid = list(itertools.product(*(range(cap + 1) for _, cap in caps)))
@@ -163,6 +188,18 @@ def test_split_density_matches_brute_force():
         basis = rng.choice((Basis.SIX_OVER_PI2, Basis.ARTIN))
         allowed = {(q, e) for q, cap in caps for e in range(cap + 1) if rng.random() < 0.75}
         keep = rng.choice((None, lambda q, e: (q, e) in allowed))
+        bounds = [2 * math.prod(_numerator_sum(basis, q, cap, keep) for q, cap in caps[:j])
+                  for j in range(len(caps) + 1)]
+        bound = rng.choice(bounds + [2**63 - 1, 1])
+        monkeypatch.setattr(density, "_INT64_MAX", bound)
+        head = _head_length(basis, caps, keep, bound)
+        tail = caps[head:]
+        seen.add(("all head" if not tail else "all tail" if not head else "mixed", pairs.dtype))
+        if tail and any(cap >= 2 for _, cap in tail):
+            seen.add("tail cap >= 2")
+        if tail and keep is not None and any(not keep(q, e) for q, cap in tail
+                                             for e in range(cap + 1)):
+            seen.add("keep zeroes a tail weight")
         want = {}
         for exps, row in zip(grid, pairs.tolist()):
             if keep is not None and not all(keep(q, e) for (q, _), e in zip(caps, exps)):
@@ -170,9 +207,51 @@ def test_split_density_matches_brute_force():
             weight = HALF * math.prod(_oracle_weight(basis, q, e) for (q, _), e in zip(caps, exps))
             for v in row:
                 want[v] = want.get(v, 0) + weight
-        want = {v: c for v, c in want.items() if v and c}
+        want = tuple(sorted((v, c) for v, c in want.items() if v and c))
         got = split_density("f", basis, caps, pairs, keep=keep)
-        assert got.as_dict() == want, (trial, caps, pairs.dtype, basis)
+        assert got.entries == want, (trial, caps, head, pairs.dtype, basis)
+    dtypes = {np.dtype(np.int8), np.dtype(np.int64), np.dtype(object)}
+    assert seen >= {(kind, dtype) for kind in ("all head", "mixed", "all tail") for dtype in dtypes}
+    assert {"tail cap >= 2", "keep zeroes a tail weight"} <= seen
+
+
+def test_split_density_head_bound_counts_both_signs():
+    # prod sum_e num_q(e) over these caps fits in int64 but twice it does
+    # not: with every value 1 on both signs, a head of all three primes
+    # would wrap in its int64 sums
+    caps = [(23, 3), (41, 3), (59, 3)]
+    head_sum = math.prod(_numerator_sum(Basis.ARTIN, q, cap) for q, cap in caps)
+    assert head_sum <= 2**63 - 1 < 2 * head_sum
+    pairs = np.ones((64, 2), dtype=np.int8)
+    want = math.prod(sum(_oracle_weight(Basis.ARTIN, q, e) for e in range(cap + 1))
+                     for q, cap in caps)
+    assert split_density("f", Basis.ARTIN, caps, pairs).entries == ((1, want),)
+
+
+def _python_int_fold(basis, caps, pairs):
+    """The split-profile fold with one Python-int weight numerator per row."""
+    denom, weights = 2, np.ones(1, dtype=object)
+    for q, cap in caps:
+        local = [_oracle_weight(basis, q, e) for e in range(cap + 1)]
+        den = math.lcm(*(w.denominator for w in local))
+        nums = np.array([int(w * den) for w in local], dtype=object)
+        weights = np.multiply.outer(weights, nums).ravel()
+        denom *= den
+    sums = {}
+    for row, weight in zip(pairs.tolist(), weights.tolist()):
+        for v in row:
+            sums[v] = sums.get(v, 0) + weight
+    return tuple(sorted((v, Fraction(num, denom)) for v, num in sums.items() if v and num))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k", [43, 50, 60, 61])
+def test_coefficient_folds_with_a_tail_match_python_ints(k):
+    # the fold over p - 1 has a tail from k = 29 on, the fold over n from
+    # k = 44 on (at k = 43 its head holds every prime)
+    caps, pairs = coeff_split(k)
+    assert coeff_density(k).entries == _python_int_fold(Basis.SIX_OVER_PI2, caps, pairs)
+    assert coeff_prime_density(k)[0].entries == _python_int_fold(Basis.ARTIN, caps, pairs)
 
 
 def _constraint(*entries):
