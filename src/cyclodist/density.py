@@ -215,7 +215,10 @@ def split_density(
     (tail cell, value), and each value costs one Fraction at the end.  At
     k = 61 the coefficient profile has V = 27, and T = 12 over n or 384 over
     p - 1; the head covers every prime (T = 1) up to k = 43 over n and
-    k = 28 over p - 1."""
+    k = 28 over p - 1.  Where V > 2H the T x V table would outgrow the
+    pairs, as for c_n(m), which takes nearly one value per row (at
+    nu_2(m) >= 61 the prime 2 alone breaks the bound, so H = 1); there the
+    head takes every prime with Python-int weights: one weight per row."""
     denom, nums = 2, []
     for q, cap in caps:
         local = [_local_weight(basis, q, e) if keep is None or keep(q, e) else Fraction(0)
@@ -229,29 +232,31 @@ def split_density(
         if bound > _INT64_MAX:
             break
         split += 1
-    head, tail = np.ones(1, dtype=np.int64), np.ones(1, dtype=object)
-    for num in nums[:split]:
-        head = np.multiply.outer(head, np.array(num, dtype=np.int64)).ravel()
-    for num in nums[split:]:
-        tail = np.multiply.outer(tail, np.array(num, dtype=object)).ravel()
     if pairs.dtype == np.int8:
-        values = _distinct_int8(pairs)  # byte order: 0..127, then -128..-1
+        values = sorted(_distinct_int8(pairs))  # at most 256, read in byte order
         code = np.zeros(256, dtype=np.intp)
         code[np.array(values, dtype=np.int8).view(np.uint8)] = np.arange(len(values))
         at = code[pairs.view(np.uint8)]
     else:
         values = sorted(set(pairs.ravel().tolist()))  # no arithmetic on the entries
         at = np.searchsorted(np.array(values, dtype=pairs.dtype), pairs)
+    dtype = np.int64
+    if len(values) > 2 * math.prod(len(num) for num in nums[:split]):
+        split, dtype = len(nums), object  # V > 2H: a T x V table would outgrow the pairs
+    head, tail = np.ones(1, dtype=dtype), np.ones(1, dtype=object)
+    for num in nums[:split]:
+        head = np.multiply.outer(head, np.array(num, dtype=dtype)).ravel()
+    for num in nums[split:]:
+        tail = np.multiply.outer(tail, np.array(num, dtype=object)).ravel()
     at = at.reshape(len(head), len(tail), 2)
     at += (np.arange(len(tail)) * len(values))[:, None]
-    sums = np.zeros(len(tail) * len(values), dtype=np.int64)
+    sums = np.zeros(len(tail) * len(values), dtype=dtype)
     np.add.at(sums, at.ravel(), np.repeat(head, 2 * len(tail)))
     totals = tail @ sums.reshape(len(tail), len(values)).astype(object)
-    table = DensityTable(
+    table = DensityTable(  # values are sorted, and from_dict's pass costs ~10% at small m
         statistic,
         basis,
-        tuple((v, Fraction(num, denom)) for v, num in sorted(zip(values, totals.tolist()))
-              if v and num),
+        tuple((v, Fraction(num, denom)) for v, num in zip(values, totals.tolist()) if v and num),
         conditional,
     )
     table.validate()

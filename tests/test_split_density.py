@@ -10,6 +10,7 @@ for a_(p-1)(k).  They share no code with `density.split_density`.
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -148,6 +149,7 @@ def _random_pairs(rng, rows):
         pool = [0, 0, -1, 5, 2**40, -(2**40) + 3, 2**62, -(2**63)]
     else:
         pool = [0, -1, 3, 2**80, -(2**80), 10**25 + 1, -(2**63) - 1]
+    pool = rng.sample(pool, rng.randint(1, len(pool)))  # few values, or many
     dtype = object if kind == "object" else np.dtype(kind)
     return np.array([[rng.choice(pool) for _ in range(2)] for _ in range(rows)], dtype=dtype)
 
@@ -177,7 +179,8 @@ def test_split_density_matches_brute_force(monkeypatch):
     # every value, position, weight and the entry order against a Fraction
     # sum over itertools.product (first prime of caps most significant),
     # with the head's int64 bound lowered so that every split of caps into
-    # int64 head and Python-int tail is taken
+    # int64 head and Python-int tail is taken, and the per-row fold where
+    # the values outnumber twice the head cells
     rng = random.Random(15)
     seen = set()
     for trial in range(600):
@@ -193,8 +196,13 @@ def test_split_density_matches_brute_force(monkeypatch):
         bound = rng.choice(bounds + [2**63 - 1, 1])
         monkeypatch.setattr(density, "_INT64_MAX", bound)
         head = _head_length(basis, caps, keep, bound)
+        if len(set(pairs.ravel().tolist())) > 2 * math.prod(cap + 1 for _, cap in caps[:head]):
+            head = len(caps)
+            seen.add(("per row", pairs.dtype))
+        else:
+            seen.add(("all head" if head == len(caps) else "all tail" if not head else "mixed",
+                      pairs.dtype))
         tail = caps[head:]
-        seen.add(("all head" if not tail else "all tail" if not head else "mixed", pairs.dtype))
         if tail and any(cap >= 2 for _, cap in tail):
             seen.add("tail cap >= 2")
         if tail and keep is not None and any(not keep(q, e) for q, cap in tail
@@ -211,7 +219,8 @@ def test_split_density_matches_brute_force(monkeypatch):
         got = split_density("f", basis, caps, pairs, keep=keep)
         assert got.entries == want, (trial, caps, head, pairs.dtype, basis)
     dtypes = {np.dtype(np.int8), np.dtype(np.int64), np.dtype(object)}
-    assert seen >= {(kind, dtype) for kind in ("all head", "mixed", "all tail") for dtype in dtypes}
+    kinds = ("all head", "mixed", "all tail", "per row")
+    assert seen >= {(kind, dtype) for kind in kinds for dtype in dtypes}
     assert {"tail cap >= 2", "keep zeroes a tail weight"} <= seen
 
 
@@ -226,6 +235,22 @@ def test_split_density_head_bound_counts_both_signs():
     want = math.prod(sum(_oracle_weight(Basis.ARTIN, q, e) for e in range(cap + 1))
                      for q, cap in caps)
     assert split_density("f", Basis.ARTIN, caps, pairs).entries == ((1, want),)
+
+
+def test_split_density_with_many_values_folds_per_row():
+    # at nu_2(m) >= 61 the prime 2 alone breaks the head's int64 bound, and
+    # c_n(m) takes nearly one value per row: a table of every (row, value)
+    # would hold 1701 x 1276 entries here, the per-row fold a few per row
+    m = 2**61 * 3 * 5 * 7
+    tracemalloc.start()
+    try:
+        table = natural_density_of_ramanujan(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.as_dict() == _merge(_ramanujan_profiles(m, over_primes=False))
+    assert len(table.entries) == 1276
+    assert peak < 4 * 2**20, peak
 
 
 def _python_int_fold(basis, caps, pairs):
