@@ -17,6 +17,10 @@ Everything downstream runs on exact integers and `fractions.Fraction`
   factoring route), the input of every multiplicative-function evaluation
   (φ, μ, divisor enumeration, ...).
 
+A pack is always built afresh: the prime-list file of
+:func:`write_sieve_cache` is written only by the CLI's ``--cache-dir``,
+and nothing here reads it (ROADMAP item 1).
+
 All values are immutable after construction and every function here is
 pure, so concurrent use needs no locking.
 """
@@ -55,7 +59,6 @@ DEFAULT_SIEVE_LIMIT = 20_000_000
 MAX_SIEVE_LIMIT = 300_000_000
 
 CACHE_MAGIC = b"CPD1"
-CACHE_ENV_VAR = "CYCLODIST_CACHE"
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 #: the least strong pseudoprime to every base in _MR_WITNESSES (OEIS A014233)
@@ -221,13 +224,6 @@ class SievePack:
         return int(np.searchsorted(self.primes, np.int32(max(x, 0)), side="right"))
 
 
-def _resolve_cache_dir(cache_dir) -> Optional[Path]:
-    if cache_dir is not None:
-        return Path(cache_dir)
-    env = os.environ.get(CACHE_ENV_VAR)
-    return Path(env) if env else None
-
-
 def write_sieve_cache(path, limit: int, primes: Sequence[int]) -> None:
     """Binary cache: magic "CPD1", 8-byte little-endian limit, then each
     prime as an 8-byte little-endian value.  Written to a temporary file
@@ -265,34 +261,14 @@ def read_sieve_cache(path, limit: int) -> Optional[np.ndarray]:
     return np.frombuffer(data, dtype="<u8").astype(np.int64)
 
 
-def sieve_pack(limit: int = DEFAULT_SIEVE_LIMIT, cache_dir=None) -> SievePack:
-    """Build the shared sieve tables up to `limit`.
-
-    With a cache directory (the argument or the CYCLODIST_CACHE environment
-    variable), the fresh prime list is then compared with the file
-    sieve_<limit>.cpd1 there, which is (re)written, when possible, unless
-    it holds exactly that list.  No sieve is ever built from the file, so
-    it saves no time; it stays only while the benchmark's `cli_cold`
-    workload passes --cache-dir (ROADMAP item 1).
-    """
+def sieve_pack(limit: int = DEFAULT_SIEVE_LIMIT) -> SievePack:
+    """Build the shared sieve tables up to `limit`, always afresh; no file
+    is read or written."""
     if limit < 2:
         raise ValueError("sieve limit must be >= 2")
     if limit > MAX_SIEVE_LIMIT:
-        raise ResourceBudgetError(
-            f"sieve limit {limit} exceeds memory budget {MAX_SIEVE_LIMIT}"
-        )
-    mu, primes = _sieve_arrays_numpy(limit)
-    cdir = _resolve_cache_dir(cache_dir)
-    if cdir is not None:
-        path = cdir / f"sieve_{limit}.cpd1"
-        cached = read_sieve_cache(path, limit)
-        if cached is None or not np.array_equal(cached, primes):
-            try:
-                cdir.mkdir(parents=True, exist_ok=True)
-                write_sieve_cache(path, limit, primes)
-            except OSError:
-                pass
-    return SievePack(limit, mu, primes)
+        raise ResourceBudgetError(f"sieve limit {limit} exceeds memory budget {MAX_SIEVE_LIMIT}")
+    return SievePack(limit, *_sieve_arrays_numpy(limit))
 
 
 _default_pack: Optional[SievePack] = None

@@ -13,10 +13,11 @@ import json
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import List, Optional
 
 from . import tables
-from .arith import sieve_limit_for, sieve_pack
+from .arith import SievePack, sieve_limit_for, sieve_pack, write_sieve_cache
 from .cyclotomic import (
     PROFILE_MAX_K,
     cyclo_coeff,
@@ -95,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Ramanujan-sum / cyclotomic-coefficient distributions",
     )
     ap.add_argument("--cache-dir", default=None,
-                    help="compare each sieve built with its file here (or in $CYCLODIST_CACHE), rewrite it if it "
-                         "differs; never loaded, saves no time, kept while the cli_cold benchmark passes it")
+                    help="write the prime list of each sieve built to sieve_<limit>.cpd1 here; never read, "
+                         "saves no time, kept while the cli_cold benchmark passes it")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def fmt(p):
@@ -194,6 +195,17 @@ def _resolve_stat(stat: str, k: Optional[int]):
     return stat, k
 
 
+def _sieve(limit: int, cache_dir: Optional[str]) -> SievePack:
+    """sieve_pack(limit), and with a cache_dir its primes written to sieve_<limit>.cpd1 there,
+    never read: kept only because the benchmark's cli_cold set-up waits for a *.cpd1 file
+    and its op 3 passes --cache-dir (ROADMAP item 1, whose step (b) deletes this helper)."""
+    pack = sieve_pack(limit)
+    if cache_dir is not None:
+        Path(cache_dir).mkdir(parents=True, exist_ok=True)
+        write_sieve_cache(Path(cache_dir) / f"sieve_{limit}.cpd1", limit, pack.primes)
+    return pack
+
+
 def _run(args) -> int:
     cmd = args.command
 
@@ -269,7 +281,7 @@ def _run(args) -> int:
     elif cmd == "constants":
         if args.kfree is not None:
             check_kfree_order(args.kfree)
-        pack = sieve_pack(sieve_limit_for_precision(args.precision), args.cache_dir)
+        pack = _sieve(sieve_limit_for_precision(args.precision), args.cache_dir)
         a = artin_constant(args.precision, pack=pack)
         rows = [["artin", f"{a.value:.10f}", f"{a.tail_bound:.3g}", str(a.truncation_prime)]]
         payload = {"artin": {"value": a.value, "tail_bound": a.tail_bound,
@@ -288,7 +300,7 @@ def _run(args) -> int:
         limit = sieve_limit_for(nprimes=args.nprimes, x=args.x, shift=args.r)
         report = scan_primes(
             stat, k=k, shift=args.r, kfree_order=args.kfree_order, nprimes=args.nprimes,
-            x=args.x, constraint=constraint, pack=sieve_pack(limit, args.cache_dir))
+            x=args.x, constraint=constraint, pack=_sieve(limit, args.cache_dir))
         rows = [[str(r["value"]), str(r["count"]), f"{r['frequency']:.6f}"] for r in report.rows()]
         payload = {
             "statistic": report.statistic, "bound": report.bound,
@@ -310,7 +322,7 @@ def _run(args) -> int:
     elif cmd == "table":
         limit = tables.sieve_limit([args.id], args.full)
         artifact = tables.build_table(args.id, full=args.full, kmax=args.kmax,
-                                      pack=sieve_pack(limit, args.cache_dir) if limit else None)
+                                      pack=_sieve(limit, args.cache_dir) if limit else None)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(artifact.to_json())
@@ -322,7 +334,7 @@ def _run(args) -> int:
             print(artifact.to_markdown())
     elif cmd == "reproduce-all":
         limit = tables.sieve_limit(tables.TABLE_IDS, args.full)
-        manifest = tables.reproduce_all(args.out_dir, args.full, sieve_pack(limit, args.cache_dir))
+        manifest = tables.reproduce_all(args.out_dir, args.full, _sieve(limit, args.cache_dir))
         for tid, entry in sorted(manifest["tables"].items(), key=lambda kv: int(kv[0])):
             print(f"table {tid}: {entry['status']}")
             for d in entry["diffs"]:

@@ -49,7 +49,8 @@ by trial division.  The μ statistics count codes μ + 1 over (-1, 0, 1)
 and `kfree_shift` codes 0/1.  A residue mod p needs the values, so
 `s_k_mod_p` and `S_k_mod_p` read the table in every block: a residue
 keeps the code of its value v wherever 2|v| < p, and the other entries
-get extra codes past the table, which hold for their block only.
+get extra codes past the table, which hold for their block only; every
+residue lies in (-p/2, p/2], so at p = 2 it is 0 or 1.
 
 Counts are reported as :class:`EmpiricalReport`: per-value counts, the
 number of primes scanned, and exact rational frequencies.
@@ -115,12 +116,12 @@ _K_STATISTICS = ("c_pminus1", "a_pminus1", "s_k_mod_p", "S_k_mod_p")
 
 
 def symmetric_residue(v, p):
-    """Residue of v mod p mapped into (-p/2, p/2]: r stays put when
-    r <= (p-1)/2, otherwise r - p.  Unambiguous for |true value| < p/2;
-    primes p <= 2|v| alias and are excluded from frequency comparisons.
-    Works elementwise on integer arrays as well."""
+    """Residue of v mod p mapped into (-p/2, p/2]: r = v mod p stays put
+    when 2r <= p, otherwise r - p; so at p = 2 it is 0 or 1.  Unambiguous
+    for |true value| < p/2; primes p <= 2|v| alias and are excluded from
+    frequency comparisons.  Works elementwise on integer arrays as well."""
     r = v % p
-    return r - p * (r > (p - 1) // 2)
+    return r - p * (2 * r > p)
 
 
 @dataclass(frozen=True)
@@ -436,14 +437,9 @@ def _s_k_codes(ps: np.ndarray, k: int, codes: np.ndarray,
     codes of a_(p-1)(k) and their table: s_k(p) = (-1)^k a_(p-1)(k) mod p.
     This covers k > phi(p-1), where both sides vanish (Phi_(p-1) has degree
     phi(p-1)), and the k = phi(p-1) boundary (+1 for p >= 5, -1 for p = 3,
-    whose lone primitive root 2 makes the product of roots -1).  The one
-    exception is p = 2 with k = 1: its single root 1 gives s_1(2) = 1, while
-    a_1(1) = 1 gives -1; 2|-1| >= 2, so p = 2 has an extra code of its own
-    to fix."""
-    codes, table = _residues(ps, codes, -table if k % 2 else table)
-    if k == 1:
-        table[codes[ps == 2]] = 1
-    return codes, table
+    whose lone primitive root 2 makes the product of roots -1), and p = 2,
+    whose single root 1 gives s_1(2) = 1, the residue of -a_1(1) = -1."""
+    return _residues(ps, codes, -table if k % 2 else table)
 
 
 def _kfree(ms: np.ndarray, order: int, pack: SievePack) -> np.ndarray:

@@ -274,34 +274,6 @@ def test_sieve_cache_roundtrip(tmp_path):
     assert read_sieve_cache(path, 100) is None  # corrupted magic
 
 
-def test_sieve_pack_uses_cache_dir(tmp_path):
-    pk1 = sieve_pack(10_000, cache_dir=tmp_path)
-    cache_files = list(tmp_path.glob("*.cpd1"))
-    assert len(cache_files) == 1
-    pk2 = sieve_pack(10_000, cache_dir=tmp_path)
-    assert pk2.primes.tolist() == pk1.primes.tolist()
-    assert pk2.smallest_prime_factor.tolist() == pk1.smallest_prime_factor.tolist()
-    assert pk2.mobius.tolist() == pk1.mobius.tolist()
-
-
-def test_sieve_pack_leaves_a_correct_cache_file_alone(tmp_path):
-    sieve_pack(10_000, cache_dir=tmp_path)
-    path = tmp_path / "sieve_10000.cpd1"
-    before = path.stat()
-    cached = sieve_pack(10_000, cache_dir=tmp_path)
-    after = path.stat()
-    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
-    fresh = sieve_pack(10_000)
-    for name in ("smallest_prime_factor", "mobius", "primes"):
-        assert np.array_equal(getattr(cached, name), getattr(fresh, name)), name
-
-
-def test_sieve_pack_cache_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("CYCLODIST_CACHE", str(tmp_path))
-    sieve_pack(5000)
-    assert list(tmp_path.glob("sieve_5000.cpd1"))
-
-
 def test_numpy_sieve_fallback_matches_linear():
     # the sieve against the independent routes: Miller-Rabin for the prime
     # list, trial division for smallest prime factors and Möbius values
@@ -315,28 +287,6 @@ def test_numpy_sieve_fallback_matches_linear():
                        dtype=np.int8)
     assert np.array_equal(spf, odd_entries(want_spf, 50_000))
     assert np.array_equal(mu, odd_entries(want_mu, 50_000))
-
-
-def test_sieve_cache_rejects_corrupt_prime_list(tmp_path):
-    fresh = sieve_pack(100_000)
-    path = tmp_path / "sieve_100000.cpd1"
-    good = fresh.primes.tolist()
-    corruptions = {
-        "truncated": good[:-100],
-        "missing small prime": [p for p in good if p != 3],
-        "extra composite": sorted(good + [91]),
-        "composites below sqrt(limit)": sorted(good + [4, 221]),
-        "descending order": good[::-1],
-    }
-    for label, primes in corruptions.items():
-        write_sieve_cache(path, 100_000, primes)
-        pk = sieve_pack(100_000, cache_dir=tmp_path)
-        assert pk.prime_count(100_000) == 9592, label
-        assert (pk.smallest_prime_factor == fresh.smallest_prime_factor).all(), label
-        assert (pk.mobius == fresh.mobius).all(), label
-        # the rejected file was rewritten in place, with no temporary left over
-        assert read_sieve_cache(path, 100_000).tolist() == good, label
-        assert [f.name for f in tmp_path.iterdir()] == [path.name], label
 
 
 def test_sieve_across_a_partial_segment():

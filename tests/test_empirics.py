@@ -55,6 +55,35 @@ def test_symmetric_residue():
     # elementwise on arrays, with an array of moduli too
     vs, ps = np.array([5, 3, -1, 4, -7]), np.array([7, 7, 11, 5, 5])
     assert symmetric_residue(vs, ps).tolist() == [-2, 3, -1, -1, -2]
+    # p = 2 maps into (-1, 1] too: -1 and 1 both to 1
+    assert [symmetric_residue(v, 2) for v in (-2, -1, 0, 1, 2, 3)] == [0, 1, 0, 1, 0, 1]
+
+
+def test_symmetric_residue_range():
+    # the residue lies in (-p/2, p/2] and is congruent to v, for every
+    # modulus p <= 50 and every v within a few periods of 0, scalar and array
+    for p in range(2, 51):
+        vs = np.arange(-3 * p, 3 * p + 1)
+        rs = symmetric_residue(vs, p)
+        assert ((-p < 2 * rs) & (2 * rs <= p)).all(), p
+        assert ((rs - vs) % p == 0).all(), p
+        assert [symmetric_residue(int(v), p) for v in vs] == rs.tolist(), p
+
+
+def test_residue_scans_match_the_oracle_from_p_2(pack):
+    # s_k and S_k mod p over the first 25 primes, 2 included, one prime at a
+    # time (the scan over the first n primes less the scan over n - 1),
+    # against the symmetric residues of the primitive-root oracle
+    primes = pack.primes[:25].tolist()
+    for k in (1, 2, 3):
+        for stat, at in (("s_k_mod_p", 0), ("S_k_mod_p", 1)):
+            before = Counter()
+            for n, p in enumerate(primes, 1):
+                counts = Counter(scan_primes(stat, k=k, nprimes=n, pack=pack).counts)
+                got = counts - before
+                want = symmetric_residue(symmetric_functions_mod_p(p, k)[at][k - 1], p)
+                assert got == Counter({want: 1}), (stat, k, p)
+                before = counts
 
 
 def test_primitive_roots_examples():
@@ -100,7 +129,7 @@ def test_symmetric_function_boundaries(pack):
             assert s[t - 1] == 1 % p, p
         assert s[t] == 0 and s[t + 1] == 0, p
         for k in (t, t + 1, t + 2):
-            want = symmetric_residue(s[k - 1], p) if p > 2 else s[k - 1]
+            want = symmetric_residue(s[k - 1], p)
             assert _s_k(p, k, pack) == want, (p, k)
 
 
@@ -524,8 +553,7 @@ def test_constrained_value_scans_match_scalar(pack, monkeypatch):
     scalar = {
         "a_pminus1": lambda f, p, k: cyclo_coeff(f, k),
         "c_pminus1": lambda f, p, k: ramanujan_sum(f, k),
-        "s_k_mod_p": lambda f, p, k: (int(k == 1) if p == 2
-                                      else symmetric_residue((-1) ** k * cyclo_coeff(f, k), p)),
+        "s_k_mod_p": lambda f, p, k: symmetric_residue((-1) ** k * cyclo_coeff(f, k), p),
         "S_k_mod_p": lambda f, p, k: symmetric_residue(ramanujan_sum(f, k), p),
     }
     for stat, value in scalar.items():
@@ -684,8 +712,5 @@ def test_root_product_boundary_full_range(pack):
             product = product * g % p
         want = 1 if p != 3 else 2
         assert product == want, p
-        # p = 2 aliases under the symmetric map (documented exclusion):
-        # the scan reports the root value itself there
-        expected = 1 if p == 2 else symmetric_residue(product, p)
-        assert _s_k(p, t, pack) == expected, p
+        assert _s_k(p, t, pack) == symmetric_residue(product, p), p
         assert _s_k(p, t + 1, pack) == 0, p

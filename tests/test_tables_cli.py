@@ -1,13 +1,16 @@
 import json
+import re
 import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cyclodist import cyclotomic
-from cyclodist.arith import factorize, sieve_limit_for
+from cyclodist.arith import factorize, read_sieve_cache, sieve_limit_for, sieve_pack, write_sieve_cache
 from cyclodist.cli import main
 from cyclodist.cyclotomic import cyclo_coeff
 from cyclodist.densities_prime import ValuationConstraint
@@ -411,18 +414,63 @@ def test_cli_sieve_sized_to_the_query(capsys, tmp_path, sieve_builds):
 
 
 def test_cli_cache_dir_sized_to_the_query(capsys, tmp_path, sieve_builds):
-    code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "empirical", "--stat", "s2",
+    # --cache-dir writes the prime list of the query's own sieve, named by
+    # its limit, and the same query without it prints the same
+    cache = tmp_path / "new" / "dir"
+    code, out, _ = run_cli(capsys, "--cache-dir", str(cache), "empirical", "--stat", "s2",
                            "--nprimes", "1000", "--format", "csv")
     assert code == 0
     limit = sieve_limit_for(nprimes=1000)
-    assert [f.name for f in tmp_path.glob("*.cpd1")] == [f"sieve_{limit}.cpd1"]
-    written = (tmp_path / f"sieve_{limit}.cpd1").stat()
-    code, again, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "empirical", "--stat", "s2",
-                             "--nprimes", "1000", "--format", "csv")
-    assert code == 0 and again == out
-    assert sieve_builds == [limit, limit]  # two builds; the second leaves its file alone
-    kept = (tmp_path / f"sieve_{limit}.cpd1").stat()
-    assert (kept.st_ino, kept.st_mtime_ns) == (written.st_ino, written.st_mtime_ns)
+    assert sieve_builds == [limit]
+    assert [f.name for f in cache.iterdir()] == [f"sieve_{limit}.cpd1"]
+    cached = read_sieve_cache(cache / f"sieve_{limit}.cpd1", limit)
+    assert np.array_equal(cached, sieve_pack(limit).primes)
+    assert run_cli(capsys, "empirical", "--stat", "s2", "--nprimes", "1000",
+                   "--format", "csv")[:2] == (0, out)
+
+
+def test_cli_cache_dir_replaces_a_corrupt_file(capsys, tmp_path):
+    # whatever the file held is replaced by the fresh list, through a
+    # temporary file that does not outlive the write, and stdout does not move
+    limit = sieve_limit_for(nprimes=1000)
+    path = tmp_path / f"sieve_{limit}.cpd1"
+    good = sieve_pack(limit).primes.tolist()
+    _, want, _ = run_cli(capsys, "empirical", "--stat", "mu", "--nprimes", "1000")
+    corruptions = {
+        "truncated": good[:-100],
+        "extra composite": sorted(good + [91]),
+        "descending order": good[::-1],
+    }
+    for label, primes in corruptions.items():
+        write_sieve_cache(path, limit, primes)
+        code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "empirical", "--stat", "mu",
+                               "--nprimes", "1000")
+        assert (code, out) == (0, want), label
+        assert read_sieve_cache(path, limit).tolist() == good, label
+        assert [f.name for f in tmp_path.iterdir()] == [path.name], label
+
+
+def test_no_environment_variable_turns_a_cache_on(capsys, tmp_path, monkeypatch):
+    # the cache directory once came from an environment variable as well: no
+    # module reads the environment now, and neither sieve_pack nor a query
+    # without --cache-dir writes a file
+    for path in Path(cyclotomic.__file__).parent.glob("*.py"):
+        assert not re.search(r"environ|getenv", path.read_text()), path.name
+    monkeypatch.chdir(tmp_path)
+    sieve_pack(5000)
+    assert run_cli(capsys, "empirical", "--stat", "mu", "--nprimes", "10")[0] == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_unwritable_cache_dir_exits_3(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for cache in (blocker, blocker / "sub"):
+        code, out, err = run_cli(capsys, "--cache-dir", str(cache), "empirical", "--stat", "mu",
+                                 "--nprimes", "10")
+        assert (code, out) == (3, ""), cache
+        assert err.startswith("resource budget:"), cache
+    assert [f.name for f in tmp_path.iterdir()] == ["file"]
 
 
 def test_cli_bad_precision_goal_builds_no_sieve(capsys, tmp_path, sieve_builds):
