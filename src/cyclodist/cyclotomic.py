@@ -18,7 +18,7 @@ coefficient a_n(k) is computed by
   it is the partition sum over (sum j*n_j = k) of
   prod_j (-1)^(n_j) * binom(mu(n/j), n_j), and at full degree it is
   :func:`cyclo_poly` (:func:`_divisor_product` serves both, in int64 with an
-  exact fallback to Python ints; Phi_255255 takes about 0.013 s).
+  exact fallback to Python ints; Phi_255255 takes about 0.012 s).
 
 The three paths share no code, which is what makes their agreement a real
 test.  The coefficient profile behind the value sets and the divisor-route
@@ -48,20 +48,31 @@ from .arith import (
 )
 from .errors import InternalConsistencyError, ResourceBudgetError
 
-#: Largest k for which the divisor profile of M_k is built (its lattice has
-#: 2^pi(k) rows, 2^18 at k = 61, where a profile build takes about 0.5 s;
-#: the lattice, 32.5 MB of int8 there, is kept for the process, which then
-#: peaks at about 79 MB in a density fold at k = 61 on 2 cores); caps value
-#: sets and divisor-route densities and means.
+#: Largest k for which the divisor profile of M_k is built: its lattice has
+#: 2^pi(k) rows, 2^18 at k = 61 (32.5 MB of int8, kept for the process), a
+#: build there takes about 0.25 s and a density fold peaks at about 77 MB on
+#: 2 cores.  Caps value sets and divisor-route densities and means.
 PROFILE_MAX_K = 61
 CYCLO_POLY_MAX_DEGREE = 100_000
 
 
-#: the int64 recurrence keeps every sum of one step within this bound; a
-#: step that could pass it runs in Python ints, as does every later step
 _INT64_MAX = int(np.iinfo(np.int64).max)
 #: keys per chunk of :func:`cyclo_coeff_pairs`: two recurrence rows each
 _CHUNK = 512
+
+
+def _height(*blocks: np.ndarray) -> int:
+    """max |coefficient| over the blocks."""
+    return max(max(int(b.max()), -int(b.min())) for b in blocks)
+
+
+def _int64_bound(height: int, growth: int, *blocks: np.ndarray) -> int:
+    """The one int64 rule.  With `height` >= 1 bounding max|value| of `blocks`:
+    a bound h on it with h * growth <= _INT64_MAX, the blocks measured only if
+    `height` fails; else 0, and the rows turn to Python ints (0 stays 0)."""
+    if height * growth > _INT64_MAX and blocks:
+        height = _height(*blocks)
+    return height if height * growth <= _INT64_MAX else 0
 
 
 def _kernel_reduction(n: FactoredLike) -> Tuple[FactoredNat, int]:
@@ -92,13 +103,10 @@ def _recurrence(T: np.ndarray) -> np.ndarray:
     of prod_(d | r) (1 - X^d)^mu(r/d) mod X^(top+1), Phi_r for r >= 2 and
     -Phi_1 = 1 - X for r = 1.
 
-    Heights: every |T_i| <= top (|T_i| = phi(g) <= i for the rows of
-    :func:`_log_rows`), so with |b_m| <= H for m < j the sum of step j is
-    at most j top H in absolute value, and |b_j| <= top H.
-    The rows run in int64 while that bound stays within _INT64_MAX.  H is
-    carried as a bound, times top per step, and measured again only when
-    the bound would pass; if the measured H passes too, the rows turn to
-    Python ints (object dtype) once, for every later step.  Each step's
+    Heights: with |b_m| <= H for m < j, the sum of step j is at most
+    H reach_j, reach_j = sum_(i<=j) max |T_i| over the rows, and |b_j| <=
+    H reach_j / j.  :func:`_int64_bound` carries H, so the rows run in int64
+    while H reach_j fits and turn to Python ints, once, if not.  Each step's
     sums are kept, and after the last step every b_j must give back its sum
     exactly as j b_j; a remainder raises InternalConsistencyError (it would
     mean a bug, not bad input).  Memory is a few arrays of the shape of T,
@@ -107,24 +115,22 @@ def _recurrence(T: np.ndarray) -> np.ndarray:
     top = width - 1
     b, sums, minus_T = np.zeros_like(T), np.zeros((width, rows, 1, 1), T.dtype), -T[:, ::-1]
     b[:, 0] = 1
+    reach = np.abs(T).max(axis=0).astype(object).cumsum().tolist()  # Python ints: no wrap
 
     def views():
         return b[:, None, :], minus_T[:, :, None], b.T[:, :, None, None]
 
     prefix, terms, column = views()
-    bound = height = seen = 1  # bound >= |b_m| for m < j; 0 once in Python ints
+    bound = 1  # >= |b_m| for m < j; 0 once in Python ints
     for j in range(1, width):
-        if bound and j * top * bound > _INT64_MAX:
-            height, seen = max(height, _height(b[:, seen:j])), j
-            bound = height
-            if j * top * bound > _INT64_MAX:
-                b, sums, minus_T = (a.astype(object) for a in (b, sums, minus_T))
-                prefix, terms, column = views()
-                bound = 0
+        bound = _int64_bound(bound, reach[j], b)  # measures all of b: b_m = 0 for m >= j
+        if not bound and b.dtype != object:
+            b, sums, minus_T = (a.astype(object) for a in (b, sums, minus_T))
+            prefix, terms, column = views()
         # sum_(m<j) b_m * -T_(j-m), as minus_T[:, top - j + m] = -T_(j-m)
         np.matmul(prefix[:, :, :j], terms[:, top - j : top], out=sums[j])
         np.floor_divide(sums[j], j, out=column[j])
-        bound *= top
+        bound = max(bound, bound * reach[j] // j)
     inexact = np.flatnonzero(b[:, 1:] * np.arange(1, width) != sums[1:, :, 0, 0].T)
     if inexact.size:
         raise InternalConsistencyError(
@@ -214,27 +220,22 @@ def _phi_1_rows(rows: int, k: int, dtype) -> Tuple[np.ndarray, np.ndarray]:
     return F, G
 
 
-def _height(*blocks: np.ndarray) -> int:
-    """max |coefficient| over the blocks."""
-    return max(max(int(b.max()), -int(b.min())) for b in blocks)
-
-
 def _lift(F: np.ndarray, G: np.ndarray, p: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """Rows Phi_dp and 1/Phi_dp mod X^(k+1) from rows F = Phi_d and
     G = 1/Phi_d mod X^(k+1), for d coprime to the prime p.
 
     Phi_dp = Phi_d(X^p) / Phi_d(X) = Phi_d(X^p) * G and 1/Phi_dp = F * G(X^p),
     each a product with a series of floor(k/p) + 1 terms, so nothing is
-    divided.  Arithmetic is in the dtype of F and G: an integer dtype must
-    hold (floor(k/p) + 1) * max|coefficient|^2, else InternalConsistencyError
-    (it would wrap silently); object rows of Python ints are always exact."""
+    divided.  Integer rows run in int64, which must hold (floor(k/p) + 1) H^2,
+    H = max|coefficient| (<= 128 in the lattice's int8 rows, else measured),
+    or InternalConsistencyError (it would wrap silently); object rows are exact."""
     terms = k // p + 1
     if F.dtype.kind == "i":
-        top = _height(F, G)
-        if terms * top * top > np.iinfo(F.dtype).max:
+        top = 128 if F.dtype == np.int8 else max(_height(F, G), 1)
+        if not _int64_bound(top, terms * top):
             raise InternalConsistencyError(
-                f"lift by p={p} at k={k}: coefficients up to {top} overflow {F.dtype}"
-            )
+                f"lift by p={p} at k={k}: coefficients up to {top} overflow int64")
+        F, G = F.astype(np.int64, copy=False), G.astype(np.int64, copy=False)
     F_dp = np.zeros_like(F)
     G_dp = np.zeros_like(G)
     for j in range(terms):
@@ -305,26 +306,26 @@ def _divisor_product(fn: FactoredNat, top: int) -> np.ndarray:
 
     Times 1 - X^d is one shifted subtract, at most doubling the height
     H = max|coefficient|; times 1/(1 - X^d) = sum_j X^(jd) is a prefix sum
-    along each residue class mod d, at most H * (top//d + 1).  The row
-    turns to object dtype, for good, before a factor whose bound passes
-    int64.  The divisors d <= top come in the order iter_divisors_factored
-    yields them, which mixes the two kinds of factor: at n = 255255 no
-    intermediate coefficient exceeds 1,200, while all subtractions first
-    reach 61,341 and all prefix sums first 10^40."""
+    along each residue class mod d, at most H * (top//d + 1), checked by
+    :func:`_int64_bound` on a carried H.  The divisors d <= top come in the
+    order iter_divisors_factored yields them, which mixes the two kinds of
+    factor: at n = 255255 no intermediate coefficient exceeds 1,200, while
+    all subtractions first reach 61,341 and all prefix sums first 10^40."""
     if top > CYCLO_POLY_MAX_DEGREE:
         raise ResourceBudgetError(
             f"Phi_{fn.value} to degree {top} exceeds the {CYCLO_POLY_MAX_DEGREE} "
             "degree budget"
         )
     out = np.zeros(top + 1, dtype=np.int64)
-    out[0] = 1
+    out[0] = bound = 1  # bound >= H; 0 once in Python ints
     for fd in fn.iter_divisors_factored(upto=top):
         d = fd.value
         mu = _mu_quotient(fn, fd)
         if mu == 0:
             continue
         growth = 2 if mu == 1 else top // d + 1
-        if out.dtype != object and _height(out) * growth > np.iinfo(np.int64).max:
+        bound = _int64_bound(bound, growth, out) * growth
+        if not bound and out.dtype != object:
             out = out.astype(object)
         if mu == 1:
             out[d:] = out[d:] - out[:-d]
@@ -423,14 +424,14 @@ def _profile_lattice(primes: List[int], k: int) -> Tuple[np.ndarray, np.ndarray]
     as int8 rows indexed by bitmask (bit i set iff primes[i] divides r).
 
     The rows with largest prime primes[i] are one :func:`_lift` of the 2^i
-    rows before them, in int64 blocks; storing a value outside int8 raises
-    InternalConsistencyError instead of wrapping."""
+    rows before them, in blocks it widens to int64; storing a value outside
+    int8 raises InternalConsistencyError instead of wrapping."""
     F, G = _phi_1_rows(1 << len(primes), k, np.int8)
     for i, p in enumerate(primes):
         half = 1 << i
         for lo in range(0, half, _LIFT_BLOCK):
             hi = min(lo + _LIFT_BLOCK, half)
-            F_p, G_p = _lift(F[lo:hi].astype(np.int64), G[lo:hi].astype(np.int64), p, k)
+            F_p, G_p = _lift(F[lo:hi], G[lo:hi], p, k)
             if _height(F_p, G_p) > np.iinfo(np.int8).max:
                 raise InternalConsistencyError(f"lattice coefficient at k={k} overflows int8")
             F[half + lo : half + hi] = F_p
@@ -476,9 +477,8 @@ def coeff_profile(k: int) -> CoeffProfile:
     caps.  The lattice is built once for the largest k asked so far and kept
     for the process (:func:`_lattice`), so a sweep over k builds it once
     if it starts at the top.  At k = 61 it holds 2^18 rows of each series
-    (32.5 MB of int8), a build takes about 0.5 s, and a density fold there
-    peaks the process at about 79 MB, 12 MB of it the fold's own
-    temporaries (2 cores)."""
+    (32.5 MB of int8), a build takes about 0.25 s, and a density fold there
+    peaks the process at about 77 MB (2 cores)."""
     if k < 2:
         raise ValueError("coefficient profile requires k >= 2 (k = 1 is special-cased by callers)")
     if k > PROFILE_MAX_K:

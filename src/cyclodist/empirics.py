@@ -78,7 +78,7 @@ from .arith import (
 from .cyclotomic import cyclo_coeff_pairs
 from .densities_prime import ValuationConstraint
 from .errors import InternalConsistencyError, ResourceBudgetError
-from .ramanujan import ramanujan_split, ramanujan_sum
+from .ramanujan import ramanujan_caps, ramanujan_sum
 
 PRIMITIVE_ROOT_LIMIT = 1_000_000
 SYMMETRIC_ORACLE_LIMIT = 100_000
@@ -398,13 +398,13 @@ def _coeff_values(k: int) -> Tuple[Dict[int, int], Callable]:
 
 
 def _ramanujan_values(m: int) -> Tuple[Dict[int, int], Callable]:
-    """The caps and the value map of n -> c_n(m): the caps of
-    :func:`cyclodist.ramanujan.ramanujan_split`, c_(n_S)(m) by
+    """The caps and the value map of n -> c_n(m): the caps by
+    :func:`cyclodist.ramanujan.ramanujan_caps`, c_(n_S)(m) by
     :func:`cyclodist.ramanujan.ramanujan_sum`, one key at a time;
     c_n(1) = mu(n) has the codes of mu."""
     if m == 1:
         return {}, _mu_codes
-    caps, _ = ramanujan_split(m)
+    caps = ramanujan_caps(m)
 
     def rows(keys: np.ndarray) -> np.ndarray:
         values = [ramanujan_sum(factorize(n), m) for n in keys.tolist()]
@@ -639,8 +639,8 @@ def symmetric_functions_mod_p(p: int, kmax: int) -> Tuple[List[int], List[int]]:
 
     s comes from expanding prod_i (X - g_i) coefficient by coefficient, S
     from modular power sums; Newton's identity
-    k s_k = sum_(i=1..k) (-1)^(i-1) s_(k-i) S_i ties the two together and
-    is asserted internally."""
+    k s_k = sum_(i=1..k) (-1)^(i-1) s_(k-i) S_i ties the two together, and
+    a k at which it fails raises InternalConsistencyError."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     if p > SYMMETRIC_ORACLE_LIMIT:
@@ -660,7 +660,8 @@ def symmetric_functions_mod_p(p: int, kmax: int) -> Tuple[List[int], List[int]]:
         S[kk] = sum(pow(g, kk, p) for g in roots) % p
     for kk in range(1, kmax + 1):
         newton = sum((-1) ** (i - 1) * e[kk - i] * S[i] for i in range(1, kk + 1)) % p
-        assert (kk * e[kk] - newton) % p == 0, (p, kk)
+        if (kk * e[kk] - newton) % p:
+            raise InternalConsistencyError(f"Newton's identity fails at p={p}, k={kk}")
     return e[1:], S[1:]
 
 

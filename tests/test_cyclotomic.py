@@ -437,6 +437,24 @@ def _primorial_200() -> FactoredNat:
     return FactoredNat.from_factors([(p, 1) for p in small_primes(200)])
 
 
+def test_recurrence_bounds_step_j_by_the_reach_of_T_to_j():
+    # |T_1| + |T_2| reaches 2^62 at step 2, whose sum 2^62 + 2^62 passes
+    # int64: the bound must hold for any T, and must apply at that step
+    b = cyclotomic._recurrence(np.array([[0, -(2**31), -(2**62)]], dtype=np.int64))
+    assert b.dtype == object
+    assert b.tolist() == [[1, 2**31, 2**62]]
+
+
+def test_primorial_row_stays_int64_to_3300():
+    # every sum of the row of prod_(p<=200) p to step 3300 fits int64, and
+    # the bound of the recurrence must see that
+    fn = _primorial_200()
+    T = cyclotomic._log_rows(np.ones((1, len(fn.factors)), bool), fn.primes(), 3300)
+    b = cyclotomic._recurrence(T)
+    assert b.dtype == np.int64
+    assert b[0].tolist() == cyclotomic._divisor_product(fn, 3300).tolist()
+
+
 def test_divisor_product_leaves_int64_when_the_bound_does():
     # at k = 3000 the height bound of a prefix sum passes 2^63, so the row
     # must finish in Python ints, and still equal the recurrence

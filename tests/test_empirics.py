@@ -1,3 +1,4 @@
+import builtins
 import math
 import random
 from collections import Counter
@@ -10,6 +11,7 @@ import pytest
 from cyclodist import cyclotomic, empirics
 from cyclodist.arith import (MAX_SIEVE_LIMIT, factorize, least_prime_above, mobius, sieve_pack,
                              small_primes)
+from cyclodist.cli import main
 from cyclodist.cyclotomic import cyclo_coeff
 from cyclodist.densities_prime import ValuationConstraint, artin_constant
 from cyclodist.empirics import (
@@ -26,7 +28,7 @@ from cyclodist.empirics import (
     symmetric_residue,
 )
 from cyclodist.errors import InternalConsistencyError, ResourceBudgetError
-from cyclodist.ramanujan import ramanujan_sum
+from cyclodist.ramanujan import ramanujan_split, ramanujan_sum
 
 
 def _values(values_of, a, pack, ns):
@@ -114,6 +116,17 @@ def test_symmetric_functions_examples():
     assert S == [1, 6]
     s, S = symmetric_functions_mod_p(5, 1)
     assert S[0] == 0  # mu(4) = 0 mod 5
+
+
+def test_symmetric_functions_check_newton_identity(monkeypatch, capsys):
+    # a wrong power sum S_1 = 3 + 5 + 2 = 3 mod 7 breaks Newton's identity
+    # at k = 1 (s_1 = 1): an error, under python -O too, and exit code 4
+    monkeypatch.setattr(empirics, "pow", lambda g, k, p: builtins.pow(g, k, p) + (k == 1),
+                        raising=False)
+    with pytest.raises(InternalConsistencyError, match="Newton"):
+        symmetric_functions_mod_p(7, 2)
+    assert main(["oracle", "sym", "--p", "7", "--kmax", "2"]) == 4
+    assert "Newton" in capsys.readouterr().err
 
 
 def test_symmetric_function_boundaries(pack):
@@ -619,6 +632,16 @@ def test_count_ramanujan_values_small(pack):
             direct[m][v] = direct[m].get(v, 0) + 1
     assert dict(counts[2]) == direct[2]
     assert dict(counts[6]) == direct[6]
+
+
+def test_count_ramanujan_values_past_the_fold_budget(pack):
+    # a scan reads only the caps of c_n(m), not the fold's rows: an m whose
+    # fold is refused (5^12 rows) is still counted
+    m = math.prod(p**3 for p in small_primes(37))
+    with pytest.raises(ResourceBudgetError):
+        ramanujan_split(m)
+    counts = count_ramanujan_values([m], 2000, pack)[m]
+    assert dict(counts) == Counter(ramanujan_sum(factorize(n), m) for n in range(1, 2001))
 
 
 def test_count_cyclo_values_small(pack):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cyclodist import ramanujan
 from cyclodist.arith import factorize, is_prime_int
 from cyclodist.density import Basis
 from cyclodist.errors import ResourceBudgetError
@@ -131,6 +132,19 @@ def test_split_pair_matches_direct_oracle():
             assert plus == ramanujan_sum_direct(n_s, m), (m, n_s)
             if n_s * b <= _DIRECT_LIMIT:
                 assert minus == ramanujan_sum_direct(n_s * b, m), (m, n_s)
+
+
+def test_split_refuses_past_its_row_budget(monkeypatch):
+    # prod_(p<=37) p^3 has 5^12 rows, which once ran out of memory
+    m = math.prod(p**3 for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    with pytest.raises(ResourceBudgetError, match="244140625 rows"):
+        natural_density_of_ramanujan(m)
+    # the rows prod_(q | m) (nu_q(m) + 2) are counted before any is built
+    monkeypatch.setattr(ramanujan, "RAMANUJAN_FOLD_MAX_ROWS", 12)
+    assert len(ramanujan_split(12)[1]) == 12  # (2 + 2) (1 + 2) rows: at the budget
+    monkeypatch.setattr(ramanujan, "_local_value", None)
+    with pytest.raises(ResourceBudgetError, match="16 rows"):
+        ramanujan_split(36)
 
 
 def test_density_symmetry():

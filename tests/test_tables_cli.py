@@ -1,7 +1,9 @@
 import json
+import math
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -350,6 +352,18 @@ def test_cli_constants_refuses_kfree_before_the_sieve(capsys, sieve_builds):
         code, out, err = run_cli(capsys, "constants", "--kfree", order)
         assert code == 2 and out == "" and "powerfree order" in err, order
     assert sieve_builds == []
+
+
+def test_cli_ramanujan_fold_past_its_budget_exits_3(capsys):
+    # prod_(p<=37) p^3 has a fold of 5^12 rows: refused at once, where it
+    # once ran out of memory and exited 1
+    m = str(math.prod(p**3 for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)))
+    for argv in (("density", "natural", "--m", m), ("density", "prime", "--k", m),
+                 ("moment", "natural", "--m", m, "--order", "2")):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "" and "244140625 rows" in err, argv
+        assert time.perf_counter() - start < 1, argv
 
 
 def test_console_script_installed():
