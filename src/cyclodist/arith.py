@@ -423,24 +423,6 @@ class FactoredNat:
 
         yield from rec(0, 1, [])
 
-    def times_prime(self, q: int, e: int = 1) -> "FactoredNat":
-        """Multiply by q^e, merging into the factor list."""
-        out = []
-        done = False
-        for p, pe in self.factors:
-            if p == q:
-                out.append((p, pe + e))
-                done = True
-            elif p > q and not done:
-                out.append((q, e))
-                out.append((p, pe))
-                done = True
-            else:
-                out.append((p, pe))
-        if not done:
-            out.append((q, e))
-        return FactoredNat(self.value * q**e, tuple(out))
-
     def __int__(self) -> int:
         return self.value
 

@@ -59,14 +59,10 @@ _COEFF_METHODS = {
 
 
 def _density_rows(table: DensityTable):
-    b = basis_numeric(table.basis)
-    columns = ["value", "coeff", "basis", "numeric"]
-    rows = [
-        [str(v), str(c), table.basis.value, f"{float(c) * b:.6f}"]
-        for v, c in table.entries
-    ]
     payload = json.loads(table.to_json())
-    return columns, rows, payload
+    rows = [[str(r["value"]), r["coeff"], r["basis"], f"{r['numeric']:.6f}"]
+            for r in payload["entries"]]
+    return ["value", "coeff", "basis", "numeric"], rows, payload
 
 
 def _parse_constraint(spec: str) -> ValuationConstraint:
@@ -179,6 +175,7 @@ _STAT_ALIASES = {
     "c": "c_pminus1",
     "a": "a_pminus1",
     "s": "s_k_mod_p",
+    "S": "S_k_mod_p",
     "kfree": "kfree_shift",
     "conj1": "conjecture1",
 }
@@ -189,9 +186,7 @@ def _resolve_stat(stat: str, k: Optional[int]):
         return _STAT_ALIASES[stat], k
     m = re.fullmatch(r"([sS])(\d+)", stat)
     if m:
-        return ("s_k_mod_p" if m.group(1) == "s" else "S_k_mod_p"), int(m.group(2))
-    if stat == "S":
-        return "S_k_mod_p", k
+        return _STAT_ALIASES[m.group(1)], int(m.group(2))
     return stat, k
 
 

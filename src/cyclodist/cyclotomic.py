@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import FrozenSet, List, Optional, Tuple
 
 import numpy as np
@@ -209,14 +209,15 @@ def cyclo_coeff_pairs(keys: np.ndarray, k: int) -> np.ndarray:
 
 
 def _phi_1_rows(rows: int, k: int, dtype) -> Tuple[np.ndarray, np.ndarray]:
-    """(F, G), each rows x (k+1), with row 0 holding Phi_1 = X - 1 and
-    1/Phi_1 = -sum X^i mod X^(k+1) and the other rows zero."""
+    """(F, G), each rows x (k+1), with row 0 holding 1 - X = -Phi_1 and
+    1/(1 - X) = sum X^i mod X^(k+1), the row _log_rows gives r = 1, and the
+    other rows zero.  A lift cannot see the sign (both series flip), and
+    1 - X is Phi_b mod X^(k+1) for every b > 1 with mu(b) = 1 whose primes
+    all exceed k: the value a fold wants at n_S = 1."""
     F = np.zeros((rows, k + 1), dtype)
     G = np.zeros((rows, k + 1), dtype)
-    F[0, 0] = -1
-    if k >= 1:
-        F[0, 1] = 1
-    G[0, :] = -1
+    F[0, :2] = (1, -1)[: k + 1]
+    G[0, :] = 1
     return F, G
 
 
@@ -247,12 +248,14 @@ def _lift(F: np.ndarray, G: np.ndarray, p: int, k: int) -> Tuple[np.ndarray, np.
 
 def cyclo_coeff_series(n: FactoredLike, k: int) -> int:
     """a_n(k) for squarefree n >= 2 from the truncated series of Phi_n and
-    1/Phi_n: one :func:`_lift` per prime p <= k of n, starting from Phi_1.
+    1/Phi_n: one :func:`_lift` per prime p <= k of n, starting from the
+    row 1 - X of :func:`_phi_1_rows`.
 
     A prime q > k of n enters only through Phi_(mq) = Phi_m(0)/Phi_m mod
     X^(k+1), so their count c picks Phi_s or 1/Phi_s (s the part of n at
-    the primes <= k), times Phi_s(0) = -1 when s = 1 (then c >= 1).  The
-    row holds Python ints, so no k is too large for exact arithmetic."""
+    the primes <= k); at s = 1 (then c >= 1) the row is already the series
+    of Phi_(q1 q2) = 1 - X and of Phi_q = 1/(1 - X) mod X^(k+1).  The row
+    holds Python ints, so no k is too large for exact arithmetic."""
     if k < 0:
         raise ValueError("coefficient index k must be >= 0")
     fn = as_factored(n)
@@ -265,8 +268,7 @@ def cyclo_coeff_series(n: FactoredLike, k: int) -> int:
             F, G = _lift(F, G, p, k)
         else:
             above += 1
-    sign = -1 if above == len(fn.factors) else 1
-    return sign * int((G if above % 2 else F)[0, k])
+    return int((G if above % 2 else F)[0, k])
 
 
 def cyclo_coeff_partition(n: FactoredLike, k: int) -> int:
@@ -403,7 +405,10 @@ class CoeffProfile:
     determine the mean and value distribution of a_n(k) over n.  Row i of
     `entries` is the divisor at position i of the caps grid `m_k.factors`
     (the first prime most significant, as in FactoredNat.iter_divisors_factored
-    and :func:`cyclodist.density.split_density`); row 0 is d = 1."""
+    and :func:`cyclodist.density.split_density`).  Row 0 (d = 1) holds
+    (a_(q1 q2)(k), a_(q1 q2 q3)(k)), q1 < q2 < q3 the least primes above k:
+    the values at mu(b) = +1 and -1 that the fold wants, which differ from
+    (a_1(k), a_q(k)) only at k = 1."""
 
     k: int
     q: int
@@ -412,8 +417,9 @@ class CoeffProfile:
 
 
 def support_modulus(k: int) -> FactoredNat:
-    """M_k = k * prod_(p<=k) p with its factorization."""
-    return reduce(FactoredNat.times_prime, small_primes(k), as_factored(k))
+    """M_k = k * prod_(p<=k) p with its factorization (every prime of k is <= k)."""
+    nu = dict(as_factored(k).factors)
+    return FactoredNat.from_factors((p, nu.get(p, 0) + 1) for p in small_primes(k))
 
 
 _LIFT_BLOCK = 4096  # rows per int64 block of a lattice lift
@@ -464,23 +470,24 @@ def _lattice(k: int) -> Tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=1)
 def coeff_profile(k: int) -> CoeffProfile:
     """Divisor-indexed coefficient pairs behind the exact distribution of
-    a_n(k), for 2 <= k <= PROFILE_MAX_K.  The last profile is kept, since
+    a_n(k), for 1 <= k <= PROFILE_MAX_K.  The last profile is kept, since
     the mean, the densities and the value set of one k all fold over it.
 
     Every divisor of M_k is d = r * t with r = rad(d) squarefree over the
     primes <= k and t = d / r dividing k (an exponent of M_k is at most
     nu_p(k) + 1).  So a_d(k) = a_r(k/t), read from the lattice of
-    :func:`_profile_lattice`, and a_(dq)(k) = Phi_r(0) * [X^(k/t)] 1/Phi_r,
-    since Phi_(rq) = Phi_r(0)/Phi_r mod X^(k+1) for the prime q > k.  Only
-    the columns k/t of the first 2^pi(k) rows are read out; the bitmask of r
-    and the column of t are tabulated by position as outer products over the
-    caps.  The lattice is built once for the largest k asked so far and kept
+    :func:`_profile_lattice`, and a_(dq)(k) = [X^(k/t)] 1/Phi_r, since
+    Phi_(rq) = Phi_r(0)/Phi_r mod X^(k+1) for the prime q > k and Phi_r(0)
+    is 1, for r >= 2 as for the row 1 - X at r = 1 (see :class:`CoeffProfile`).
+    Only the columns k/t of the first 2^pi(k) rows are read out; the bitmask
+    of r and the column of t are tabulated by position as outer products over
+    the caps.  The lattice is built once for the largest k asked so far and kept
     for the process (:func:`_lattice`), so a sweep over k builds it once
     if it starts at the top.  At k = 61 it holds 2^18 rows of each series
     (32.5 MB of int8), a build takes about 0.25 s, and a density fold there
     peaks the process at about 77 MB (2 cores)."""
-    if k < 2:
-        raise ValueError("coefficient profile requires k >= 2 (k = 1 is special-cased by callers)")
+    if k < 1:
+        raise ValueError("coefficient profile requires k >= 1")
     if k > PROFILE_MAX_K:
         raise ResourceBudgetError(f"coefficient profile limited to k <= {PROFILE_MAX_K}")
     m_k = support_modulus(k)
@@ -493,7 +500,6 @@ def coeff_profile(k: int) -> CoeffProfile:
         t = np.multiply.outer(t, p ** np.maximum(e - 1, 0)).ravel()
     col = np.searchsorted(quots, t)
     entries = np.stack((F[mask, col], G[mask, col]), axis=1)
-    entries[0, 1] = -entries[0, 1]  # Phi_1(0) = -1
     entries.flags.writeable = False  # every caller of the cache shares it
     return CoeffProfile(k, least_prime_above(k), m_k, entries)
 

@@ -19,8 +19,8 @@ is computed by two fully independent routes:
   divisors for one k).
 
 Per-value densities delta(a_n(k) = v) are one split-profile fold over the
-same divisor profiles (:func:`coeff_split`), stored in Table convention:
-coefficient zeta(2)*delta on the basis 6/pi^2.
+same divisor profiles, k = 1 included (:func:`coeff_density`), stored in
+Table convention: coefficient zeta(2)*delta on the basis 6/pi^2.
 """
 
 from __future__ import annotations
@@ -30,11 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Tuple
 
-import numpy as np
-
 from .arith import FactoredLike, as_factored, factorize, small_primes
 from .cyclotomic import coeff_profile
-from .density import Basis, DensityTable, split_density
+from .density import Basis, DensityTable, _local_weight, split_density
 from .errors import InternalConsistencyError, ResourceBudgetError
 
 PARTITION_MAX_K = 80  # the walk to k = 80 keeps 63,488 distinct-part sets
@@ -51,15 +49,8 @@ class EkValue:
     integrality_witness: int
 
 
-def _prod_p_plus_1(k: int) -> int:
-    out = 1
-    for p in small_primes(k):
-        out *= p + 1
-    return out
-
-
 def _make_ek(k: int, e_k: Fraction) -> EkValue:
-    witness = e_k * k * _prod_p_plus_1(k)
+    witness = e_k * k * math.prod(p + 1 for p in small_primes(k))
     if witness.denominator != 1:
         raise InternalConsistencyError(
             f"e_{k} * k * prod(p+1) unexpectedly non-integral: {witness}"
@@ -203,38 +194,23 @@ def mean_coeff_partition(k: int) -> EkValue:
 # -- per-value densities --------------------------------------------------------
 
 
-def coeff_split(k: int) -> Tuple[Tuple[Tuple[int, int], ...], np.ndarray]:
-    """(caps, pairs) of a_n(k) for :func:`cyclodist.density.split_density`.
-
-    S is the primes p <= k, capped at the exponents of M_k.  For
-    n = n_S * b with b squarefree and coprime to M_k, a_n(k) is a_(n_S)(k)
-    when mu(b) = +1 and a_(n_S*q)(k) when mu(b) = -1, and every other n has
-    a_n(k) = 0.  The pairs are the coefficient profile's own read-only int8
-    rows, already in the position order of the fold.  For k = 1, S is empty
-    and a_n(1) = -mu(n) (n > 1)."""
-    if k == 1:
-        return (), np.array([[-1, 1]])
-    profile = coeff_profile(k)
-    return profile.m_k.factors, profile.entries
-
-
 def coeff_density(k: int) -> DensityTable:
     """Exact density of each nonzero value of a_n(k) over n, stored as
     zeta(2)*delta on the basis 6/pi^2 (so entries can be compared to the
-    reference tables string-for-string)."""
-    if k < 1:
-        raise ValueError("coeff_density requires k >= 1")
-    caps, pairs = coeff_split(k)
-    return split_density(f"a_n({k})", Basis.SIX_OVER_PI2, caps, pairs)
+    reference tables string-for-string): the fold over the primes p <= k,
+    capped at M_k, of the coefficient profile's read-only int8 pairs.  For
+    n = n_S * b with b squarefree and coprime to M_k, a_n(k) is a_(n_S)(k)
+    if mu(b) = +1, a_(n_S*q)(k) if mu(b) = -1, and every other n has
+    a_n(k) = 0 (at k = 1, S is empty and a_n(1) = -mu(n) for n > 1)."""
+    profile = coeff_profile(k)
+    return split_density(f"a_n({k})", Basis.SIX_OVER_PI2, profile.m_k.factors, profile.entries)
 
 
 def squarefree_coprime_density(r: FactoredLike) -> Tuple[Fraction, Basis]:
-    """Density of squarefree integers coprime to r: (6/pi^2) / prod_(p|r) (1 + 1/p)."""
-    fr = as_factored(r)
-    coeff = Fraction(1)
-    for p, _ in fr.factors:
-        coeff /= 1 + Fraction(1, p)
-    return coeff, Basis.SIX_OVER_PI2
+    """Density of squarefree integers coprime to r: (6/pi^2) / prod_(p|r) (1 + 1/p),
+    the product of the fold's weights of the classes nu_p = 0."""
+    weights = (_local_weight(Basis.SIX_OVER_PI2, p, 0) for p in as_factored(r).primes())
+    return math.prod(weights, start=Fraction(1)), Basis.SIX_OVER_PI2
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .arith import (DEFAULT_SIEVE_LIMIT, MAX_SIEVE_LIMIT, FactoredLike, SievePack, as_factored,
                     default_pack, is_prime_int, small_primes)
-from .densities_natural import coeff_split
+from .cyclotomic import coeff_profile
 from .density import (Basis, DensityTable, ExponentSpec, artin_local_factor,
                       local_valuation_density, split_density)
 from .errors import InternalConsistencyError, ResourceBudgetError
@@ -125,9 +125,8 @@ def artin_constant_accelerated() -> EulerProductConstant:
     exceeds A by a factor e^t with t at most that, i.e. by at most t
     since the value is below 1."""
     primes = small_primes(_ARTIN_CUTOFF)
-    p = np.array(primes, dtype=np.float64)
-    log_product = np.log1p(-1.0 / ((p - 1.0) ** 2 * (p + 1.0))).sum()
-    value = 6.0 / math.pi**2 * float(np.exp(log_product))
+    value = 6.0 / math.pi**2 * _log_product(
+        np.array(primes), lambda p: np.log1p(-1.0 / ((p - 1.0) ** 2 * (p + 1.0))))
     bound = 1.0 / (2.0 * (_ARTIN_CUTOFF - 2) ** 2) + _FLOAT_SLACK
     return EulerProductConstant(value, primes[-1], bound)
 
@@ -299,12 +298,11 @@ def coeff_prime_density(
     only name primes <= k.  Conditional on the Möbius sign-equidistribution
     conjecture.
 
-    The fold of :func:`coeff_split` over p - 1: the divisor profile of M_k
-    weighted by the valuation densities of p - 1, which vanish for odd
-    divisors."""
-    if k < 1:
-        raise ValueError("coeff_prime_density requires k >= 1")
-    caps, pairs = coeff_split(k)
+    The fold of :func:`cyclodist.densities_natural.coeff_density` over
+    p - 1: the caps of M_k and the pairs of :func:`coeff_profile`, weighted
+    by the valuation densities of p - 1, which vanish for odd divisors."""
+    profile = coeff_profile(k)
+    caps = profile.m_k.factors
     keep = None
     if constraint is not None:
         outside = set(constraint.primes()) - {q for q, _ in caps}
@@ -314,7 +312,7 @@ def coeff_prime_density(
             )
         keep = constraint.allows
     table = split_density(
-        f"a_(p-1)({k})", Basis.ARTIN, caps, pairs, keep=keep, conditional=True
+        f"a_(p-1)({k})", Basis.ARTIN, caps, profile.entries, keep=keep, conditional=True
     )
     return table, table.moment(1)
 

@@ -27,9 +27,12 @@ from .errors import InternalConsistencyError, OraclePrecisionError, ResourceBudg
 
 _DIRECT_LIMIT = 100_000
 _ROUND_TOLERANCE = 0.4
-#: most rows, prod_(q | m) (nu_q(m) + 2), of the fold of c_n(m): each costs
-#: about 6 us and 0.45 KB (m = prod_(p<=19) p^3, 390,625 rows: 2.3-2.8 s
-#: at a 180 MB peak on 2 cores; 5^9 rows take about 44 s)
+#: most rows, prod_(q | m) (nu_q(m) + 2), of the fold of c_n(m), a row
+#: counted once per 128 bits of m, as its Python ints grow with m.  Fresh
+#: processes on 2 cores: prod_(p<=19) p^3, 390,625 rows of 70 bits, 2.75 s at
+#: a 172 MB peak; 2^1500 3^18, 30,040 rows of 12 x 128 bits, 0.68 s at 74 MB;
+#: 2^630 3^630, 399,424 rows of 13 x 128 bits and refused, would take 17 s at
+#: 663 MB
 RAMANUJAN_FOLD_MAX_ROWS = 400_000
 
 
@@ -108,14 +111,16 @@ def ramanujan_split(m: FactoredLike) -> Tuple[List[Tuple[int, int]], np.ndarray]
     by :func:`ramanujan_caps`.  Row i is (c, -c) for c = c_(n_S)(m) at
     position i of the caps grid (the first prime of m most significant): the
     local factors multiplied out, as Python ints (dtype object), since
-    c_n(m) is unbounded.  More than RAMANUJAN_FOLD_MAX_ROWS rows raise
-    ResourceBudgetError before any is built."""
+    c_n(m) is unbounded.  More than RAMANUJAN_FOLD_MAX_ROWS rows, each
+    counted once per 128 bits of m, raise ResourceBudgetError before any is
+    built."""
     fm = as_factored(m)
     caps = ramanujan_caps(fm)
     rows = math.prod(cap + 1 for _, cap in caps)
-    if rows > RAMANUJAN_FOLD_MAX_ROWS:
-        raise ResourceBudgetError(
-            f"the fold of c_n({fm.value}) has {rows} rows, past the {RAMANUJAN_FOLD_MAX_ROWS} budget")
+    width = -(-fm.value.bit_length() // 128)  # 128-bit words of m, at least 1
+    if rows * width > RAMANUJAN_FOLD_MAX_ROWS:
+        raise ResourceBudgetError(f"the fold of c_n({fm.value}) has {rows} rows of {width} x 128 "
+                                  f"bits, past the {RAMANUJAN_FOLD_MAX_ROWS} budget")
     table = np.ones(1, dtype=object)
     for q, nu in fm.factors:
         local = np.array([_local_value(q, e, nu) for e in range(nu + 2)], dtype=object)

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
 from .arith import SievePack, sieve_limit_for
-from .cyclotomic import PROFILE_MAX_K, coeff_profile, value_set
+from .cyclotomic import coeff_profile, value_set
 from .densities_natural import coeff_density, mean_coeff, partition_means
 from .densities_prime import (
     ValuationConstraint,
@@ -48,7 +48,6 @@ from .densities_prime import (
 )
 from .density import Basis, basis_numeric
 from .empirics import scan_primes
-from .errors import ResourceBudgetError
 
 TABLE_IDS = ("1", "2", "3", "4", "6", "7", "8", "9", "10", "11")
 # Builders of these tables scan primes and take `full` and `pack` (tables 6
@@ -417,10 +416,7 @@ def build_table(table_id: str, full: bool = False, kmax: Optional[int] = None,
     kmax = builder.__defaults__[0] if kmax is None else kmax  # its one parameter
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    if kmax > PROFILE_MAX_K:
-        raise ResourceBudgetError(f"table {table_id}: profiles stop at kmax <= {PROFILE_MAX_K}")
-    if kmax >= 2:  # the lattice kept for the top k serves the sweep's every k
-        coeff_profile(kmax)
+    coeff_profile(kmax)  # the lattice kept for the top k serves the sweep's every k
     return builder(kmax=kmax)
 
 

@@ -219,11 +219,27 @@ def test_coeff_profile_counts():
     assert profile.entries.shape == (24, 2)  # tau(1470) = 24
     assert profile.entries.dtype == np.int8
     assert not profile.entries.flags.writeable  # shared by every caller of the cache
-    for k in (1, 0, -3):  # an invalid k is a usage error, not a budget overrun
+    for k in (0, -3):  # an invalid k is a usage error, not a budget overrun
         with pytest.raises(ValueError):
             coeff_profile(k)
     with pytest.raises(ResourceBudgetError):
         coeff_profile(62)
+
+
+def test_profile_row_0_and_series_at_s_1_match_the_recurrence():
+    # row 0 (d = 1) of the profile is the lattice row 1 - X and its inverse:
+    # the values of n = q1 q2 and q1 q2 q3, q1 < q2 < q3 the least primes
+    # above k, which the fold wants at mu(b) = +1 and -1.  The series route
+    # starts from the same row, so at s = 1 (every prime of n above k) it
+    # must agree with the recurrence
+    for k in range(1, 31):
+        q1 = least_prime_above(k)
+        q2 = least_prime_above(q1)
+        q3 = least_prime_above(q2)
+        want = [cyclo_coeff(q1 * q2, k), cyclo_coeff(q1 * q2 * q3, k)]
+        assert coeff_profile(k).entries[0].tolist() == want, k
+        for n in (q1, q1 * q2, q1 * q2 * q3):
+            assert cyclo_coeff_series(n, k) == cyclo_coeff(n, k), (k, n)
 
 
 def test_coeff_profile_entries_match_direct():
@@ -240,7 +256,8 @@ def test_coeff_profile_entries_match_direct():
         assert [d.value for d in divisors] == grid, k
         assert len(profile.entries) == len(divisors), k
         for d, row in zip(divisors, profile.entries.tolist()):
-            want = [cyclo_coeff(d, k), cyclo_coeff(d.times_prime(profile.q), k)]
+            dq = FactoredNat.from_factors(d.factors + ((profile.q, 1),))
+            want = [cyclo_coeff(d, k), cyclo_coeff(dq, k)]
             assert row == want, (k, d.value)
 
 
@@ -251,7 +268,8 @@ def test_value_set_matches_direct():
         q = least_prime_above(k)
         full, odd, even = {0}, {0}, {0}
         for d in support_modulus(k).iter_divisors_factored():
-            values = {cyclo_coeff(d, k), cyclo_coeff(d.times_prime(q), k)}
+            dq = FactoredNat.from_factors(d.factors + ((q, 1),))
+            values = {cyclo_coeff(d, k), cyclo_coeff(dq, k)}
             full |= values
             (odd if d.value % 2 else even).update(values)
         report = value_set(k)
@@ -260,7 +278,8 @@ def test_value_set_matches_direct():
 
 def test_random_lattice_rows_above_40():
     # rows of the k = 41..61 lattices against the recurrence and the
-    # partition sum: F[r] = Phi_r and G[r] = 1/Phi_r = Phi_(rq)/Phi_r(0)
+    # partition sum: F[r] = Phi_r (r > 1) and G[r] = 1/Phi_r = Phi_(rq), as
+    # Phi_r(0) = 1 for r > 1 and row r = 1 is 1 - X, with inverse Phi_q
     rng = random.Random(61)
     for k in rng.sample(range(41, 62), 2):
         primes = small_primes(k)
@@ -268,12 +287,11 @@ def test_random_lattice_rows_above_40():
         F, G = _profile_lattice(primes, k)
         for row in [0] + rng.sample(range(1, len(F)), 8):
             r = math.prod(p for i, p in enumerate(primes) if row >> i & 1)
-            sign = -1 if r == 1 else 1
             for j in [0, 1, k] + rng.sample(range(2, k), 5):
                 if r > 1:
                     assert F[row, j] == cyclo_coeff(r, j) == cyclo_coeff_partition(r, j), (k, r, j)
-                want = sign * cyclo_coeff(r * q, j)
-                assert G[row, j] == want == sign * cyclo_coeff_partition(r * q, j), (k, r, j)
+                want = cyclo_coeff(r * q, j)
+                assert G[row, j] == want == cyclo_coeff_partition(r * q, j), (k, r, j)
 
 
 def test_kept_lattice_serves_every_smaller_k(lattice_builds, monkeypatch):
@@ -303,7 +321,7 @@ def test_kept_lattice_grows_and_survives_refusals(lattice_builds):
     with pytest.raises(ResourceBudgetError):
         coeff_profile(62)
     with pytest.raises(ValueError):
-        coeff_profile(1)
+        coeff_profile(0)
     assert lattice_builds == list(range(2, 21)) and cyclotomic._kept_lattice is kept
     for series in kept[1:] + cyclotomic._lattice(7):
         assert not series.flags.writeable

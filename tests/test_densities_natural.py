@@ -20,6 +20,7 @@ from cyclodist.densities_natural import (
     partition_means,
     squarefree_coprime_density,
 )
+from cyclodist.densities_prime import coeff_prime_density
 from cyclodist.density import Basis, DensityTable
 from cyclodist.errors import ResourceBudgetError
 
@@ -282,16 +283,15 @@ def test_doubling_halves_density_outside_odd_set():
 
 
 def test_integrality_witness():
-    from cyclodist.densities_natural import _prod_p_plus_1
-
     assert mean_coeff(2).integrality_witness == 3
     assert mean_coeff(7).integrality_witness == 224
     assert mean_coeff(8).integrality_witness == 1344
     for k in range(1, 41):
         ek = mean_coeff(k)  # construction raises unless e_k * k * prod(p+1) is integral
-        assert ek.integrality_witness == ek.e_k * k * _prod_p_plus_1(k)
+        prod_p_plus_1 = math.prod(p + 1 for p in small_primes(k))
+        assert ek.integrality_witness == ek.e_k * k * prod_p_plus_1
         # the always-proved doubled form is then integral a fortiori
-        assert (ek.e_k * 2 * k * _prod_p_plus_1(k)).denominator == 1
+        assert (ek.e_k * 2 * k * prod_p_plus_1).denominator == 1
 
 
 def test_moller_scan_no_violation_through_32():
@@ -334,6 +334,15 @@ def test_squarefree_coprime_density():
     assert squarefree_coprime_density(1) == (Fraction(1), Basis.SIX_OVER_PI2)
     assert squarefree_coprime_density(2)[0] == Fraction(2, 3)
     assert squarefree_coprime_density(6)[0] == Fraction(1, 2)
+
+
+def test_coefficient_densities_refuse_k_below_1():
+    # the one check is the coefficient profile's: a usage error, not a budget overrun
+    for k in (0, -3):
+        with pytest.raises(ValueError, match="requires k >= 1"):
+            coeff_density(k)
+        with pytest.raises(ValueError, match="requires k >= 1"):
+            coeff_prime_density(k)
 
 
 def test_budgets():

@@ -147,6 +147,16 @@ def test_split_refuses_past_its_row_budget(monkeypatch):
         ramanujan_split(36)
 
 
+def test_split_budget_counts_each_row_once_per_128_bits_of_m():
+    # 2^630 3^630 has 399,424 rows, under the row budget, but each holds
+    # ints of up to 1629 bits (13 x 128): it once took 17 s at a 663 MB peak
+    with pytest.raises(ResourceBudgetError, match="399424 rows of 13 x 128 bits"):
+        ramanujan_split(2**630 * 3**630)
+    # prod_(p<=19) p^3 has 390,625 rows of 70 bits: still built
+    m = math.prod(p**3 for p in (2, 3, 5, 7, 11, 13, 17, 19))
+    assert len(ramanujan_split(m)[1]) == 390_625
+
+
 def test_density_symmetry():
     for m in range(1, 51):
         table = natural_density_of_ramanujan(m).as_dict()

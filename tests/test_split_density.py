@@ -19,7 +19,7 @@ import pytest
 from cyclodist import density
 from cyclodist.arith import euler_phi, factorize, mobius, small_primes
 from cyclodist.cyclotomic import coeff_profile
-from cyclodist.densities_natural import coeff_density, coeff_split
+from cyclodist.densities_natural import coeff_density
 from cyclodist.densities_prime import (
     ValuationConstraint,
     coeff_prime_density,
@@ -274,7 +274,8 @@ def _python_int_fold(basis, caps, pairs):
 def test_coefficient_folds_with_a_tail_match_python_ints(k):
     # the fold over p - 1 has a tail from k = 29 on, the fold over n from
     # k = 44 on (at k = 43 its head holds every prime)
-    caps, pairs = coeff_split(k)
+    profile = coeff_profile(k)
+    caps, pairs = profile.m_k.factors, profile.entries
     assert coeff_density(k).entries == _python_int_fold(Basis.SIX_OVER_PI2, caps, pairs)
     assert coeff_prime_density(k)[0].entries == _python_int_fold(Basis.ARTIN, caps, pairs)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cyclodist import cyclotomic
+from cyclodist import cyclotomic, ramanujan
 from cyclodist.arith import factorize, read_sieve_cache, sieve_limit_for, sieve_pack, write_sieve_cache
 from cyclodist.cli import main
 from cyclodist.cyclotomic import cyclo_coeff
@@ -364,6 +364,16 @@ def test_cli_ramanujan_fold_past_its_budget_exits_3(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 3 and out == "" and "244140625 rows" in err, argv
         assert time.perf_counter() - start < 1, argv
+
+
+def test_cli_ramanujan_fold_of_a_wide_m_exits_3(capsys, monkeypatch):
+    # 2^630 3^630 has 399,424 rows of 13 x 128 bits: refused at once, before
+    # any row is built, where it once took 17 s at a 663 MB peak
+    monkeypatch.setattr(ramanujan, "_local_value", None)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "density", "natural", "--m", str(2**630 * 3**630))
+    assert code == 3 and out == "" and "399424 rows of 13 x 128 bits" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_console_script_installed():
