@@ -44,7 +44,6 @@ from .densities_prime import (
     artin_constant,
     coeff_prime_density,
     ramanujan_prime_density,
-    ramanujan_prime_mean_abs,
     ramanujan_prime_moment,
     s_small_density,
     shifted_prime_kfree_density,

@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="prime side: c_(p-1)(k)")
     p.add_argument("--m", type=int, help="natural side: c_n(m)")
     p.add_argument("--order", type=int, help="natural side: moment order")
-    p.add_argument("--z", type=str, help="prime side: moment order z > 0, z != 1")
+    p.add_argument("--z", type=str, help="prime side: moment order z > 0")
 
     p = fmt(sub.add_parser("s-density", help=f"distribution of s_k(p) mod p, k <= {PROFILE_MAX_K}"))
     p.add_argument("--k", type=int, required=True)
@@ -252,15 +252,18 @@ def _run(args) -> int:
             if args.m is None or args.order is None:
                 raise ValueError("moment natural needs --m and --order")
             coeff, basis = natural_moment_of_ramanujan(args.m, args.order)
-            payload = {"m": args.m, "order": args.order, "coeff": str(coeff), "basis": basis.value,
-                       "numeric": float(coeff) * basis_numeric(basis)}
+            payload = {"m": args.m, "order": args.order}
         else:
             if args.k is None or args.z is None:
                 raise ValueError("moment prime needs --k and --z")
             z = Fraction(args.z)
             coeff, basis = ramanujan_prime_moment(args.k, z)
-            payload = {"k": args.k, "z": str(z), "coeff": str(coeff), "basis": basis.value,
-                       "numeric": float(coeff) * basis_numeric(basis)}
+            payload = {"k": args.k, "z": str(z)}
+        try:
+            numeric = float(coeff) * basis_numeric(basis)
+        except OverflowError:
+            raise ResourceBudgetError("the moment's coefficient is past the float range") from None
+        payload.update(coeff=str(coeff), basis=basis.value, numeric=numeric)
         _emit_rows(list(payload), [[str(v) for v in payload.values()]],
                    args.format, payload=payload)
     elif cmd == "s-density":

@@ -30,7 +30,7 @@ from .cyclotomic import coeff_profile
 from .density import (Basis, DensityTable, ExponentSpec, artin_local_factor,
                       local_valuation_density, split_density)
 from .errors import InternalConsistencyError, ResourceBudgetError
-from .ramanujan import ramanujan_split
+from .ramanujan import _local_moment, ramanujan_split
 
 #: pi(x) < 1.25506 x / log x (Rosser-Schoenfeld) turns, via partial
 #: summation, into  sum_(p > P) 1/(p(p-1)) <= 2.52 / (P log P).
@@ -243,22 +243,6 @@ def ramanujan_prime_density(k: FactoredLike, signed: bool = False) -> DensityTab
     return split_density(f"|c_(p-1)({fk.value})|", Basis.ARTIN, caps, np.abs(pairs))
 
 
-def ramanujan_prime_mean_abs(k: FactoredLike) -> Tuple[Fraction, Basis]:
-    """Mean of |c_(p-1)(k)| over primes:
-    A * prod_(q|k) (1 + nu_q(k) (q-1)^2 / (q^2 - q - 1)); cross-checked
-    against the value distribution before returning."""
-    fk = as_factored(k)
-    coeff = Fraction(1)
-    for q, nu in fk.factors:
-        coeff *= 1 + Fraction(nu * (q - 1) ** 2, q * q - q - 1)
-    from_table = ramanujan_prime_density(fk, signed=False).moment(1)
-    if from_table != coeff:
-        raise InternalConsistencyError(
-            f"mean |c_(p-1)({fk.value})| mismatch: {coeff} vs {from_table}"
-        )
-    return coeff, Basis.ARTIN
-
-
 def ramanujan_prime_moment(
     k: FactoredLike, z: Union[int, float, Fraction]
 ) -> Tuple[Union[Fraction, float], Basis]:
@@ -267,22 +251,29 @@ def ramanujan_prime_moment(
         prod_(q|k) (1 + (q^(nu(z-1)) - 1)(q-1)[(q-1)^z + q^(z-1) - 1]
                         / ((q^2 - q - 1)(q^(z-1) - 1)))
 
-    Exact rational for integer z; floating point otherwise (per-factor
-    error ~1e-12).  z = 1 is the removable singularity: use
-    ramanujan_prime_mean_abs."""
+    Exact rational for integer z, each factor checked against
+    :func:`cyclodist.ramanujan._local_moment`, the ratio (q^(nu(z-1)) - 1) /
+    (q^(z-1) - 1) taken as its limit nu at z = 1, the mean; floating point
+    otherwise (per-factor error ~1e-12), refused past the float range."""
     if isinstance(z, Rational) and z == int(z):
         z = int(z)
-    if z == 1:
-        raise ValueError("z = 1 is the mean; use ramanujan_prime_mean_abs")
     if not z > 0:
         raise ValueError("moment order z must be positive")
     kind = Fraction if isinstance(z, int) else float
     z = kind(z)
     coeff = kind(1)
-    for q, nu in as_factored(k).factors:
-        qz = kind(q) ** (z - 1)
-        num = (qz**nu - 1) * (q - 1) * (kind(q - 1) ** z + qz - 1)
-        coeff *= 1 + num / ((q * q - q - 1) * (qz - 1))
+    try:
+        for q, nu in as_factored(k).factors:
+            qz = kind(q) ** (z - 1)
+            top, bottom = (nu, 1) if z == 1 else (qz**nu - 1, qz - 1)
+            factor = 1 + top * (q - 1) * (kind(q - 1) ** z + qz - 1) / ((q * q - q - 1) * bottom)
+            if kind is Fraction and factor != _local_moment(Basis.ARTIN, q, nu, int(z)):
+                raise InternalConsistencyError(f"moment factor mismatch at q={q}, nu={nu}, z={z}")
+            coeff *= factor
+    except OverflowError:  # a float power past the range raises; a float product turns inf
+        coeff = math.inf
+    if kind is float and not math.isfinite(coeff):
+        raise ResourceBudgetError(f"the z = {z} moment of |c_(p-1)(k)| is past the float range")
     return coeff, Basis.ARTIN
 
 

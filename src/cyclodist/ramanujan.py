@@ -9,7 +9,7 @@ always an integer.  A root-of-unity summation oracle is kept alongside as
 an independent check.  For fixed m the sequence n -> c_n(m) has an
 asymptotic distribution; its exact point masses are one split-profile fold
 (:func:`cyclodist.density.split_density`) and its moments are closed-form
-Euler products, checked against the point masses.
+Euler products, checked prime by prime against the fold (:func:`_local_moment`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .arith import FactoredLike, as_factored
-from .density import Basis, DensityTable, split_density
+from .density import Basis, DensityTable, _local_weight, split_density
 from .errors import InternalConsistencyError, OraclePrecisionError, ResourceBudgetError
 
 _DIRECT_LIMIT = 100_000
@@ -67,7 +67,7 @@ def ramanujan_sum(n: FactoredLike, m: int) -> int:
     return out
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=1)  # one n, for a sweep over m: at most 10^5 int64, 800 KB
 def _coprime_residues(n: int) -> np.ndarray:
     ks = np.arange(1, n + 1, dtype=np.int64)
     return ks[np.gcd(ks, n) == 1]
@@ -137,6 +137,14 @@ def natural_density_of_ramanujan(m: FactoredLike) -> DensityTable:
     return split_density(f"c_n({fm.value})", Basis.SIX_OVER_PI2, caps, pairs)
 
 
+def _local_moment(basis: Basis, q: int, nu: int, z: int) -> Fraction:
+    """sum_(e <= nu+1) w(q, e) |c_(q^e)(q^nu)|^z, w the fold's weights on `basis`
+    (:func:`cyclodist.density._local_weight`): the factor at q of the fold's
+    z-th absolute moment, over n or over p - 1, without building a row."""
+    return sum((_local_weight(basis, q, e) * abs(_local_value(q, e, nu)) ** z
+                for e in range(nu + 2)), Fraction(0))
+
+
 def _local_moment_factor(q: int, nu: int, order: int) -> Fraction:
     """Per-prime factor of the even-order moment at s = 1:
     (1 + sum_{i<=nu} phi(q^i)^order / q^i + q^(order*nu) / q^(nu+1)) / (1 + 1/q)."""
@@ -149,8 +157,8 @@ def _local_moment_factor(q: int, nu: int, order: int) -> Fraction:
 
 def natural_moment_of_ramanujan(m: FactoredLike, order: int) -> Tuple[Fraction, Basis]:
     """Mean of c_n(m)^order over n: exactly 0 for odd order, and an exact
-    rational multiple of 6/pi^2 for even order.  The closed form is checked
-    against the density table before returning."""
+    rational multiple of 6/pi^2 for even order.  Each prime's closed-form
+    factor is checked against :func:`_local_moment` before returning."""
     if order < 1:
         raise ValueError("moment order must be >= 1")
     fm = as_factored(m)
@@ -158,11 +166,8 @@ def natural_moment_of_ramanujan(m: FactoredLike, order: int) -> Tuple[Fraction, 
         return Fraction(0), Basis.ONE
     coeff = Fraction(1)
     for q, nu in fm.factors:
-        coeff *= _local_moment_factor(q, nu, order)
-    from_table = natural_density_of_ramanujan(fm).moment(order)
-    if from_table != coeff:
-        raise InternalConsistencyError(
-            f"moment mismatch for m={fm.value}, order={order}: "
-            f"{coeff} vs density sum {from_table}"
-        )
+        local = _local_moment_factor(q, nu, order)
+        if local != _local_moment(Basis.SIX_OVER_PI2, q, nu, order):
+            raise InternalConsistencyError(f"moment factor mismatch at q={q}, nu={nu}, order={order}")
+        coeff *= local
     return coeff, Basis.SIX_OVER_PI2

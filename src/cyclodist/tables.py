@@ -42,7 +42,7 @@ from .densities_prime import (
     ValuationConstraint,
     coeff_prime_density,
     ramanujan_prime_density,
-    ramanujan_prime_mean_abs,
+    ramanujan_prime_moment,
     s_small_density,
     valuation_profile_density,
 )
@@ -218,7 +218,7 @@ def build_table6(full: bool = False, pack: Optional[SievePack] = None) -> TableA
 def build_table7(full: bool = False, pack: Optional[SievePack] = None) -> TableArtifact:
     ks = (8, 21, 24, 27, 30, 36)
     a_val = basis_numeric(Basis.ARTIN)
-    means = {str(k): str(ramanujan_prime_mean_abs(k)[0]) for k in ks}
+    means = {str(k): str(ramanujan_prime_moment(k, 1)[0]) for k in ks}
     numeric = {k: _fmt6(float(Fraction(c)) * a_val) for k, c in means.items()}
     data = {"means": means, "theory_numeric": numeric}
     empirical = {}

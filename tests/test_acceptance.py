@@ -22,7 +22,7 @@ from cyclodist.densities_prime import (
     artin_constant,
     coeff_prime_density,
     ramanujan_prime_density,
-    ramanujan_prime_mean_abs,
+    ramanujan_prime_moment,
 )
 from cyclodist.empirics import (
     count_ramanujan_values,
@@ -103,7 +103,7 @@ def test_criterion_05_prime_density_table(pack):
 def test_criterion_06_prime_mean_table():
     golden = load_golden("7")["means"]
     for k, want in golden.items():
-        coeff, _ = ramanujan_prime_mean_abs(int(k))
+        coeff, _ = ramanujan_prime_moment(int(k), 1)
         assert coeff == Fraction(want), k
     _report(6, "mean |c_(p-1)(k)| equals 4A, 693A/205, 36A/5, 17A/5, 126A/19, "
                "39A/5 for k in {8,21,24,27,30,36}")
@@ -193,7 +193,7 @@ def test_criterion_12_value_distribution_suite(pack):
             closed *= local / (1 + Fraction(1, q))
         assert table.nonzero_mass() == closed, m
         for order in (2, 4, 6):
-            natural_moment_of_ramanujan(m, order)  # asserts density consistency
+            assert natural_moment_of_ramanujan(m, order)[0] == table.moment(order), (m, order)
     # empirical frequencies over n <= 10^6
     ms = (1, 2, 3, 4, 6, 12)
     counts = count_ramanujan_values(ms, 10**6, pack)

@@ -12,7 +12,6 @@ from cyclodist.densities_prime import (
     artin_constant_accelerated,
     coeff_prime_density,
     ramanujan_prime_density,
-    ramanujan_prime_mean_abs,
     ramanujan_prime_moment,
     s_small_density,
     shifted_prime_kfree_density,
@@ -211,12 +210,12 @@ def test_prime_mean_abs_table7():
         1: Fraction(1),
     }
     for k, want in expectations.items():
-        coeff, basis = ramanujan_prime_mean_abs(k)
+        coeff, basis = ramanujan_prime_moment(k, 1)
         assert (coeff, basis) == (want, Basis.ARTIN), k
 
 
 def test_prime_mean_multiplicative_in_k():
-    coeffs = {k: ramanujan_prime_mean_abs(k)[0] for k in range(1, 37)}
+    coeffs = {k: ramanujan_prime_moment(k, 1)[0] for k in range(1, 37)}
     for k1 in range(1, 37):
         for k2 in range(1, 37):
             if k1 * k2 <= 36 and math.gcd(k1, k2) == 1:
@@ -228,19 +227,25 @@ def test_prime_moments():
     assert ramanujan_prime_moment(2, 2)[0] == Fraction(3)
     lo = ramanujan_prime_moment(2, 1 - 1e-6)[0]
     hi = ramanujan_prime_moment(2, 1 + 1e-6)[0]
-    mean = float(ramanujan_prime_mean_abs(2)[0])
+    # z = 1 is the removable singularity of the geometric ratio: its limit
+    mean = ramanujan_prime_moment(2, 1)[0]
+    assert mean == 2 and ramanujan_prime_moment(2, Fraction(1))[0] == mean
     assert abs(lo - mean) < 1e-5 and abs(hi - mean) < 1e-5
-    with pytest.raises(ValueError):
-        ramanujan_prime_moment(2, 1)
-    with pytest.raises(ValueError):
-        ramanujan_prime_moment(2, 0)
+    assert ramanujan_prime_moment(12, 1)[0] == Fraction(27, 5)
+    for z in (0, -1, -0.5):
+        with pytest.raises(ValueError):
+            ramanujan_prime_moment(2, z)
+    # past the float range: a power raises, a product would turn inf
+    for k, z in ((2, 5000.5), (3, 600.5)):
+        with pytest.raises(ResourceBudgetError, match="past the float range"):
+            ramanujan_prime_moment(k, z)
 
 
 def test_prime_moment_density_consistency():
     for k in range(1, 37):
         table = ramanujan_prime_density(k)
-        for j in (1, 2, 3):
-            assert table.moment(2 * j) == ramanujan_prime_moment(k, 2 * j)[0], (k, j)
+        for z in range(1, 7):
+            assert table.moment(z) == ramanujan_prime_moment(k, z)[0], (k, z)
 
 
 def test_s_small_densities():

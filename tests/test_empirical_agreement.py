@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cyclodist.densities_natural import coeff_density
-from cyclodist.densities_prime import artin_constant, ramanujan_prime_density, ramanujan_prime_mean_abs
+from cyclodist.densities_prime import artin_constant, ramanujan_prime_density, ramanujan_prime_moment
 from cyclodist.empirics import count_cyclo_values, scan_primes
 from cyclodist.ramanujan import natural_density_of_ramanujan
 
@@ -62,7 +62,7 @@ def test_prime_mean_abs_frequencies(pack):
     for k in (8, 21, 24, 27, 30, 36):
         rep = scan_primes("c_pminus1", k=k, nprimes=10**5, pack=pack)
         mean = sum(abs(v) * c for v, c in rep.counts.items()) / rep.total
-        want = float(ramanujan_prime_mean_abs(k)[0]) * a
+        want = float(ramanujan_prime_moment(k, 1)[0]) * a
         assert abs(mean - want) / want < 0.01, k
 
 

@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from cyclodist import ramanujan
-from cyclodist.arith import factorize, is_prime_int
+from cyclodist.arith import FactoredNat, factorize, is_prime_int, small_primes
+from cyclodist.densities_prime import ramanujan_prime_density, ramanujan_prime_moment
 from cyclodist.density import Basis
 from cyclodist.errors import ResourceBudgetError
 from cyclodist.ramanujan import (
@@ -32,6 +34,19 @@ def test_direct_oracle_examples():
     assert ramanujan_sum_direct(5, 1) == -1
     with pytest.raises(ResourceBudgetError):
         ramanujan_sum_direct(200_000, 1)
+
+
+def test_direct_oracle_holds_one_residue_array():
+    # each n near 10^5 has up to 10^5 coprime residues, 800 KB of int64:
+    # 51 of them cached at once once held 23 MB
+    tracemalloc.start()
+    try:
+        for n in range(_DIRECT_LIMIT - 50, _DIRECT_LIMIT + 1):
+            ramanujan_sum_direct(n, 1)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size < 2 << 20, size
 
 
 def test_holder_matches_direct_oracle():
@@ -173,11 +188,11 @@ def test_moments():
 
 
 def test_moment_density_consistency():
-    # the closed form asserts equality with the density table internally
     for m in range(1, 51):
+        table = natural_density_of_ramanujan(m)
         for order in (2, 4, 6):
             coeff, _ = natural_moment_of_ramanujan(m, order)
-            assert coeff > 0
+            assert coeff > 0 and coeff == table.moment(order), (m, order)
         for order in (1, 3, 5):
             assert natural_moment_of_ramanujan(m, order)[0] == 0
     # an odd order has moment 0, but only for an m that exists
@@ -185,3 +200,24 @@ def test_moment_density_consistency():
         for order in (1, 2):
             with pytest.raises(ValueError):
                 natural_moment_of_ramanujan(m, order)
+
+
+def test_moments_match_the_fold_at_random_m():
+    # the closed forms against the moments of the value tables they replace,
+    # at m drawn as products of random prime powers with folds of <= 5,000 rows
+    seed = 33
+    rng = random.Random(seed)
+    primes = small_primes(60)
+    for _ in range(25):
+        factors = []
+        for q in sorted(rng.sample(primes, rng.randint(1, 4))):
+            nu = rng.randint(1, 12)
+            if math.prod(e + 2 for _, e in factors) * (nu + 2) <= 5_000:
+                factors.append((q, nu))
+        m = FactoredNat.from_factors(factors)
+        natural, prime = natural_density_of_ramanujan(m), ramanujan_prime_density(m)
+        for order in (2, 4, 6, 8):
+            assert natural_moment_of_ramanujan(m, order)[0] == natural.moment(order), \
+                (seed, m.value, order)
+        for z in range(1, 7):
+            assert ramanujan_prime_moment(m, z)[0] == prime.moment(z), (seed, m.value, z)

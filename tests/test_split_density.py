@@ -126,7 +126,7 @@ def test_ramanujan_tables_exact_past_int64():
         natural = natural_density_of_ramanujan(m)
         assert natural.as_dict() == _merge(_ramanujan_profiles(m, over_primes=False)), m
         assert max(natural.values()) == m and min(natural.values()) == -m
-        natural_moment_of_ramanujan(m, 2)  # checks the closed form against the table
+        assert natural_moment_of_ramanujan(m, 2)[0] == natural.moment(2), m
         pairs = list(_ramanujan_profiles(m, over_primes=True))
         assert ramanujan_prime_density(m, signed=True).as_dict() == _merge(pairs), m
         assert ramanujan_prime_density(m).as_dict() == _merge((abs(v), c) for v, c in pairs), m

@@ -223,6 +223,22 @@ def test_cli_moments(capsys):
     assert code == 0 and json.loads(out)["coeff"] == "3"
     code, out, _ = run_cli(capsys, "moment", "natural", "--m", "2", "--order", "2", "--format", "json")
     assert code == 0 and json.loads(out)["coeff"] == "5/3"
+    # the mean is the z = 1 moment: Table 7's 2A and 27A/5
+    for k, want in (("2", "2"), ("12", "27/5")):
+        code, out, _ = run_cli(capsys, "moment", "prime", "--k", k, "--z", "1", "--format", "json")
+        assert code == 0 and json.loads(out)["coeff"] == want, k
+
+
+def test_cli_moment_past_the_float_range_is_a_budget_refusal(capsys):
+    # exact coefficients whose numeric field overflows a float, and a float
+    # power q^(z-1) that overflows while the moment is computed: an
+    # OverflowError escaping main would fail this test with its traceback
+    for query in (("natural", "--m", "2", "--order", "2000"),
+                  ("natural", "--m", "6", "--order", "400"),
+                  ("prime", "--k", "2", "--z", "1100"),
+                  ("prime", "--k", "2", "--z", "5000.5")):
+        code, out, err = run_cli(capsys, "moment", *query)
+        assert code == 3 and out == "" and "float range" in err, query
 
 
 def test_cli_valueset(capsys):
@@ -297,8 +313,8 @@ def test_cli_exit_codes(capsys, monkeypatch):
         assert code == 3 and "resource" in err.lower(), cmd
     code, _, err = run_cli(capsys, "mean", "--k", "81", "--method", "partition")
     assert code == 3 and "resource" in err.lower()
-    code, _, err = run_cli(capsys, "moment", "prime", "--k", "2", "--z", "1")
-    assert code == 2
+    code, out, _ = run_cli(capsys, "moment", "prime", "--k", "2", "--z", "1")
+    assert code == 0 and out
     # an odd order is no excuse for an m that does not exist
     for m in ("-3", "0"):
         for order in ("1", "2"):
@@ -355,14 +371,19 @@ def test_cli_constants_refuses_kfree_before_the_sieve(capsys, sieve_builds):
 
 
 def test_cli_ramanujan_fold_past_its_budget_exits_3(capsys):
-    # prod_(p<=37) p^3 has a fold of 5^12 rows: refused at once, where it
-    # once ran out of memory and exited 1
+    # prod_(p<=37) p^3 has a fold of 5^12 rows: its value tables are refused
+    # at once, where they once ran out of memory and exited 1; its moments,
+    # closed forms checked per prime, build no table and are answered
     m = str(math.prod(p**3 for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)))
     for argv in (("density", "natural", "--m", m), ("density", "prime", "--k", m),
-                 ("moment", "natural", "--m", m, "--order", "2")):
+                 ("moment", "natural", "--m", m, "--order", "2"),
+                 ("moment", "prime", "--k", m, "--z", "1")):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
-        assert code == 3 and out == "" and "244140625 rows" in err, argv
+        if argv[0] == "density":
+            assert code == 3 and out == "" and "244140625 rows" in err, argv
+        else:
+            assert code == 0 and out, argv
         assert time.perf_counter() - start < 1, argv
 
 
