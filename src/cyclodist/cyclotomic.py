@@ -18,7 +18,8 @@ coefficient a_n(k) is computed by
   it is the partition sum over (sum j*n_j = k) of
   prod_j (-1)^(n_j) * binom(mu(n/j), n_j), and at full degree it is
   :func:`cyclo_poly` (:func:`_divisor_product` serves both, in int64 with an
-  exact fallback to Python ints; Phi_255255 takes about 0.012 s).
+  exact fallback to Python ints, each factor applied in place on one row;
+  Phi_255255 takes about 0.009 s).
 
 The three paths share no code, which is what makes their agreement a real
 test.  The coefficient profile behind the value sets and the divisor-route
@@ -306,9 +307,12 @@ def _divisor_product(fn: FactoredNat, top: int) -> np.ndarray:
     X^d - 1 cancel, as sum_(d|n) mu(n/d) = 0), exact at any height: int64
     while that provably holds every coefficient, then Python ints.
 
-    Times 1 - X^d is one shifted subtract, at most doubling the height
-    H = max|coefficient|; times 1/(1 - X^d) = sum_j X^(jd) is a prefix sum
-    along each residue class mod d, at most H * (top//d + 1), checked by
+    Every factor is applied in place on the one row.  Times 1 - X^d is one
+    shifted subtract, out[d:] -= out[:-d], at most doubling the height
+    H = max|coefficient|.  Times 1/(1 - X^d) = sum_j X^(jd) is a prefix sum
+    along each residue class mod d: a cumsum down the full rows of the row
+    seen as a (top + 1)//d x d block, then the last full row added into the
+    (top + 1) mod d cells left over; at most H * (top//d + 1), checked by
     :func:`_int64_bound` on a carried H.  The divisors d <= top come in the
     order iter_divisors_factored yields them, which mixes the two kinds of
     factor: at n = 255255 no intermediate coefficient exceeds 1,200, while
@@ -330,16 +334,16 @@ def _divisor_product(fn: FactoredNat, top: int) -> np.ndarray:
         if not bound and out.dtype != object:
             out = out.astype(object)
         if mu == 1:
-            out[d:] = out[d:] - out[:-d]
+            out[d:] -= out[:-d]  # numpy buffers the overlapping operands
         else:
-            classes = np.concatenate([out, np.zeros(-(top + 1) % d, dtype=out.dtype)])
-            classes = classes.reshape(-1, d)
-            if len(classes) > d:
-                classes = classes.cumsum(axis=0)
+            full = (top + 1) // d
+            classes = out[: full * d].reshape(full, d)
+            if full > d:
+                np.cumsum(classes, axis=0, out=classes)
             else:  # few long rows: cumsum(axis=0) would step down each column
-                for i in range(1, len(classes)):
+                for i in range(1, full):
                     classes[i] += classes[i - 1]
-            out = classes.ravel()[: top + 1]
+            out[full * d :] += classes[-1, : top + 1 - full * d]
     return out
 
 

@@ -30,7 +30,7 @@ from .cyclotomic import coeff_profile
 from .density import (Basis, DensityTable, ExponentSpec, artin_local_factor,
                       local_valuation_density, split_density)
 from .errors import InternalConsistencyError, ResourceBudgetError
-from .ramanujan import _local_moment, ramanujan_split
+from .ramanujan import _local_moment, _moment_budget, ramanujan_split
 
 #: pi(x) < 1.25506 x / log x (Rosser-Schoenfeld) turns, via partial
 #: summation, into  sum_(p > P) 1/(p(p-1)) <= 2.52 / (P log P).
@@ -253,17 +253,21 @@ def ramanujan_prime_moment(
 
     Exact rational for integer z, each factor checked against
     :func:`cyclodist.ramanujan._local_moment`, the ratio (q^(nu(z-1)) - 1) /
-    (q^(z-1) - 1) taken as its limit nu at z = 1, the mean; floating point
-    otherwise (per-factor error ~1e-12), refused past the float range."""
+    (q^(z-1) - 1) taken as its limit nu at z = 1, the mean, and refused past
+    :data:`cyclodist.ramanujan.MOMENT_MAX_BITS`; floating point otherwise
+    (per-factor error ~1e-12), refused past the float range."""
     if isinstance(z, Rational) and z == int(z):
         z = int(z)
     if not z > 0:
         raise ValueError("moment order z must be positive")
+    fk = as_factored(k)
+    if isinstance(z, int):
+        _moment_budget(fk, z)
     kind = Fraction if isinstance(z, int) else float
     z = kind(z)
     coeff = kind(1)
     try:
-        for q, nu in as_factored(k).factors:
+        for q, nu in fk.factors:
             qz = kind(q) ** (z - 1)
             top, bottom = (nu, 1) if z == 1 else (qz**nu - 1, qz - 1)
             factor = 1 + top * (q - 1) * (kind(q - 1) ** z + qz - 1) / ((q * q - q - 1) * bottom)

@@ -196,7 +196,7 @@ def split_density(
     Every exponent vector with e_q <= cap_q carries the density
     prod_q w(q, e_q) of its class with a squarefree cofactor
     (:func:`_local_weight`; 0 where `keep(q, e_q)` is false), split evenly
-    between the two signs.  `pairs`, an integer array of shape
+    between the two signs.  `pairs`, an integer or object array of shape
     (prod_q (cap_q + 1), 2), holds in row i the values for sign +1 and -1 at
     the vector whose exponents are the mixed-radix digits of i, the first
     prime of `caps` most significant (the order of itertools.product over
@@ -204,21 +204,26 @@ def split_density(
     squarefree, must give the value 0, whose mass stays implicit.
 
     Each prime's weights are integer numerators num_q(e) over one common
-    denominator.  The head is the longest leading run of primes for which
-    2 prod_(q in head) sum_e num_q(e), the largest sum one value can collect
-    over the head's cells and both signs, stays within _INT64_MAX; the tail
-    is the rest, the largest primes, which vary fastest in row order.  So
-    the pairs are a (H, T, 2) view, H head cells by T tail cells, and the
-    head weights are summed per (tail cell, value) into a T x V int64 table
-    by one np.add.at, V the number of distinct values.  That table is then
-    contracted with the tail weights in Python ints, one product per
-    (tail cell, value), and each value costs one Fraction at the end.  At
-    k = 61 the coefficient profile has V = 27, and T = 12 over n or 384 over
-    p - 1; the head covers every prime (T = 1) up to k = 43 over n and
-    k = 28 over p - 1.  Where V > 2H the T x V table would outgrow the
-    pairs, as for c_n(m), which takes nearly one value per row (at
-    nu_2(m) >= 61 the prime 2 alone breaks the bound, so H = 1); there the
-    head takes every prime with Python-int weights: one weight per row."""
+    denominator; the dtype of `pairs` picks the fold, and one that is neither
+    integer nor object raises TypeError.  Each value costs one Fraction.
+
+    * int8 pairs (the coefficient profiles) are folded in int64.  The head
+      is the longest leading run of primes for which 2 prod_(q in head)
+      sum_e num_q(e), the largest sum one value can collect over the head's
+      cells and both signs, stays within _INT64_MAX; the tail is the rest,
+      the largest primes, which vary fastest in row order.  So the pairs are
+      a (H, T, 2) view, H head cells by T tail cells, and the head weights
+      are summed per (tail cell, value) into a T x V int64 table by one
+      np.add.at, V the number of distinct values, then contracted with the
+      tail weights in Python ints.  At k = 61 the profile has V = 27, and
+      T = 12 over n or 384 over p - 1; the head covers every prime (T = 1)
+      up to k = 43 over n and k = 28 over p - 1.
+    * Other pairs (c_n(m), nearly one value per row, unbounded) are folded
+      row by row in Python ints: the row's weight numerator, the product of
+      its primes' numerators, is added to a dict keyed by value once per
+      sign, and a row of weight 0 adds nothing."""
+    if not (np.issubdtype(pairs.dtype, np.integer) or pairs.dtype == object):
+        raise TypeError(f"split_density folds integer or object pairs, not {pairs.dtype}")
     denom, nums = 2, []
     for q, cap in caps:
         local = [_local_weight(basis, q, e) if keep is None or keep(q, e) else Fraction(0)
@@ -226,37 +231,40 @@ def split_density(
         den = math.lcm(*(w.denominator for w in local))
         nums.append([w.numerator * (den // w.denominator) for w in local])
         denom *= den
-    split, bound = 0, 2
-    for num in nums:
-        bound *= sum(num)
-        if bound > _INT64_MAX:
-            break
-        split += 1
-    if pairs.dtype == np.int8:
-        values = sorted(_distinct_int8(pairs))  # at most 256, read in byte order
+    if pairs.dtype != np.int8:
+        weights = [1]
+        for num in nums:
+            weights = [w * x for w in weights for x in num]
+        sums = {}
+        for w, (plus, minus) in zip(weights, pairs.tolist()):
+            if w:
+                sums[plus] = sums.get(plus, 0) + w
+                sums[minus] = sums.get(minus, 0) + w
+        items = sums.items()
+    else:
+        split, bound = 0, 2
+        for num in nums:
+            bound *= sum(num)
+            if bound > _INT64_MAX:
+                break
+            split += 1
+        values = _distinct_int8(pairs)  # at most 256
         code = np.zeros(256, dtype=np.intp)
         code[np.array(values, dtype=np.int8).view(np.uint8)] = np.arange(len(values))
-        at = code[pairs.view(np.uint8)]
-    else:
-        values = sorted(set(pairs.ravel().tolist()))  # no arithmetic on the entries
-        at = np.searchsorted(np.array(values, dtype=pairs.dtype), pairs)
-    dtype = np.int64
-    if len(values) > 2 * math.prod(len(num) for num in nums[:split]):
-        split, dtype = len(nums), object  # V > 2H: a T x V table would outgrow the pairs
-    head, tail = np.ones(1, dtype=dtype), np.ones(1, dtype=object)
-    for num in nums[:split]:
-        head = np.multiply.outer(head, np.array(num, dtype=dtype)).ravel()
-    for num in nums[split:]:
-        tail = np.multiply.outer(tail, np.array(num, dtype=object)).ravel()
-    at = at.reshape(len(head), len(tail), 2)
-    at += (np.arange(len(tail)) * len(values))[:, None]
-    sums = np.zeros(len(tail) * len(values), dtype=dtype)
-    np.add.at(sums, at.ravel(), np.repeat(head, 2 * len(tail)))
-    totals = tail @ sums.reshape(len(tail), len(values)).astype(object)
-    table = DensityTable(  # values are sorted, and from_dict's pass costs ~10% at small m
+        head, tail = np.ones(1, dtype=np.int64), np.ones(1, dtype=object)
+        for num in nums[:split]:
+            head = np.multiply.outer(head, np.array(num, dtype=np.int64)).ravel()
+        for num in nums[split:]:
+            tail = np.multiply.outer(tail, np.array(num, dtype=object)).ravel()
+        at = code[pairs.view(np.uint8)].reshape(len(head), len(tail), 2)
+        at += (np.arange(len(tail)) * len(values))[:, None]
+        sums = np.zeros(len(tail) * len(values), dtype=np.int64)
+        np.add.at(sums, at.ravel(), np.repeat(head, 2 * len(tail)))
+        items = zip(values, (tail @ sums.reshape(len(tail), len(values)).astype(object)).tolist())
+    table = DensityTable(  # from_dict's pass costs ~10% at small m
         statistic,
         basis,
-        tuple((v, Fraction(num, denom)) for v, num in zip(values, totals.tolist()) if v and num),
+        tuple(sorted((v, Fraction(num, denom)) for v, num in items if v and num)),
         conditional,
     )
     table.validate()

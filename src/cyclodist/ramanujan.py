@@ -21,7 +21,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .arith import FactoredLike, as_factored
+from .arith import FactoredLike, FactoredNat, as_factored
 from .density import Basis, DensityTable, _local_weight, split_density
 from .errors import InternalConsistencyError, OraclePrecisionError, ResourceBudgetError
 
@@ -29,11 +29,16 @@ _DIRECT_LIMIT = 100_000
 _ROUND_TOLERANCE = 0.4
 #: most rows, prod_(q | m) (nu_q(m) + 2), of the fold of c_n(m), a row
 #: counted once per 128 bits of m, as its Python ints grow with m.  Fresh
-#: processes on 2 cores: prod_(p<=19) p^3, 390,625 rows of 70 bits, 2.75 s at
-#: a 172 MB peak; 2^1500 3^18, 30,040 rows of 12 x 128 bits, 0.68 s at 74 MB;
-#: 2^630 3^630, 399,424 rows of 13 x 128 bits and refused, would take 17 s at
-#: 663 MB
+#: processes on 2 cores, natural fold: prod_(p<=19) p^3, 390,625 rows of 70
+#: bits, 2.22-2.64 s at a 157 MB peak; 2^1500 3^18, 30,040 rows of 12 x 128
+#: bits, 0.65-0.89 s at 66 MB; 2^630 3^630, 399,424 rows of 13 x 128 bits and
+#: refused, would take 12.9 s at 614 MB
 RAMANUJAN_FOLD_MAX_ROWS = 400_000
+#: most bits, order * sum_(q | m) (nu_q(m) + 1) log2 q, of the powers an exact
+#: moment of c_n(m) or |c_(p-1)(m)| builds.  Fresh processes on 2 cores: at 2^19
+#: bits the prime side takes 0.25 s (m = 2, z = 262,144) and the natural side
+#: under 0.1 s; at 2^20 bits the prime side takes up to 1.0 s
+MOMENT_MAX_BITS = 2**19
 
 
 def _local_value(q: int, e: int, nu: int) -> int:
@@ -110,10 +115,11 @@ def ramanujan_split(m: FactoredLike) -> Tuple[List[Tuple[int, int]], np.ndarray]
     c_n(m) = mu(b) * c_(n_S)(m) by Hölder's local factors, and S is capped
     by :func:`ramanujan_caps`.  Row i is (c, -c) for c = c_(n_S)(m) at
     position i of the caps grid (the first prime of m most significant): the
-    local factors multiplied out, as Python ints (dtype object), since
-    c_n(m) is unbounded.  More than RAMANUJAN_FOLD_MAX_ROWS rows, each
-    counted once per 128 bits of m, raise ResourceBudgetError before any is
-    built."""
+    local factors multiplied out in a Python list, since c_n(m) is unbounded,
+    and handed over as one (rows, 2) array of dtype object, which
+    split_density folds one row at a time.  More than RAMANUJAN_FOLD_MAX_ROWS
+    rows, each counted once per 128 bits of m, raise ResourceBudgetError
+    before any is built."""
     fm = as_factored(m)
     caps = ramanujan_caps(fm)
     rows = math.prod(cap + 1 for _, cap in caps)
@@ -121,11 +127,14 @@ def ramanujan_split(m: FactoredLike) -> Tuple[List[Tuple[int, int]], np.ndarray]
     if rows * width > RAMANUJAN_FOLD_MAX_ROWS:
         raise ResourceBudgetError(f"the fold of c_n({fm.value}) has {rows} rows of {width} x 128 "
                                   f"bits, past the {RAMANUJAN_FOLD_MAX_ROWS} budget")
-    table = np.ones(1, dtype=object)
+    row = [1]
     for q, nu in fm.factors:
-        local = np.array([_local_value(q, e, nu) for e in range(nu + 2)], dtype=object)
-        table = np.multiply.outer(table, local).ravel()
-    return caps, np.stack((table, -table), axis=1)
+        local = [_local_value(q, e, nu) for e in range(nu + 2)]
+        row = [c * x for c in row for x in local]
+    pairs = np.empty((len(row), 2), dtype=object)
+    pairs[:, 0] = row
+    np.negative(pairs[:, 0], out=pairs[:, 1])
+    return caps, pairs
 
 
 def natural_density_of_ramanujan(m: FactoredLike) -> DensityTable:
@@ -155,15 +164,26 @@ def _local_moment_factor(q: int, nu: int, order: int) -> Fraction:
     return total / (1 + Fraction(1, q))
 
 
+def _moment_budget(fm: FactoredNat, order: int) -> None:
+    """Refuse, before any power is built, an exact moment of order `order` at
+    m = `fm` past MOMENT_MAX_BITS."""
+    bits = order * sum((nu + 1) * math.log2(q) for q, nu in fm.factors)
+    if bits > MOMENT_MAX_BITS:
+        raise ResourceBudgetError(f"the order-{order} moment at m = {fm.value} builds about "
+                                  f"{bits:.0f}-bit integers, past the {MOMENT_MAX_BITS} budget")
+
+
 def natural_moment_of_ramanujan(m: FactoredLike, order: int) -> Tuple[Fraction, Basis]:
     """Mean of c_n(m)^order over n: exactly 0 for odd order, and an exact
     rational multiple of 6/pi^2 for even order.  Each prime's closed-form
-    factor is checked against :func:`_local_moment` before returning."""
+    factor is checked against :func:`_local_moment` before returning; an even
+    order past :data:`MOMENT_MAX_BITS` raises ResourceBudgetError."""
     if order < 1:
         raise ValueError("moment order must be >= 1")
     fm = as_factored(m)
     if order % 2 == 1:
         return Fraction(0), Basis.ONE
+    _moment_budget(fm, order)
     coeff = Fraction(1)
     for q, nu in fm.factors:
         local = _local_moment_factor(q, nu, order)

@@ -11,6 +11,7 @@ from cyclodist.arith import (
     euler_phi,
     factorize,
     least_prime_above,
+    mobius,
     small_primes,
 )
 from cyclodist.cyclotomic import (
@@ -380,18 +381,32 @@ def test_random_cross_routes_with_square_factors():
     assert squareful > 100
 
 
-def test_divisor_product_matches_recurrence():
-    # the divisor product, in int64 rows at these heights, against the
-    # recurrence on random n < 10^6 truncated at random top <= phi(n), 400
-    rng = random.Random(2027)
-    squareful = 0
+def test_divisor_product_matches_recurrence(monkeypatch):
+    # the divisor product against the recurrence on random n < 10^6
+    # truncated at random top <= phi(n), 400: in int64 rows at these heights,
+    # then again with the int64 bound lowered so that the rows turn to Python
+    # ints before, or between, the in-place steps.  The prefix sums must meet
+    # classes of top + 1 cells that do not fill their last row, and classes
+    # with no more rows than columns (the row-by-row loop)
+    seed = 2027
+    rng = random.Random(seed)
+    squareful, leftover, few_rows, objects = 0, 0, 0, 0
     for _ in range(200):
         fn = factorize(rng.randrange(2, 10**6))
         squareful += not fn.is_squarefree()
         top = rng.randint(0, min(fn.phi(), 400))
+        want = cyclo_coeff_prefix(fn, top)
+        sums = [d for d in range(1, top + 1) if fn.value % d == 0 and mobius(fn.value // d) == -1]
+        leftover += sum((top + 1) % d != 0 for d in sums)
+        few_rows += sum(1 < (top + 1) // d <= d for d in sums)
         out = cyclotomic._divisor_product(fn, top)
-        assert out.tolist() == cyclo_coeff_prefix(fn, top), (fn.value, top)
-    assert squareful > 50
+        assert out.tolist() == want, (seed, fn.value, top)
+        with monkeypatch.context() as patch:
+            patch.setattr(cyclotomic, "_INT64_MAX", rng.choice((1, 10, 1000)))
+            out = cyclotomic._divisor_product(fn, top)
+        objects += out.dtype == object
+        assert out.tolist() == want, (seed, fn.value, top, "object rows")
+    assert squareful > 50 and leftover > 200 and few_rows > 50 and objects > 100, seed
 
 
 def _phi(n: int, k: int) -> int:

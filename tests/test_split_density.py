@@ -177,10 +177,10 @@ def _head_length(basis, caps, keep, bound):
 
 def test_split_density_matches_brute_force(monkeypatch):
     # every value, position, weight and the entry order against a Fraction
-    # sum over itertools.product (first prime of caps most significant),
-    # with the head's int64 bound lowered so that every split of caps into
-    # int64 head and Python-int tail is taken, and the per-row fold where
-    # the values outnumber twice the head cells
+    # sum over itertools.product (first prime of caps most significant).
+    # int8 pairs take the int64 head/tail fold, with the head's int64 bound
+    # lowered so that every split of caps into int64 head and Python-int
+    # tail is taken; int64 and object pairs always take the per-row fold
     rng = random.Random(15)
     seen = set()
     for trial in range(600):
@@ -195,19 +195,19 @@ def test_split_density_matches_brute_force(monkeypatch):
                   for j in range(len(caps) + 1)]
         bound = rng.choice(bounds + [2**63 - 1, 1])
         monkeypatch.setattr(density, "_INT64_MAX", bound)
-        head = _head_length(basis, caps, keep, bound)
-        if len(set(pairs.ravel().tolist())) > 2 * math.prod(cap + 1 for _, cap in caps[:head]):
-            head = len(caps)
+        head = None
+        if pairs.dtype != np.int8:
             seen.add(("per row", pairs.dtype))
         else:
+            head = _head_length(basis, caps, keep, bound)
             seen.add(("all head" if head == len(caps) else "all tail" if not head else "mixed",
                       pairs.dtype))
-        tail = caps[head:]
-        if tail and any(cap >= 2 for _, cap in tail):
-            seen.add("tail cap >= 2")
-        if tail and keep is not None and any(not keep(q, e) for q, cap in tail
-                                             for e in range(cap + 1)):
-            seen.add("keep zeroes a tail weight")
+            tail = caps[head:]
+            if tail and any(cap >= 2 for _, cap in tail):
+                seen.add("tail cap >= 2")
+            if tail and keep is not None and any(not keep(q, e) for q, cap in tail
+                                                 for e in range(cap + 1)):
+                seen.add("keep zeroes a tail weight")
         want = {}
         for exps, row in zip(grid, pairs.tolist()):
             if keep is not None and not all(keep(q, e) for (q, _), e in zip(caps, exps)):
@@ -218,10 +218,23 @@ def test_split_density_matches_brute_force(monkeypatch):
         want = tuple(sorted((v, c) for v, c in want.items() if v and c))
         got = split_density("f", basis, caps, pairs, keep=keep)
         assert got.entries == want, (trial, caps, head, pairs.dtype, basis)
-    dtypes = {np.dtype(np.int8), np.dtype(np.int64), np.dtype(object)}
-    kinds = ("all head", "mixed", "all tail", "per row")
-    assert seen >= {(kind, dtype) for kind in kinds for dtype in dtypes}
+    int8 = np.dtype(np.int8)
+    assert seen >= {("all head", int8), ("mixed", int8), ("all tail", int8),
+                    ("per row", np.dtype(np.int64)), ("per row", np.dtype(object))}
     assert {"tail cap >= 2", "keep zeroes a tail weight"} <= seen
+
+
+def test_split_density_refuses_pairs_that_are_not_integers():
+    # the dtype picks the fold: float pairs once folded silently into float
+    # values, and bool pairs are no statistic's values either
+    caps = [(2, 1)]
+    for dtype in (np.float64, np.float32, np.complex128, bool, np.str_):
+        pairs = np.ones((2, 2), dtype=dtype)
+        with pytest.raises(TypeError, match="integer or object pairs"):
+            split_density("f", Basis.SIX_OVER_PI2, caps, pairs)
+    for dtype in (np.int8, np.int16, np.int64, np.uint8, np.uint64, object):
+        pairs = np.ones((2, 2), dtype=dtype)
+        assert split_density("f", Basis.SIX_OVER_PI2, caps, pairs).entries == ((1, Fraction(1)),)
 
 
 def test_split_density_head_bound_counts_both_signs():

@@ -241,6 +241,24 @@ def test_cli_moment_past_the_float_range_is_a_budget_refusal(capsys):
         assert code == 3 and out == "" and "float range" in err, query
 
 
+def test_cli_moment_past_its_bit_budget_exits_3(capsys):
+    # order 10^5 at m = 720720 builds integers of about 3.4 x 10^6 bits: the
+    # CLI once refused it as past the float range only after 0.83 s
+    # (natural) and 2.8 s (prime) of exact work, and 16 s at order 10^6
+    for query in (("natural", "--m", "720720", "--order", "100000"),
+                  ("prime", "--k", "720720", "--z", "100000"),
+                  ("natural", "--m", "720720", "--order", "1000000"),
+                  ("prime", "--k", "720720", "--z", "1000000")):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "moment", *query)
+        assert code == 3 and out == "" and "524288 budget" in err, query
+        assert time.perf_counter() - start < 1, query
+    # an odd natural order is exactly 0 at any size
+    code, out, _ = run_cli(capsys, "moment", "natural", "--m", "720720", "--order", "1000001",
+                           "--format", "json")
+    assert code == 0 and json.loads(out)["coeff"] == "0"
+
+
 def test_cli_valueset(capsys):
     code, out, _ = run_cli(capsys, "valueset", "--k", "7", "--format", "json")
     payload = json.loads(out)
