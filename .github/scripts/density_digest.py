@@ -33,8 +33,10 @@ PARTITION_K = 80  # the partition route's cap
 VALUE_SET_KS = range(61, 1, -1)
 PARTITION_KS = (80, 79, 61, 49, 48, 40, 35, 12, 2, 1, 0, -3)  # descending, then empty
 # 2**61 * 105: the prime 2 alone breaks the int64 head bound and c_n(m)
-# takes 1276 values over 1701 rows, so the fold sums per row in Python ints
-RAMANUJAN_MS = list(range(1, 301)) + [720720, 9699690, 2**80, 2**61 * 105, 3**50 * 5**3, 10**25]
+# takes 1276 values over 1701 rows, so the fold sums per row in Python ints;
+# 2**1500 * 3**18 has 57,040 values, the table whose check sums the most
+RAMANUJAN_MS = (list(range(1, 301)) + [720720, 9699690, 2**80, 2**61 * 105, 3**50 * 5**3, 10**25]
+                + [2**1500 * 3**18])
 CONSTRAINTS = [
     ((2, 1),), ((2, ("ge", 2)),), ((2, 2), (3, 1)), ((3, 0),), ((3, 1),),
     ((3, ("ge", 2)),), ((2, ("ge", 1)), (5, 0)), ((2, 3), (3, ("ge", 1)), (7, 1)),

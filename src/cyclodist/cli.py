@@ -256,7 +256,10 @@ def _run(args) -> int:
         else:
             if args.k is None or args.z is None:
                 raise ValueError("moment prime needs --k and --z")
-            z = Fraction(args.z)
+            try:
+                z = Fraction(args.z)
+            except ZeroDivisionError:
+                raise ValueError(f"moment order --z {args.z} has a zero denominator") from None
             coeff, basis = ramanujan_prime_moment(args.k, z)
             payload = {"k": args.k, "z": str(z)}
         try:

@@ -251,32 +251,37 @@ def ramanujan_prime_moment(
         prod_(q|k) (1 + (q^(nu(z-1)) - 1)(q-1)[(q-1)^z + q^(z-1) - 1]
                         / ((q^2 - q - 1)(q^(z-1) - 1)))
 
-    Exact rational for integer z, each factor checked against
-    :func:`cyclodist.ramanujan._local_moment`, the ratio (q^(nu(z-1)) - 1) /
-    (q^(z-1) - 1) taken as its limit nu at z = 1, the mean, and refused past
-    :data:`cyclodist.ramanujan.MOMENT_MAX_BITS`; floating point otherwise
+    Exact rational for integer z (a float with an integer value among them),
+    the ratio (q^(nu(z-1)) - 1) / (q^(z-1) - 1) taken as the integer
+    sum_(i<nu) q^(i(z-1)), which is nu at z = 1, the mean; each factor checked
+    against :func:`cyclodist.ramanujan._local_moment`, and refused past
+    :data:`cyclodist.ramanujan.MOMENT_MAX_BITS`.  Floating point otherwise
     (per-factor error ~1e-12), refused past the float range."""
-    if isinstance(z, Rational) and z == int(z):
+    if isinstance(z, float) and z.is_integer() or isinstance(z, Rational) and z.denominator == 1:
         z = int(z)
     if not z > 0:
         raise ValueError("moment order z must be positive")
     fk = as_factored(k)
     if isinstance(z, int):
         _moment_budget(fk, z)
-    kind = Fraction if isinstance(z, int) else float
-    z = kind(z)
-    coeff = kind(1)
-    try:
+        coeff = Fraction(1)
         for q, nu in fk.factors:
-            qz = kind(q) ** (z - 1)
-            top, bottom = (nu, 1) if z == 1 else (qz**nu - 1, qz - 1)
-            factor = 1 + top * (q - 1) * (kind(q - 1) ** z + qz - 1) / ((q * q - q - 1) * bottom)
-            if kind is Fraction and factor != _local_moment(Basis.ARTIN, q, nu, int(z)):
+            ratio = sum(q ** (i * (z - 1)) for i in range(nu))
+            factor = 1 + Fraction(ratio * (q - 1) * ((q - 1) ** z + q ** (z - 1) - 1), q * q - q - 1)
+            if factor != _local_moment(Basis.ARTIN, q, nu, z):
                 raise InternalConsistencyError(f"moment factor mismatch at q={q}, nu={nu}, z={z}")
             coeff *= factor
+        return coeff, Basis.ARTIN
+    z = float(z)
+    coeff = 1.0
+    try:
+        for q, nu in fk.factors:
+            qz = float(q) ** (z - 1)
+            coeff *= 1 + ((qz**nu - 1) * (q - 1) * (float(q - 1) ** z + qz - 1)
+                          / ((q * q - q - 1) * (qz - 1)))
     except OverflowError:  # a float power past the range raises; a float product turns inf
         coeff = math.inf
-    if kind is float and not math.isfinite(coeff):
+    if not math.isfinite(coeff):
         raise ResourceBudgetError(f"the z = {z} moment of |c_(p-1)(k)| is past the float range")
     return coeff, Basis.ARTIN
 
@@ -325,7 +330,5 @@ def s_small_density(
     covers.  Sign splits are conditional."""
     table, _ = coeff_prime_density(k, constraint)
     sign = -1 if k % 2 else 1
-    return DensityTable.from_dict(
-        f"s_{k}(p) mod p", Basis.ARTIN, {sign * v: c for v, c in table.entries},
-        conditional=True,
-    )
+    return DensityTable(f"s_{k}(p) mod p", Basis.ARTIN,
+                        tuple(sorted((sign * v, c) for v, c in table.entries)), conditional=True)

@@ -57,6 +57,12 @@ class DensityTable:
     so the density of v is entries[v] * basis.  `conditional` flags tables
     that rest on the unproved sign-equidistribution conjecture for Möbius
     values over shifted primes.
+
+    A table is checked when it is built.  Each coefficient is a Fraction, or
+    TypeError (Fraction(0.1) would be the binary expansion of 0.1).  The
+    values strictly increase, each coefficient is positive, and the numeric
+    nonzero mass (a float sum, error ~2^-52 of it) is at most 1 + 1e-12, so
+    the implicit v = 0 entry has a mass in [0, 1]; or ValueError.
     """
 
     statistic: str
@@ -64,24 +70,22 @@ class DensityTable:
     entries: Tuple[Tuple[int, Fraction], ...]
     conditional: bool = False
 
-    @classmethod
-    def from_dict(
-        cls,
-        statistic: str,
-        basis: Basis,
-        mapping: Dict[int, Fraction],
-        conditional: bool = False,
-    ) -> "DensityTable":
-        for c in mapping.values():  # Fraction(0.1) is the binary expansion of 0.1
-            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
-                raise TypeError(f"density coefficient {c!r} is not an int or a Fraction")
-        items = tuple(
-            (int(v), c if isinstance(c, Fraction) else Fraction(c))
-            for v, c in sorted(mapping.items()) if c != 0
-        )
-        table = cls(statistic, basis, items, conditional)
-        table.validate()
-        return table
+    def __post_init__(self):
+        coeffs = [c for _, c in self.entries]
+        for c in coeffs:
+            if not isinstance(c, Fraction):
+                raise TypeError(f"density coefficient {c!r} is not a Fraction")
+        values = [v for v, _ in self.entries]
+        if any(a >= b for a, b in zip(values, values[1:])):
+            raise ValueError("density table values are not strictly increasing")
+        if any(c.numerator <= 0 for c in coeffs):
+            raise ValueError("density table carries a non-positive coefficient")
+        try:
+            mass = math.fsum(map(float, coeffs)) * basis_numeric(self.basis)
+        except OverflowError:  # a coefficient past the float range
+            mass = math.inf
+        if mass > 1 + 1e-12:
+            raise ValueError(f"density table nonzero mass {mass} exceeds 1")
 
     def as_dict(self) -> Dict[int, Fraction]:
         return dict(self.entries)
@@ -115,17 +119,8 @@ class DensityTable:
 
     def records(self) -> list:
         b = basis_numeric(self.basis)
-        out = []
-        for v, c in self.entries:
-            out.append(
-                {
-                    "value": v,
-                    "coeff": str(c),
-                    "basis": self.basis.value,
-                    "numeric": float(c) * b,
-                }
-            )
-        return out
+        return [{"value": v, "coeff": str(c), "basis": self.basis.value, "numeric": float(c) * b}
+                for v, c in self.entries]
 
     def to_json(self) -> str:
         payload = {
@@ -135,16 +130,6 @@ class DensityTable:
             "zero_mass_numeric": self.numeric(0),
         }
         return json.dumps(payload, sort_keys=True)
-
-    def validate(self, tol: float = 1e-12) -> None:
-        """Check the type invariants: every stored coefficient is positive
-        and the numeric nonzero mass lies in [0, 1] (up to `tol`), so the
-        implicit v = 0 entry gets a mass in [0, 1] as well."""
-        if any(c.numerator <= 0 for _, c in self.entries):
-            raise ValueError("density table carries a non-positive coefficient")
-        mass = float(self.nonzero_mass()) * basis_numeric(self.basis)
-        if not -tol <= mass <= 1 + tol:
-            raise ValueError(f"density table nonzero mass {mass} outside [0, 1]")
 
 
 # -- the split-profile fold ---------------------------------------------------------
@@ -261,11 +246,6 @@ def split_density(
         sums = np.zeros(len(tail) * len(values), dtype=np.int64)
         np.add.at(sums, at.ravel(), np.repeat(head, 2 * len(tail)))
         items = zip(values, (tail @ sums.reshape(len(tail), len(values)).astype(object)).tolist())
-    table = DensityTable(  # from_dict's pass costs ~10% at small m
-        statistic,
-        basis,
-        tuple(sorted((v, Fraction(num, denom)) for v, num in items if v and num)),
-        conditional,
-    )
-    table.validate()
-    return table
+    return DensityTable(statistic, basis,
+                        tuple(sorted((v, Fraction(num, denom)) for v, num in items if v and num)),
+                        conditional)

@@ -35,9 +35,10 @@ _ROUND_TOLERANCE = 0.4
 #: refused, would take 12.9 s at 614 MB
 RAMANUJAN_FOLD_MAX_ROWS = 400_000
 #: most bits, order * sum_(q | m) (nu_q(m) + 1) log2 q, of the powers an exact
-#: moment of c_n(m) or |c_(p-1)(m)| builds.  Fresh processes on 2 cores: at 2^19
-#: bits the prime side takes 0.25 s (m = 2, z = 262,144) and the natural side
-#: under 0.1 s; at 2^20 bits the prime side takes up to 1.0 s
+#: moment of c_n(m) or |c_(p-1)(m)| builds.  Fresh processes on 2 cores, one
+#: call each: both sides take about the same time, at 2^19 bits at most 0.11 s
+#: (m = prod_(p<=19) p^3, order 4332; 0.08 s at m = 2^60 and 0.01 s at m = 2),
+#: and at 2^20 bits at most 0.16 s (m = 2^60)
 MOMENT_MAX_BITS = 2**19
 
 
@@ -166,11 +167,14 @@ def _local_moment_factor(q: int, nu: int, order: int) -> Fraction:
 
 def _moment_budget(fm: FactoredNat, order: int) -> None:
     """Refuse, before any power is built, an exact moment of order `order` at
-    m = `fm` past MOMENT_MAX_BITS."""
-    bits = order * sum((nu + 1) * math.log2(q) for q, nu in fm.factors)
+    m = `fm` past MOMENT_MAX_BITS.  Each prime of m adds at least 2 bits per
+    unit of order, so an order past the budget is refused as it is, before it
+    meets a float; m = 1 builds 0 bits at any order."""
+    bits = min(order, MOMENT_MAX_BITS + 1) * sum((nu + 1) * math.log2(q) for q, nu in fm.factors)
     if bits > MOMENT_MAX_BITS:
-        raise ResourceBudgetError(f"the order-{order} moment at m = {fm.value} builds about "
-                                  f"{bits:.0f}-bit integers, past the {MOMENT_MAX_BITS} budget")
+        size = order if order <= MOMENT_MAX_BITS else f">= 2^{order.bit_length() - 1}"
+        raise ResourceBudgetError(f"the moment of order {size} at m = {fm.value} builds integers of "
+                                  f"about {bits:.0f} bits or more, past the {MOMENT_MAX_BITS} budget")
 
 
 def natural_moment_of_ramanujan(m: FactoredLike, order: int) -> Tuple[Fraction, Basis]:

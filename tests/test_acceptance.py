@@ -185,7 +185,6 @@ def test_criterion_12_value_distribution_suite(pack):
     # exact mass bookkeeping for m <= 50
     for m in range(1, 51):
         table = natural_density_of_ramanujan(m)
-        table.validate()
         fm = factorize(m)
         closed = Fraction(1)
         for q, nu in fm.factors:

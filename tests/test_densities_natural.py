@@ -240,35 +240,46 @@ def test_density_examples():
 
 
 def test_density_tables_validate():
-    for k in range(1, 31):
-        table = coeff_density(k)
-        assert table.basis is Basis.SIX_OVER_PI2
-        table.validate()
+    for k in range(1, 31):  # each table is checked when it is built
+        assert coeff_density(k).basis is Basis.SIX_OVER_PI2
 
 
-def test_validate_rejects_bad_tables():
-    with pytest.raises(ValueError):
-        DensityTable.from_dict("neg", Basis.ONE, {1: Fraction(1, 2), 2: Fraction(-1, 4)}).validate()
-    with pytest.raises(ValueError):
-        DensityTable("zero", Basis.ONE, ((1, Fraction(0)),)).validate()
-    with pytest.raises(ValueError):
-        DensityTable.from_dict("over", Basis.ONE, {-1: Fraction(3, 4), 1: Fraction(1, 2)}).validate()
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("entries, basis, error", [
+    pytest.param(((1, 0.5),), Basis.ONE, TypeError, id="float"),
+    pytest.param(((1, 0.1),), Basis.ONE, TypeError, id="float-0.1"),
+    pytest.param(((1, 0.0),), Basis.ONE, TypeError, id="float-zero"),
+    pytest.param(((1, 1.0),), Basis.ONE, TypeError, id="float-one"),
+    pytest.param(((1, True),), Basis.ONE, TypeError, id="bool"),
+    pytest.param(((1, 1),), Basis.ONE, TypeError, id="int"),
+    pytest.param(((1, 0),), Basis.ONE, TypeError, id="int-zero"),
+    pytest.param(((1, "1/2"),), Basis.ONE, TypeError, id="str"),
+    pytest.param(((1, Decimal("0.5")),), Basis.ONE, TypeError, id="decimal"),
+    pytest.param(((-1, HALF), (1, 0.25)), Basis.ONE, TypeError, id="float-after-fraction"),
+    pytest.param(((1, Fraction(0)),), Basis.ONE, ValueError, id="zero"),
+    pytest.param(((1, HALF), (2, Fraction(-1, 4))), Basis.ONE, ValueError, id="negative"),
+    pytest.param(((1, Fraction(1, 4)), (1, Fraction(1, 4))), Basis.ONE, ValueError, id="repeated"),
+    pytest.param(((2, Fraction(1, 4)), (1, Fraction(1, 4))), Basis.ONE, ValueError, id="decreasing"),
+    pytest.param(((-1, Fraction(3, 4)), (1, HALF)), Basis.ONE, ValueError, id="over-one"),
+    # 1 + 1e-11 is past the float rounding the check allows, 1e-12
+    pytest.param(((1, Fraction(10**11 + 1, 10**11)),), Basis.ONE, ValueError, id="just-over-one"),
     # on the basis 6/pi^2 a coefficient may reach pi^2/6 = 1.644...
-    with pytest.raises(ValueError):
-        DensityTable.from_dict("over", Basis.SIX_OVER_PI2, {1: Fraction(17, 10)}).validate()
-    DensityTable.from_dict("ok", Basis.SIX_OVER_PI2, {1: Fraction(16, 10)}).validate()
-    DensityTable.from_dict("full", Basis.ONE, {-1: Fraction(1, 2), 1: Fraction(1, 2)}).validate()
+    pytest.param(((1, Fraction(17, 10)),), Basis.SIX_OVER_PI2, ValueError, id="over-six-over-pi2"),
+    pytest.param(((1, Fraction(10**400)),), Basis.ONE, ValueError, id="past-float-range"),
+])
+def test_density_table_refuses_invalid(entries, basis, error):
+    with pytest.raises(error):
+        DensityTable("bad", basis, entries)
 
 
-def test_from_dict_takes_only_exact_coefficients():
-    # Fraction(0.1) would store the binary expansion of 0.1 without notice
-    for bad in (0.1, 0.0, 1.0, True, "1/2", Decimal("0.5")):
-        with pytest.raises(TypeError):
-            DensityTable.from_dict("inexact", Basis.ONE, {1: bad})
-    table = DensityTable.from_dict("exact", Basis.SIX_OVER_PI2,
-                                   {1: 1, 2: Fraction(0), 3: 0, -1: Fraction(1, 2)})
-    assert table.entries == ((-1, Fraction(1, 2)), (1, Fraction(1)))
-    assert all(type(c) is Fraction for _, c in table.entries)
+def test_density_table_accepts_full_mass():
+    table = DensityTable("full", Basis.ONE, ((-1, HALF), (1, HALF)))
+    assert table.nonzero_mass() == 1 and table.numeric(0) == 0
+    table = DensityTable("ok", Basis.SIX_OVER_PI2, ((1, Fraction(16, 10)),))
+    assert table.entries == ((1, Fraction(8, 5)),)
+    assert DensityTable("empty", Basis.ARTIN, ()).numeric(0) == 1
 
 
 def test_doubling_halves_density_outside_odd_set():

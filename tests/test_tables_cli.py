@@ -259,6 +259,19 @@ def test_cli_moment_past_its_bit_budget_exits_3(capsys):
     assert code == 0 and json.loads(out)["coeff"] == "0"
 
 
+def test_cli_moment_of_an_order_past_the_float_range_exits_3(capsys):
+    # the budget once multiplied the order by a float, so an order past
+    # 1.8e308 escaped main as an OverflowError; m = 1 builds 0 bits at any order
+    huge = str(10**400)
+    for query in (("natural", "--m", "6", "--order", huge), ("prime", "--k", "2", "--z", "1e400"),
+                  ("prime", "--k", "2", "--z", huge)):
+        code, out, err = run_cli(capsys, "moment", *query)
+        assert code == 3 and out == "" and "524288 budget" in err, query
+    for query in (("natural", "--m", "1", "--order", huge), ("prime", "--k", "1", "--z", "1e400")):
+        code, out, _ = run_cli(capsys, "moment", *query, "--format", "json")
+        assert code == 0 and json.loads(out)["coeff"] == "1", query
+
+
 def test_cli_valueset(capsys):
     code, out, _ = run_cli(capsys, "valueset", "--k", "7", "--format", "json")
     payload = json.loads(out)
@@ -333,6 +346,8 @@ def test_cli_exit_codes(capsys, monkeypatch):
     assert code == 3 and "resource" in err.lower()
     code, out, _ = run_cli(capsys, "moment", "prime", "--k", "2", "--z", "1")
     assert code == 0 and out
+    code, out, err = run_cli(capsys, "moment", "prime", "--k", "2", "--z", "1/0")
+    assert code == 2 and out == "" and "zero denominator" in err
     # an odd order is no excuse for an m that does not exist
     for m in ("-3", "0"):
         for order in ("1", "2"):
