@@ -442,7 +442,7 @@ def _trial_division(n: int) -> tuple:
     d = 5
     # wheel over 6k +/- 1: a factorize call costs about 7 µs at n <= 2.3*10^5
     # and about 35 µs near 2*10^7 (Python 3.11); nothing bounds n yet
-    # (ROADMAP item 8)
+    # (ROADMAP item 20)
     while d * d <= n:
         for q in (d, d + 2):
             if n % q == 0:

@@ -59,7 +59,7 @@ _COEFF_METHODS = {
 
 
 def _density_rows(table: DensityTable):
-    payload = json.loads(table.to_json())
+    payload = table.payload()
     rows = [[str(r["value"]), r["coeff"], r["basis"], f"{r['numeric']:.6f}"]
             for r in payload["entries"]]
     return ["value", "coeff", "basis", "numeric"], rows, payload

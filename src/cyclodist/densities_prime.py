@@ -329,6 +329,7 @@ def s_small_density(
     a_(p-1)(k), mirrored for odd k, for every k the coefficient profile
     covers.  Sign splits are conditional."""
     table, _ = coeff_prime_density(k, constraint)
-    sign = -1 if k % 2 else 1
-    return DensityTable(f"s_{k}(p) mod p", Basis.ARTIN,
-                        tuple(sorted((sign * v, c) for v, c in table.entries)), conditional=True)
+    values, nums = table.values, table.nums
+    if k % 2:
+        values, nums = tuple(-v for v in reversed(values)), nums[::-1]
+    return DensityTable(f"s_{k}(p) mod p", Basis.ARTIN, values, nums, table.denom, conditional=True)

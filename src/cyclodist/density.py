@@ -15,11 +15,11 @@ sum of local valuation weights over the exponent vectors at S.
 from __future__ import annotations
 
 import enum
-import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -51,58 +51,62 @@ def basis_numeric(basis: Basis) -> float:
 
 @dataclass(frozen=True)
 class DensityTable:
-    """Nonzero-value densities of an integer statistic.
+    """Nonzero-value densities of an integer statistic: values[i] has the
+    density nums[i] / denom times `basis`, the integer numerators and the one
+    denominator of the fold.  `entries`, the reduced (value, Fraction) pairs,
+    is made when first read.  `conditional` flags tables that rest on the
+    unproved sign-equidistribution conjecture for Möbius values over
+    shifted primes.
 
-    `entries` maps value -> exact coefficient; every entry shares `basis`,
-    so the density of v is entries[v] * basis.  `conditional` flags tables
-    that rest on the unproved sign-equidistribution conjecture for Möbius
-    values over shifted primes.
-
-    A table is checked when it is built.  Each coefficient is a Fraction, or
-    TypeError (Fraction(0.1) would be the binary expansion of 0.1).  The
-    values strictly increase, each coefficient is positive, and the numeric
-    nonzero mass (a float sum, error ~2^-52 of it) is at most 1 + 1e-12, so
-    the implicit v = 0 entry has a mass in [0, 1]; or ValueError.
+    A table is checked when it is built: each num and denom is a plain int
+    (not a bool), or TypeError; one num per value, strictly increasing
+    values, positive nums and denom, and a nonzero mass of at most 1 (exact
+    on Basis.ONE, else a float product within 1 + 1e-12, a mass past the
+    float range too much), or ValueError.
     """
 
     statistic: str
     basis: Basis
-    entries: Tuple[Tuple[int, Fraction], ...]
+    values: Tuple[int, ...]
+    nums: Tuple[int, ...]
+    denom: int
     conditional: bool = False
 
     def __post_init__(self):
-        coeffs = [c for _, c in self.entries]
-        for c in coeffs:
-            if not isinstance(c, Fraction):
-                raise TypeError(f"density coefficient {c!r} is not a Fraction")
-        values = [v for v, _ in self.entries]
-        if any(a >= b for a, b in zip(values, values[1:])):
+        for n in (*self.nums, self.denom):
+            if type(n) is not int:
+                raise TypeError(f"density numerator or denominator {n!r} is not an int")
+        if len(self.values) != len(self.nums):
+            raise ValueError("density table has not one numerator per value")
+        if any(a >= b for a, b in zip(self.values, self.values[1:])):
             raise ValueError("density table values are not strictly increasing")
-        if any(c.numerator <= 0 for c in coeffs):
-            raise ValueError("density table carries a non-positive coefficient")
+        if self.denom <= 0 or any(n <= 0 for n in self.nums):
+            raise ValueError("density table carries a non-positive numerator or denominator")
+        total = sum(self.nums)
         try:
-            mass = math.fsum(map(float, coeffs)) * basis_numeric(self.basis)
-        except OverflowError:  # a coefficient past the float range
-            mass = math.inf
-        if mass > 1 + 1e-12:
-            raise ValueError(f"density table nonzero mass {mass} exceeds 1")
+            over = (total > self.denom if self.basis is Basis.ONE
+                    else total / self.denom * basis_numeric(self.basis) > 1 + 1e-12)
+        except OverflowError:  # a mass past the float range
+            over = True
+        if over:
+            raise ValueError(f"density table nonzero mass {total}/{self.denom} exceeds 1")
+
+    @cached_property
+    def entries(self) -> Tuple[Tuple[int, Fraction], ...]:
+        return tuple((v, Fraction(n, self.denom)) for v, n in zip(self.values, self.nums))
 
     def as_dict(self) -> Dict[int, Fraction]:
         return dict(self.entries)
 
     def coefficient(self, v: int) -> Fraction:
-        for value, coeff in self.entries:
-            if value == v:
-                return coeff
+        i = bisect_left(self.values, v)
+        if i < len(self.values) and self.values[i] == v:
+            return Fraction(self.nums[i], self.denom)
         return Fraction(0)
-
-    def values(self) -> list:
-        return [v for v, _ in self.entries]
 
     def nonzero_mass(self) -> Fraction:
         """Total coefficient of all nonzero values (on `basis`)."""
-        den = math.lcm(*(c.denominator for _, c in self.entries))
-        return Fraction(sum(c.numerator * (den // c.denominator) for _, c in self.entries), den)
+        return Fraction(sum(self.nums), self.denom)
 
     def numeric(self, v: int) -> float:
         b = basis_numeric(self.basis)
@@ -115,21 +119,15 @@ class DensityTable:
         v = 0 entry contributes nothing for order >= 1)."""
         if order < 1:
             raise ValueError("moment order must be >= 1")
-        return sum((Fraction(v) ** order * c for v, c in self.entries), Fraction(0))
+        return Fraction(sum(v**order * n for v, n in zip(self.values, self.nums)), self.denom)
 
-    def records(self) -> list:
+    def payload(self) -> dict:
+        """The table as JSON-ready data, one record per nonzero value."""
         b = basis_numeric(self.basis)
-        return [{"value": v, "coeff": str(c), "basis": self.basis.value, "numeric": float(c) * b}
-                for v, c in self.entries]
-
-    def to_json(self) -> str:
-        payload = {
-            "statistic": self.statistic,
-            "conditional": self.conditional,
-            "entries": self.records(),
-            "zero_mass_numeric": self.numeric(0),
-        }
-        return json.dumps(payload, sort_keys=True)
+        entries = [{"value": v, "coeff": str(c), "basis": self.basis.value, "numeric": float(c) * b}
+                   for v, c in self.entries]
+        return {"statistic": self.statistic, "conditional": self.conditional, "entries": entries,
+                "zero_mass_numeric": self.numeric(0)}
 
 
 # -- the split-profile fold ---------------------------------------------------------
@@ -190,7 +188,8 @@ def split_density(
 
     Each prime's weights are integer numerators num_q(e) over one common
     denominator; the dtype of `pairs` picks the fold, and one that is neither
-    integer nor object raises TypeError.  Each value costs one Fraction.
+    integer nor object raises TypeError.  The table keeps each value's
+    numerator over that denominator.
 
     * int8 pairs (the coefficient profiles) are folded in int64.  The head
       is the longest leading run of primes for which 2 prod_(q in head)
@@ -246,6 +245,6 @@ def split_density(
         sums = np.zeros(len(tail) * len(values), dtype=np.int64)
         np.add.at(sums, at.ravel(), np.repeat(head, 2 * len(tail)))
         items = zip(values, (tail @ sums.reshape(len(tail), len(values)).astype(object)).tolist())
-    return DensityTable(statistic, basis,
-                        tuple(sorted((v, Fraction(num, denom)) for v, num in items if v and num)),
-                        conditional)
+    kept = sorted((v, num) for v, num in items if v and num)
+    return DensityTable(statistic, basis, tuple(v for v, _ in kept), tuple(num for _, num in kept),
+                        denom, conditional)

@@ -28,7 +28,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -183,14 +182,13 @@ def build_table4(kmax: int = 16) -> TableArtifact:
 
 def build_table6(full: bool = False, pack: Optional[SievePack] = None) -> TableArtifact:
     table = ramanujan_prime_density(15)
-    a_val = basis_numeric(Basis.ARTIN)
+    mass = table.nonzero_mass()
     entries = {str(v): str(c) for v, c in table.entries}
-    numeric = {str(v): _fmt6(float(c) * a_val) for v, c in table.entries}
-    numeric["0"] = _fmt6(1 - float(table.nonzero_mass()) * a_val)
+    numeric = {str(v): _fmt6(table.numeric(v)) for v in (*table.values, 0)}
     data = {
         "k": 15,
         "entries": entries,
-        "nonzero_mass": str(table.nonzero_mass()),
+        "nonzero_mass": str(mass),
         "theory_numeric": numeric,
     }
     empirical = {}
@@ -202,8 +200,8 @@ def build_table6(full: bool = False, pack: Optional[SievePack] = None) -> TableA
         empirical = {str(v): _fmt6(c / rep.total) for v, c in sorted(folded.items())}
         data["empirical_1e6"] = empirical
     rows = []
-    for v in sorted([0] + [int(v) for v in entries]):
-        exact = (_linear_in_a_str(Fraction(1), -table.nonzero_mass()) if v == 0
+    for v in sorted((0, *table.values)):
+        exact = (_linear_in_a_str(Fraction(1), -mass) if v == 0
                  else f"({entries[str(v)]}) A")
         row = [str(v), exact, numeric[str(v)]]
         if full:
@@ -377,7 +375,7 @@ def build_table11(kmax: int = 30) -> TableArtifact:
         data["entries"][str(k)] = entry
         rows.append([str(k), entry["e"], str(entry["bracket"])])
         for v, c in table.entries:
-            rows.append([f"  V_{k}[{v:+d}]", str(c), _fmt6(float(c) * 6 / math.pi**2)])
+            rows.append([f"  V_{k}[{v:+d}]", str(c), _fmt6(table.numeric(v))])
     return TableArtifact(
         "11",
         "Value distribution of a_n(k): e_k, integer witness, and zeta(2)*densities",

@@ -198,7 +198,7 @@ def test_criterion_12_value_distribution_suite(pack):
     counts = count_ramanujan_values(ms, 10**6, pack)
     for m in ms:
         table = natural_density_of_ramanujan(m)
-        values = set(table.values())
+        values = set(table.values)
         assert set(counts[m]) <= values | {0}, m
         for v in values | {0}:
             freq = counts[m].get(v, 0) / 10**6

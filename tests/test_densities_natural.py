@@ -3,6 +3,7 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cyclodist import densities_natural
@@ -244,42 +245,83 @@ def test_density_tables_validate():
         assert coeff_density(k).basis is Basis.SIX_OVER_PI2
 
 
-HALF = Fraction(1, 2)
+SIX = Basis.SIX_OVER_PI2
 
 
-@pytest.mark.parametrize("entries, basis, error", [
-    pytest.param(((1, 0.5),), Basis.ONE, TypeError, id="float"),
-    pytest.param(((1, 0.1),), Basis.ONE, TypeError, id="float-0.1"),
-    pytest.param(((1, 0.0),), Basis.ONE, TypeError, id="float-zero"),
-    pytest.param(((1, 1.0),), Basis.ONE, TypeError, id="float-one"),
-    pytest.param(((1, True),), Basis.ONE, TypeError, id="bool"),
-    pytest.param(((1, 1),), Basis.ONE, TypeError, id="int"),
-    pytest.param(((1, 0),), Basis.ONE, TypeError, id="int-zero"),
-    pytest.param(((1, "1/2"),), Basis.ONE, TypeError, id="str"),
-    pytest.param(((1, Decimal("0.5")),), Basis.ONE, TypeError, id="decimal"),
-    pytest.param(((-1, HALF), (1, 0.25)), Basis.ONE, TypeError, id="float-after-fraction"),
-    pytest.param(((1, Fraction(0)),), Basis.ONE, ValueError, id="zero"),
-    pytest.param(((1, HALF), (2, Fraction(-1, 4))), Basis.ONE, ValueError, id="negative"),
-    pytest.param(((1, Fraction(1, 4)), (1, Fraction(1, 4))), Basis.ONE, ValueError, id="repeated"),
-    pytest.param(((2, Fraction(1, 4)), (1, Fraction(1, 4))), Basis.ONE, ValueError, id="decreasing"),
-    pytest.param(((-1, Fraction(3, 4)), (1, HALF)), Basis.ONE, ValueError, id="over-one"),
-    # 1 + 1e-11 is past the float rounding the check allows, 1e-12
-    pytest.param(((1, Fraction(10**11 + 1, 10**11)),), Basis.ONE, ValueError, id="just-over-one"),
+@pytest.mark.parametrize("values, nums, denom, basis, error", [
+    pytest.param((1,), (0.5,), 1, Basis.ONE, TypeError, id="float"),
+    pytest.param((1,), (0.1,), 1, Basis.ONE, TypeError, id="float-0.1"),
+    pytest.param((1,), (0.0,), 1, Basis.ONE, TypeError, id="float-zero"),
+    pytest.param((1,), (1.0,), 1, Basis.ONE, TypeError, id="float-one"),
+    pytest.param((1,), (True,), 2, Basis.ONE, TypeError, id="bool"),
+    # a numpy integer is no plain int: the int64 fold must hand over Python ints
+    pytest.param((1,), (np.int64(1),), 2, Basis.ONE, TypeError, id="int"),
+    pytest.param((1,), (np.int64(0),), 2, Basis.ONE, TypeError, id="int-zero"),
+    pytest.param((1,), ("1",), 2, Basis.ONE, TypeError, id="str"),
+    pytest.param((1,), (Decimal("1"),), 2, Basis.ONE, TypeError, id="decimal"),
+    pytest.param((1,), (Fraction(1, 2),), 1, Basis.ONE, TypeError, id="fraction"),
+    pytest.param((-1, 1), (2, 0.25), 4, Basis.ONE, TypeError, id="float-after-fraction"),
+    pytest.param((1,), (1,), 2.0, SIX, TypeError, id="denom-float"),
+    pytest.param((1,), (1,), True, SIX, TypeError, id="denom-bool"),
+    pytest.param((1,), (1,), 0, SIX, ValueError, id="denom-zero"),
+    pytest.param((1,), (1,), -2, SIX, ValueError, id="denom-negative"),
+    pytest.param((1, 2), (1,), 4, Basis.ONE, ValueError, id="more-values"),
+    pytest.param((1,), (1, 1), 4, Basis.ONE, ValueError, id="more-nums"),
+    pytest.param((1,), (0,), 2, Basis.ONE, ValueError, id="zero"),
+    pytest.param((1, 2), (2, -1), 4, Basis.ONE, ValueError, id="negative"),
+    pytest.param((1, 1), (1, 1), 4, Basis.ONE, ValueError, id="repeated"),
+    pytest.param((2, 1), (1, 1), 4, Basis.ONE, ValueError, id="decreasing"),
+    pytest.param((-1, 1), (3, 2), 4, Basis.ONE, ValueError, id="over-one"),
+    # 1 + 1e-11 is past the float rounding the other bases allow, 1e-12
+    pytest.param((1,), (10**11 + 1,), 10**11, Basis.ONE, ValueError, id="just-over-one"),
+    # on Basis.ONE the mass is exact: 1 + 1e-15 would pass a float check
+    pytest.param((1,), (10**15 + 1,), 10**15, Basis.ONE, ValueError, id="exactly-over-one"),
     # on the basis 6/pi^2 a coefficient may reach pi^2/6 = 1.644...
-    pytest.param(((1, Fraction(17, 10)),), Basis.SIX_OVER_PI2, ValueError, id="over-six-over-pi2"),
-    pytest.param(((1, Fraction(10**400)),), Basis.ONE, ValueError, id="past-float-range"),
+    pytest.param((1,), (17,), 10, SIX, ValueError, id="over-six-over-pi2"),
+    pytest.param((1,), (10**400,), 1, SIX, ValueError, id="past-float-range"),
 ])
-def test_density_table_refuses_invalid(entries, basis, error):
+def test_density_table_refuses_invalid(values, nums, denom, basis, error):
     with pytest.raises(error):
-        DensityTable("bad", basis, entries)
+        DensityTable("bad", basis, values, nums, denom)
 
 
 def test_density_table_accepts_full_mass():
-    table = DensityTable("full", Basis.ONE, ((-1, HALF), (1, HALF)))
+    table = DensityTable("full", Basis.ONE, (-1, 1), (1, 1), 2)
     assert table.nonzero_mass() == 1 and table.numeric(0) == 0
-    table = DensityTable("ok", Basis.SIX_OVER_PI2, ((1, Fraction(16, 10)),))
+    table = DensityTable("ok", SIX, (1,), (16,), 10)
     assert table.entries == ((1, Fraction(8, 5)),)
-    assert DensityTable("empty", Basis.ARTIN, ()).numeric(0) == 1
+    assert DensityTable("empty", Basis.ARTIN, (), (), 1).numeric(0) == 1
+    # a mass of pi^2/6 on 6/pi^2 may round past 1 by far less than 1e-12
+    denom = 10**20
+    num = math.floor(Fraction(math.pi**2 / 6) * denom) + 10**6
+    assert 1 < num / denom * (6 / math.pi**2) < 1 + 1e-12
+    assert DensityTable("full", SIX, (1,), (num,), denom).nonzero_mass() == Fraction(num, denom)
+
+
+def test_density_table_prints_reduced_fractions():
+    table = DensityTable("f", Basis.ONE, (-1, 1), (2, 6), 8)
+    assert [r["coeff"] for r in table.payload()["entries"]] == ["1/4", "3/4"]
+    assert [str(c) for _, c in table.entries] == ["1/4", "3/4"]
+    assert table.payload()["zero_mass_numeric"] == 0 and str(table.nonzero_mass()) == "1"
+
+
+def test_density_table_readers_match_its_entries():
+    # each reader works on the one denominator; the entries are the
+    # reduced Fractions, summed here one by one
+    rng = random.Random(36)
+    for trial in range(300):
+        values = sorted(rng.sample(range(-40, 41), rng.randint(0, 8)))
+        nums = [rng.randint(1, 50) for _ in values]
+        denom = sum(nums) + rng.randint(0, 50) or 1
+        table = DensityTable("f", Basis.ONE, tuple(values), tuple(nums), denom)
+        entries = dict(table.entries)
+        assert table.nonzero_mass() == sum(entries.values(), Fraction(0)), trial
+        for order in (1, 2, 3):
+            want = sum((Fraction(v) ** order * c for v, c in entries.items()), Fraction(0))
+            assert table.moment(order) == want, (trial, order)
+        lo, hi = min(values, default=0), max(values, default=0)
+        for v in {lo - 1, hi + 1, *range(lo, hi + 1)}:
+            assert table.coefficient(v) == entries.get(v, 0), (trial, v)
 
 
 def test_doubling_halves_density_outside_odd_set():

@@ -16,7 +16,7 @@ def test_coefficient_frequencies_over_integers(pack):
     counts = count_cyclo_values((2, 3, 7), 10**6, pack)
     for k in (2, 3, 7):
         table = coeff_density(k)
-        values = set(table.values())
+        values = set(table.values)
         assert set(counts[k]) <= values | {0}, k
         for v in values | {0}:
             freq = counts[k].get(v, 0) / 10**6
@@ -32,7 +32,7 @@ def test_coefficient_frequencies_over_integers(pack):
 def test_coefficient_frequencies_k15_at_1e6(pack):
     counts = count_cyclo_values((15,), 10**6, pack)[15]
     table = coeff_density(15)
-    for v in set(table.values()) | {0}:
+    for v in set(table.values) | {0}:
         assert abs(counts.get(v, 0) / 10**6 - table.numeric(v)) < 0.005, v
 
 
@@ -40,8 +40,8 @@ def test_coefficient_frequencies_k15_converged(pack):
     limit = 4 * 10**6
     counts = count_cyclo_values((15,), limit, pack)[15]
     table = coeff_density(15)
-    assert set(counts) <= set(table.values()) | {0}
-    for v in set(table.values()) | {0}:
+    assert set(counts) <= set(table.values) | {0}
+    for v in set(table.values) | {0}:
         assert abs(counts.get(v, 0) / limit - table.numeric(v)) < 0.005, v
 
 
@@ -68,12 +68,13 @@ def test_prime_mean_abs_frequencies(pack):
 
 def test_density_json_record_shape():
     table = natural_density_of_ramanujan(2)
-    payload = json.loads(table.to_json())
+    payload = table.payload()
+    assert json.loads(json.dumps(payload)) == payload  # plain ints, floats and strings
     assert payload["conditional"] is False
     for record in payload["entries"]:
         assert set(record) == {"value", "coeff", "basis", "numeric"}
         assert record["basis"] == "SIX_OVER_PI2"
         Fraction(record["coeff"])  # parseable reduced fraction
-    signed = json.loads(ramanujan_prime_density(2, signed=True).to_json())
+    signed = ramanujan_prime_density(2, signed=True).payload()
     assert signed["conditional"] is True
     assert all(r["basis"] == "ARTIN" for r in signed["entries"])

@@ -33,6 +33,6 @@ def test_full_tables_against_printed_empirics(tid, pack):
 def test_wintner_brute_force_m2(pack):
     counts = count_ramanujan_values([2], 10**7, pack)[2]
     table = natural_density_of_ramanujan(2)
-    for v in set(table.values()) | {0}:
+    for v in set(table.values) | {0}:
         freq = counts.get(v, 0) / 10**7
         assert abs(freq - table.numeric(v)) < 0.002, v

@@ -125,7 +125,7 @@ def test_ramanujan_tables_exact_past_int64():
     for m in (2**80, 10**25):
         natural = natural_density_of_ramanujan(m)
         assert natural.as_dict() == _merge(_ramanujan_profiles(m, over_primes=False)), m
-        assert max(natural.values()) == m and min(natural.values()) == -m
+        assert max(natural.values) == m and min(natural.values) == -m
         assert natural_moment_of_ramanujan(m, 2)[0] == natural.moment(2), m
         pairs = list(_ramanujan_profiles(m, over_primes=True))
         assert ramanujan_prime_density(m, signed=True).as_dict() == _merge(pairs), m
